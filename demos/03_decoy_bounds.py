@@ -17,7 +17,7 @@ from pmqcc import (
     simulate_decoy_gains,
     transmittance,
     y2_lower_3party,
-    yield_table,
+    yield_probability,
 )
 
 
@@ -39,12 +39,11 @@ def main():
 
     eta = transmittance(ch)
     topo = BranchTopology.symmetric(3, pp.signal_intensity, eta, ch.dark_count)
-    table = yield_table(topo)
-    print(f"exact two-photon yield        Y2   = {table.yields[2]:.6e}  (bound is safe: "
-          f"{y2_low <= table.yields[2]})")
+    y2 = yield_probability(topo, 2)
+    print(f"exact two-photon yield        Y2   = {y2:.6e}  (bound is safe: {y2_low <= y2})")
 
     bounds = decoy_bounds(pp, ch)
-    e_x = phase_error_rate(table, topo)
+    e_x = phase_error_rate(topo)
     print(f"\nphase-error upper bound  E_X^U = {bounds.phase_error_upper:.5f}")
     print(f"exact phase-error rate   E_X   = {e_x:.5f}  (bound is safe: "
           f"{bounds.phase_error_upper >= e_x})")

@@ -15,7 +15,6 @@ from pmqcc import (
     rate_pmqcc,
     rate_reduced,
     transmittance,
-    yield_table,
 )
 
 BENCH = dict(loss_rate=0.2, detector_efficiency=0.65, dark_count=7.2e-8)
@@ -31,8 +30,8 @@ def main():
     print("virtual intensities per branch:")
     print(f"  intact chain : {[b.virtual_intensity for b in sym.branches]}")
     print(f"  one boundary : {[round(b.virtual_intensity, 6) for b in red.branches]}")
-    print(f"phase error intact  : {phase_error_rate(yield_table(sym), sym):.5f}")
-    print(f"phase error reduced : {phase_error_rate(yield_table(red), red):.5f}")
+    print(f"phase error intact  : {phase_error_rate(sym):.5f}")
+    print(f"phase error reduced : {phase_error_rate(red):.5f}")
 
     print("\nreduced 3-party rates at the published optima:")
     for distance, mu, reference in [(50.0, 0.1059, 1.7060e-7), (100.0, 0.1032, 1.6152e-9)]:

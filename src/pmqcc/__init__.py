@@ -9,14 +9,10 @@ optimizes protocol parameters.
 
 from .core import (
     ChannelParams,
-    ParitySplit,
     ProtocolParams,
     binary_entropy,
     intrinsic_misalignment,
-    parity_split,
-    poisson_weight,
     transmittance,
-    truncation_order,
 )
 from .decoy import (
     DecoyBounds,
@@ -58,14 +54,6 @@ from .keyrate import (
 )
 from .montecarlo import EmpiricalEstimates, SimConfig, SimTally, estimate, run_rounds
 from .optimize import OptimizationResult, optimize_decoys, optimize_signal
-from .yields import (
-    BranchSpec,
-    BranchTopology,
-    YieldTable,
-    gain_from_yields,
-    phase_error_rate,
-    yield_probability,
-    yield_table,
-)
+from .yields import BranchSpec, BranchTopology, phase_error_rate, yield_probability
 
 __version__ = "0.1.0"

@@ -171,6 +171,11 @@ def cmd_rate(args) -> int:
     return 0
 
 
+def _zero_row(length: float, mu: float, slices: int, flag: str) -> str:
+    """Curve row with zero rate, gain, QBER and phase error."""
+    return f"{_fmt(length)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(mu)},{slices},{flag}"
+
+
 def _curve_row(length: float, protocol: str, cfg: dict, optimize: str) -> str:
     ch = ChannelParams(
         loss_rate=float(cfg["alpha_db_per_km"]),
@@ -192,7 +197,7 @@ def _curve_row(length: float, protocol: str, cfg: dict, optimize: str) -> str:
                 boundaries=parse_boundaries(cfg),
             )
             if result.flagged_zero:
-                return f"{_fmt(length)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(0)},0,infeasible"
+                return _zero_row(length, 0, 0, "infeasible")
             pp = result.best_params
             if protocol == "decoy-lower" and optimize == "signal":
                 # keep the configured decoy set alongside the optimized signal
@@ -208,11 +213,11 @@ def _curve_row(length: float, protocol: str, cfg: dict, optimize: str) -> str:
                     ec_efficiency=pp.ec_efficiency,
                 )
                 if dec.flagged_zero:
-                    return f"{_fmt(length)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(pp.signal_intensity)},{pp.slice_count},infeasible"
+                    return _zero_row(length, pp.signal_intensity, pp.slice_count, "infeasible")
                 pp = dec.best_params
         report = compute_rate(protocol, pp, ch, cfg)
     except PMQCCError as exc:
-        return f"{_fmt(length)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(0)},0,error:{type(exc).__name__}"
+        return _zero_row(length, 0, 0, f"error:{type(exc).__name__}")
     flag = "clamped" if report.clamped else "ok"
     return (
         f"{_fmt(length)},{_fmt(report.rate)},{_fmt(report.gain)},"
@@ -358,15 +363,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(_dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
-        return 2
-    except ParameterError as exc:
-        sys.stderr.write(_dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
-        return 2
     except PMQCCError as exc:
         sys.stderr.write(_dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
-        return 3
+        # ConfigError is a ParameterError
+        return 2 if isinstance(exc, ParameterError) else 3
 
 
 if __name__ == "__main__":

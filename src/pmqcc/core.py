@@ -16,20 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln, xlogy
-
 from .errors import ParameterError
 
 __all__ = [
     "ProtocolParams",
     "ChannelParams",
-    "ParitySplit",
     "binary_entropy",
     "transmittance",
-    "parity_split",
-    "poisson_weight",
     "intrinsic_misalignment",
-    "truncation_order",
 ]
 
 _LN2 = math.log(2.0)
@@ -106,53 +100,20 @@ class ChannelParams:
             raise ParameterError(f"dark_count must lie in [0, 1), got {self.dark_count}")
 
 
-@dataclass(frozen=True)
-class ParitySplit:
-    """Even/odd photon-number mass of a phase-randomized coherent source.
-
-    ``p_odd`` is computed from ``p_even``'s complement so the pair sums
-    to 1 exactly.
-    """
-
-    p_even: float
-    p_odd: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p_odd <= 1.0 and 0.0 <= self.p_even <= 1.0):
-            raise ParameterError("parity probabilities must lie in [0, 1]")
+def _xlogx(x: float) -> float:
+    return x * math.log(x) if x > 0.0 else 0.0
 
 
 def binary_entropy(x: float) -> float:
     """H(x) = -x log2 x - (1-x) log2 (1-x), total on [0, 1]."""
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"binary_entropy requires x in [0, 1], got {x}")
-    return float(-(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x)) / _LN2)
+    return -(_xlogx(x) + _xlogx(1.0 - x)) / _LN2
 
 
 def transmittance(ch: ChannelParams) -> float:
     """Per-party transmittance eta = eta_d * 10^(-alpha L / 10)."""
     return ch.detector_efficiency * 10.0 ** (-ch.loss_rate * ch.distance / 10.0)
-
-
-def parity_split(total_intensity: float) -> ParitySplit:
-    """Parity decomposition of a coherent source of mean photon number t:
-    p_even = e^-t cosh t, p_odd = e^-t sinh t = (1 - e^-2t)/2."""
-    if total_intensity < 0.0:
-        raise ParameterError(f"total_intensity must be >= 0, got {total_intensity}")
-    p_odd = -math.expm1(-2.0 * total_intensity) / 2.0
-    return ParitySplit(p_even=1.0 - p_odd, p_odd=p_odd)
-
-
-def poisson_weight(total_intensity: float, k: int) -> float:
-    """Poisson probability e^-t t^k / k!, evaluated in log space so large
-    k stays finite during truncation sweeps."""
-    if total_intensity < 0.0:
-        raise ParameterError(f"total_intensity must be >= 0, got {total_intensity}")
-    if not isinstance(k, (int,)) or k < 0:
-        raise ParameterError(f"k must be a nonnegative integer, got {k}")
-    if total_intensity == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return float(math.exp(k * math.log(total_intensity) - total_intensity - gammaln(k + 1)))
 
 
 def intrinsic_misalignment(slice_count: int) -> float:
@@ -162,12 +123,3 @@ def intrinsic_misalignment(slice_count: int) -> float:
         raise ParameterError(f"slice_count must be an integer >= 2, got {slice_count}")
     m = float(slice_count)
     return math.pi / m - (m * m / math.pi**2) * math.sin(math.pi / m) ** 3
-
-
-def truncation_order(total_intensity: float) -> int:
-    """Smallest photon-number cutoff K with Poisson tail mass below 1e-12
-    under the K >= t + 12 sqrt(t) + 30 rule."""
-    if total_intensity < 0.0:
-        raise ParameterError(f"total_intensity must be >= 0, got {total_intensity}")
-    t = total_intensity
-    return int(math.ceil(t + 12.0 * math.sqrt(t) + 30.0))

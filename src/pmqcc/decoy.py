@@ -278,7 +278,10 @@ def _estimation_pipeline(pp: ProtocolParams, ch: ChannelParams):
 
     branch_e = branch_qber_avg(arrival, ch.dark_count, pp.slice_count)
     prefactor = (2.0 / pp.slice_count) ** (n - 1)
-    report = _assemble(prefactor, q_mu, _marginals(branch_e, n), e_x_u, pp.ec_efficiency)
+    # E_X may lie anywhere in [0, E_X^U], and H peaks at 1/2: a bound above
+    # 1/2 certifies no more than 1/2 does
+    e_x_charged = min(e_x_u, 0.5)
+    report = _assemble(prefactor, q_mu, _marginals(branch_e, n), e_x_charged, pp.ec_efficiency)
     bounds = DecoyBounds(
         y_lower=partial.y_lower, n_cut=n_cut, phase_error_upper=e_x_u, rate_lower=report.rate
     )
@@ -294,6 +297,6 @@ def decoy_bounds(pp: ProtocolParams, ch: ChannelParams) -> DecoyBounds:
 
 def rate_lower(pp: ProtocolParams, ch: ChannelParams) -> RateReport:
     """Certified key-rate lower bound as a rate report; ``phase_error``
-    carries the upper bound used in the privacy term."""
+    carries the phase error charged in the privacy term, min(E_X^U, 1/2)."""
     _, report = _estimation_pipeline(pp, ch)
     return report

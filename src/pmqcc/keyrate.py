@@ -22,16 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ChannelParams,
-    ProtocolParams,
-    binary_entropy,
-    parity_split,
-    transmittance,
-)
+from .core import ChannelParams, ProtocolParams, binary_entropy, transmittance
 from .errors import InsufficientDataError, ParameterError
 from .interference import branch_gain_avg, branch_qber_avg
-from .yields import BranchTopology, phase_error_rate, yield_table
+from .yields import BranchTopology, phase_error_rate
 
 __all__ = [
     "RateReport",
@@ -49,8 +43,8 @@ class RateReport:
     """Final rate and the intermediate quantities that produced it.
 
     ``marginal_qbers[m-2]`` is the QBER between the first and the m-th
-    party; ``phase_error`` is the exact parity-based rate (or its decoy
-    upper bound when produced by the decoy pipeline).  ``clamped`` marks
+    party; ``phase_error`` is the exact parity-based rate (or, from the
+    decoy pipeline, its upper bound capped at 1/2).  ``clamped`` marks
     a raw rate that came out negative and was reported as 0.
     """
 
@@ -111,15 +105,13 @@ def _dead_channel_report(prefactor: float, n_parties: int) -> RateReport:
 
 
 def _phase_error(pp: ProtocolParams, eta: float, dark_count: float, boundaries=None) -> float:
-    if eta == 0.0:
-        # dark-count-only floor: every yield collapses to Y_0, leaving the
-        # parity mass of the virtual source
-        return parity_split((pp.n_parties - 1) * pp.signal_intensity).p_odd
+    # eta = 0 is the dark-count floor: survival-0 branches leave the parity
+    # mass of the virtual source
     if boundaries is None:
         topo = BranchTopology.symmetric(pp.n_parties, pp.signal_intensity, eta, dark_count)
     else:
         topo = BranchTopology.chain(pp.n_parties, pp.signal_intensity, eta, dark_count, boundaries)
-    return phase_error_rate(yield_table(topo), topo)
+    return phase_error_rate(topo)
 
 
 def _assemble(

@@ -1,5 +1,6 @@
-"""Photon-number-resolved success probabilities Y_k for the honest
-measurement network, including asymmetric (reduced) topologies.
+"""Photon-number-resolved success probabilities Y_k and the phase-error
+rate of the honest measurement network, including asymmetric (reduced)
+topologies.
 
 Model: the k photons of the combined virtual source land independently
 in branch l with probability mu_V(l) / sum(mu_V), survive transmission
@@ -12,34 +13,27 @@ photons registers exactly one click with probability
 
 and Y_k is the probability that every branch succeeds simultaneously.
 
-``yield_probability`` evaluates the expectation by exact enumeration
-over branch occupation compositions of k (the desk-scale oracle, with a
-configurable term cap).  ``yield_table`` evaluates the same expectation
-through its inclusion-exclusion reduction over branch subsets, which is
-algebraically identical and O(2^branches) per photon number; the test
-suite pins the two against each other.
+``yield_probability`` evaluates Y_k by exact enumeration over branch
+occupation compositions of k (the desk-scale oracle, with a configurable
+term cap).  ``phase_error_rate`` needs no yields at all: by Poisson
+thinning the branch photon numbers are independent Poisson variables, so
+the odd-photon-number share of the gain factorizes over branches into an
+O(branches) closed form with no truncation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
 
 from .errors import EnumerationLimitError, ParameterError
-from .core import truncation_order
 
 __all__ = [
     "BranchSpec",
     "BranchTopology",
-    "YieldTable",
     "yield_probability",
-    "yield_table",
-    "gain_from_yields",
     "phase_error_rate",
 ]
 
@@ -55,7 +49,7 @@ class BranchSpec:
     ``virtual_intensity`` is the mean photon number of the branch's
     combined virtual source, ``survival`` the per-photon detection
     probability; their product is the arrival intensity at the branch's
-    beam splitter.
+    beam splitter.  Survival 0 is a branch that only sees dark counts.
     """
 
     virtual_intensity: float
@@ -64,8 +58,8 @@ class BranchSpec:
     def __post_init__(self):
         if not self.virtual_intensity > 0.0:
             raise ParameterError(f"virtual_intensity must be > 0, got {self.virtual_intensity}")
-        if not 0.0 < self.survival <= 1.0:
-            raise ParameterError(f"survival must lie in (0, 1], got {self.survival}")
+        if not 0.0 <= self.survival <= 1.0:
+            raise ParameterError(f"survival must lie in [0, 1], got {self.survival}")
 
     @property
     def arrival_intensity(self) -> float:
@@ -155,21 +149,6 @@ class BranchTopology:
         return cls(branches=tuple(branches), dark_count=dark_count)
 
 
-@dataclass(frozen=True)
-class YieldTable:
-    """Y_k for k = 0..truncation, with the Poisson tail mass beyond the
-    truncation recorded for conservative corrections."""
-
-    yields: tuple
-    truncation: int
-    tail_mass: float
-    total_virtual_intensity: float
-
-    def __post_init__(self):
-        if any(not 0.0 <= y <= 1.0 for y in self.yields):
-            raise ParameterError("yields must lie in [0, 1]")
-
-
 def _branch_weights(topology: BranchTopology):
     """Per-branch landing probability w_l and survival s_l."""
     total = topology.total_virtual_intensity
@@ -228,73 +207,26 @@ def yield_probability(topology: BranchTopology, k: int, term_cap: int = DEFAULT_
     return float(min(max(total, 0.0), 1.0))
 
 
-def _yields_closed(topology: BranchTopology, ks: np.ndarray) -> np.ndarray:
-    """Inclusion-exclusion form of the composition expectation:
-    Y_k = (1-p_d)^B sum_S (-(1-2 p_d))^|S| (1 - q_S)^k with
-    q_S = sum_{l in S} w_l s_l.  Exact, O(2^B) per k."""
-    nb = len(topology.branches)
-    if nb > 24:
-        raise EnumerationLimitError(f"{nb} branches exceed the 2^24 subset budget")
+def phase_error_rate(topology: BranchTopology) -> float:
+    """Phase-error rate E_X: the odd-photon-number share of the gain.
+
+    Branch l holds n_l ~ Poisson(t_l) photons independently of the other
+    branches, and succeeds with f_l(n) = (1-p_d)(1 - (1-2p_d)(1-s_l)^n).
+    With a_l = s_l t_l the arrival intensity,
+
+        E[f_l]          = (1-p_d) T_l,  T_l = 1 - (1-2p_d) e^{-a_l}
+        E[(-1)^n f_l]   = (1-p_d) D_l,  D_l = e^{a_l-2t_l} (expm1(-a_l) + 2p_d)
+
+    so E_X = (1 - prod_l D_l / T_l) / 2: O(branches), no truncation, and
+    no alternating sum.  Each ratio lies in [-1, 1], so long chains cannot
+    overflow; e^{a_l - 2t_l} <= 1 because a_l <= t_l.
+    """
     pd = topology.dark_count
-    ws, ss = _branch_weights(topology)
-    q = ws * ss
-    out = np.zeros(len(ks))
-    for r in range(nb + 1):
-        for subset in combinations(range(nb), r):
-            q_s = sum(q[i] for i in subset)
-            out += (-(1.0 - 2.0 * pd)) ** r * (1.0 - q_s) ** ks
-    out *= (1.0 - pd) ** nb
-    # k = 0 has catastrophic cancellation at tiny p_d; its exact value is
-    # the all-dark product
-    if ks[0] == 0:
-        out[0] = (2.0 * pd * (1.0 - pd)) ** nb
-    return np.clip(out, 0.0, 1.0)
-
-
-def yield_table(topology: BranchTopology, truncation: int | None = None) -> YieldTable:
-    """Tabulate Y_k for k = 0..K with K from the Poisson tail rule on the
-    total virtual intensity (or an explicit override)."""
-    t = topology.total_virtual_intensity
-    k_max = truncation_order(t) if truncation is None else int(truncation)
-    ks = np.arange(k_max + 1)
-    ys = _yields_closed(topology, ks)
-    tail = float(poisson.sf(k_max, t))
-    return YieldTable(
-        yields=tuple(float(y) for y in ys),
-        truncation=k_max,
-        tail_mass=tail,
-        total_virtual_intensity=t,
-    )
-
-
-def _poisson_pmf(t: float, k_max: int) -> np.ndarray:
-    if t == 0.0:
-        out = np.zeros(k_max + 1)
-        out[0] = 1.0
-        return out
-    ks = np.arange(k_max + 1)
-    return np.exp(ks * math.log(t) - t - gammaln(ks + 1))
-
-
-def gain_from_yields(table: YieldTable, topology: BranchTopology) -> float:
-    """Overall gain sum_k P_t(k) Y_k plus a conservative tail correction
-    bounded by the recorded tail mass."""
-    t = topology.total_virtual_intensity
-    pmf = _poisson_pmf(t, table.truncation)
-    main = float(pmf @ np.asarray(table.yields))
-    # beyond the truncation every yield is at most (1 - p_d)^B
-    tail_cap = (1.0 - topology.dark_count) ** len(topology.branches)
-    return main + table.tail_mass * tail_cap
-
-
-def phase_error_rate(table: YieldTable, topology: BranchTopology) -> float:
-    """Phase-error rate E_X: the odd-photon-number share of the gain,
-    E_X = sum_{k odd} P_t(k) Y_k / sum_k P_t(k) Y_k."""
-    t = topology.total_virtual_intensity
-    pmf = _poisson_pmf(t, table.truncation)
-    ys = np.asarray(table.yields)
-    total = float(pmf @ ys)
-    if total <= 0.0:
-        raise ParameterError("overall gain is 0; phase error undefined")
-    odd = float(pmf[1::2] @ ys[1::2])
-    return odd / total
+    ratio = 1.0
+    for b in topology.branches:
+        a, t = b.arrival_intensity, b.virtual_intensity
+        gain = -math.expm1(-a) + 2.0 * pd * math.exp(-a)
+        if gain <= 0.0:
+            raise ParameterError("overall gain is 0; phase error undefined")
+        ratio *= math.exp(a - 2.0 * t) * (math.expm1(-a) + 2.0 * pd) / gain
+    return (1.0 - ratio) / 2.0

@@ -23,12 +23,13 @@ from pmqcc import (
     BranchTopology,
     ChannelParams,
     DecoyGains,
+    DegenerateGeometryError,
     ProtocolParams,
     SimConfig,
     branch_gain_avg,
     estimate,
     exact_branch_average,
-    gain_from_yields,
+    n_cut_for,
     optimize_signal,
     phase_error_rate,
     phase_error_upper,
@@ -39,9 +40,11 @@ from pmqcc import (
     scaling_exponent,
     transmittance,
     y2_lower_3party,
-    yield_table,
+    yield_probability,
+    yields_lower_general,
 )
 from tests.conftest import bench_channel_at
+from tests.enumeration import enumerated_gain
 
 # benchmark channel: 0.2 dB/km, eta_d = 0.65, p_d = 7.2e-8, f = 1.16
 TABLE_I = [
@@ -147,7 +150,7 @@ def test_c05_oracle_gain_equivalence():
             for pd in (0.0, 1e-7):
                 for n in (2, 3, 4):
                     topo = BranchTopology.symmetric(n, mu, eta, pd)
-                    oracle = gain_from_yields(yield_table(topo), topo)
+                    oracle = enumerated_gain(topo)
                     analytic = branch_gain_avg(eta * mu, pd) ** (n - 1)
                     worst = max(worst, abs(oracle / analytic - 1.0))
     elapsed = time.perf_counter() - start
@@ -177,14 +180,58 @@ def test_c06_decoy_safety_randomized():
         e_x_up = phase_error_upper({2: y2_low}, mu, q_mu, gains.vacuum_gain, 3)
 
         topo = BranchTopology.symmetric(3, mu, eta, pd)
-        table = yield_table(topo)
-        if y2_low > table.yields[2] * (1.0 + 1e-9):
+        if y2_low > yield_probability(topo, 2) * (1.0 + 1e-9):
             violations += 1
-        if e_x_up < phase_error_rate(table, topo) * (1.0 - 1e-9):
+        if e_x_up < phase_error_rate(topo) * (1.0 - 1e-9):
             violations += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     conclude("6", violations == 0, f"{violations} violations over 200 random channels ({elapsed:.1f} s)")
+
+
+@pytest.mark.parametrize("n_parties", [4, 5])
+def test_c06_decoy_safety_randomized_general_ladder(n_parties):
+    start = time.perf_counter()
+    n_cut = n_cut_for(n_parties)
+    rng = np.random.default_rng(20240 + n_parties)
+    violations = checked = skipped = 0
+    for _ in range(200):
+        eta = 10.0 ** rng.uniform(-4.0, -0.05)
+        pd = 10.0 ** rng.uniform(-9.0, -6.0)
+        mu = 10.0 ** rng.uniform(-2.0, math.log10(0.5))
+        decoys = [mu / rng.uniform(1.5, 8.0)]
+        for _ in range(n_cut - 1):
+            decoys.append(decoys[-1] / rng.uniform(1.3, 3.0))
+        decoys.append(decoys[-1] / rng.uniform(5.0, 300.0))
+
+        gains = DecoyGains(
+            intensities=tuple(decoys),
+            gains=tuple(branch_gain_avg(eta * x, pd) ** (n_parties - 1) for x in decoys),
+            vacuum_gain=(2.0 * pd * (1.0 - pd)) ** (n_parties - 1),
+        )
+        try:
+            y_low = yields_lower_general(gains, float(n_parties - 1), n_cut).y_lower
+        except DegenerateGeometryError:
+            skipped += 1
+            continue
+        checked += 1
+        q_mu = branch_gain_avg(eta * mu, pd) ** (n_parties - 1)
+        e_x_up = phase_error_upper(y_low, mu, q_mu, gains.vacuum_gain, n_parties)
+
+        topo = BranchTopology.symmetric(n_parties, mu, eta, pd)
+        for m, bound in y_low.items():
+            if bound > yield_probability(topo, m) * (1.0 + 1e-9):
+                violations += 1
+        if e_x_up < phase_error_rate(topo) * (1.0 - 1e-9):
+            violations += 1
+    elapsed = time.perf_counter() - start
+    assert checked >= 150, f"only {checked} of 200 draws passed the ladder's own checks"
+    assert elapsed < 120.0
+    conclude(
+        "6", violations == 0,
+        f"N={n_parties}: {violations} violations over {checked} checked random channels "
+        f"({skipped} degenerate skipped, {elapsed:.1f} s)",
+    )
 
 
 def test_c07_monte_carlo_agreement():

@@ -44,7 +44,7 @@ class TestRateCommand:
     def test_floats_use_12_significant_digits(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TABLE_CONFIG)
         code, out, _ = run_cli(["rate", cfg], capsys)
-        assert '"rate": 2.69891996568e-07' in out
+        assert '"rate": 2.69891996567e-07' in out
 
     def test_sanity_two_party_zero_distance(self, tmp_path, capsys):
         cfg = write_config(
@@ -262,3 +262,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rate"] == pytest.approx(2.6989e-7, rel=1e-3)
+
+    @pytest.mark.parametrize("command", [
+        ["rate"],
+        ["curve", "--l-min", "50", "--l-max", "50", "--l-step", "10", "--optimize", "signal"],
+    ])
+    def test_leaves_scipy_unimported(self, tmp_path, command):
+        # only the simulator's quadrature comparison needs scipy
+        cfg = write_config(tmp_path, TABLE_CONFIG)
+        argv = [command[0], cfg, *command[1:], "--out", str(tmp_path / "out")]
+        probe = (
+            "import sys\n"
+            "from pmqcc.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

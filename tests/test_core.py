@@ -9,11 +9,10 @@ from pmqcc import (
     ProtocolParams,
     binary_entropy,
     intrinsic_misalignment,
-    parity_split,
-    poisson_weight,
     transmittance,
-    truncation_order,
 )
+# the Poisson helpers serve only the enumeration reference and live with it
+from tests.enumeration import parity_split, poisson_weight, truncation_order
 
 
 class TestBinaryEntropy:

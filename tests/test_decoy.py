@@ -9,7 +9,6 @@ from pmqcc import (
     ParameterError,
     ProtocolParams,
     decoy_bounds,
-    gain_from_yields,
     n_cut_for,
     phase_error_rate,
     phase_error_upper,
@@ -18,10 +17,11 @@ from pmqcc import (
     simulate_decoy_gains,
     transmittance,
     y2_lower_3party,
-    yield_table,
+    yield_probability,
     yields_lower_general,
 )
 from tests.conftest import bench_channel_at
+from tests.enumeration import enumerated_yields, poisson_weight
 
 ANCHOR_DECOYS = (0.0204583, 0.0182017, 9.27216e-5)
 
@@ -39,8 +39,6 @@ def forward_gains(intensities, scale, yield_fn, y0):
     for x in intensities:
         t = scale * x
         k_max = 200
-        from pmqcc import poisson_weight
-
         gains.append(sum(poisson_weight(t, k) * yield_fn(k) for k in range(k_max)))
     return DecoyGains(intensities=tuple(intensities), gains=tuple(gains), vacuum_gain=y0)
 
@@ -156,18 +154,14 @@ class TestPhaseErrorUpper:
         # feeding the true even yields as bounds leaves exactly the dropped
         # even tail as the gap above the true phase-error rate
         topo = BranchTopology.symmetric(3, 0.104815, 6.5e-4, 7.2e-8)
-        table = yield_table(topo)
-        q_oracle = gain_from_yields(table, topo)
-        e_x = phase_error_rate(table, topo)
-        y_true = {2: table.yields[2]}
-        e_x_u = phase_error_upper(y_true, 0.104815, q_oracle, table.yields[0], 3)
-        assert e_x_u >= e_x
-        from pmqcc import poisson_weight
-
+        yields = enumerated_yields(topo)
         t = 2.0 * 0.104815
-        dropped = sum(
-            poisson_weight(t, k) * table.yields[k] for k in range(4, table.truncation + 1, 2)
-        )
+        q_oracle = sum(poisson_weight(t, k) * y for k, y in enumerate(yields))
+        e_x = phase_error_rate(topo)
+        y_true = {2: yields[2]}
+        e_x_u = phase_error_upper(y_true, 0.104815, q_oracle, yields[0], 3)
+        assert e_x_u >= e_x
+        dropped = sum(poisson_weight(t, k) * yields[k] for k in range(4, len(yields), 2))
         assert e_x_u - e_x == pytest.approx(dropped / q_oracle, rel=1e-6)
 
     def test_zero_gain_rejected(self):
@@ -223,14 +217,24 @@ class TestRateLower:
         bounds = decoy_bounds(pp, ch)
         assert set(bounds.y_lower) == {2, 4}
         topo = BranchTopology.symmetric(4, 0.1, transmittance(ch), ch.dark_count)
-        table = yield_table(topo)
-        e_x = phase_error_rate(table, topo)
-        assert bounds.y_lower[2] <= table.yields[2] * (1.0 + 1e-12)
-        assert bounds.y_lower[4] <= table.yields[4] * (1.0 + 1e-12)
+        e_x = phase_error_rate(topo)
+        assert bounds.y_lower[2] <= yield_probability(topo, 2) * (1.0 + 1e-12)
+        assert bounds.y_lower[4] <= yield_probability(topo, 4) * (1.0 + 1e-12)
         assert bounds.phase_error_upper >= e_x
         # with three branches the odd orders dominate the gain, pushing the
-        # true phase error above 1/2 where H is decreasing: the certified
-        # rate is then not ordered against the infinite-decoy one (that
-        # comparison is meaningful only for E_X <= 1/2, as in the 3-party
-        # configurations above)
+        # true phase error above 1/2 where H is decreasing; the privacy term
+        # is then charged at 1/2
         assert e_x > 0.5
+        assert rate_lower(pp, ch).phase_error == 0.5
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_never_beats_exact_rate_beyond_three_parties(self, n):
+        # an upper bound above 1/2 used to lower H(E_X^U) below H(E_X)
+        decoys = (0.05, 0.03, 0.018, 0.01, 0.001, 0.0)
+        for distance in (0.0, 10.0, 25.0, 50.0):
+            for mu in (0.1, 0.2, 0.4):
+                pp = ProtocolParams(
+                    n_parties=n, signal_intensity=mu, slice_count=13, decoy_intensities=decoys
+                )
+                ch = bench_channel_at(distance)
+                assert rate_lower(pp, ch).rate <= rate_pmqcc(pp, ch).rate

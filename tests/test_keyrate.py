@@ -12,7 +12,6 @@ from pmqcc import (
     branch_gain_avg,
     branch_qber_avg,
     click_probabilities,
-    gain_from_yields,
     marginal_qber,
     qber_star,
     rate_pmqcc,
@@ -20,9 +19,9 @@ from pmqcc import (
     rate_reduced,
     scaling_exponent,
     transmittance,
-    yield_table,
 )
 from tests.conftest import bench_channel_at
+from tests.enumeration import enumerated_gain, parity_split
 
 
 class TestMarginalQBER:
@@ -78,7 +77,7 @@ class TestQberStar:
 class TestRatePMQCC:
     def test_benchmark_50km(self, bench_channel, bench_protocol):
         report = rate_pmqcc(bench_protocol, bench_channel)
-        assert report.rate == pytest.approx(2.698919965680185e-07, rel=1e-12)
+        assert report.rate == pytest.approx(2.698919965674259e-07, rel=1e-12)
         assert report.sifting_prefactor == pytest.approx((2.0 / 13.0) ** 2)
         assert not report.clamped
 
@@ -124,8 +123,17 @@ class TestRatePMQCC:
             3, bench_protocol.signal_intensity, transmittance(bench_channel),
             bench_channel.dark_count,
         )
-        oracle = gain_from_yields(yield_table(topo), topo)
-        assert report.gain == pytest.approx(oracle, rel=5e-3)
+        assert report.gain == pytest.approx(enumerated_gain(topo), rel=5e-3)
+
+    def test_dark_count_floor(self):
+        # eta underflows to 0: only dark counts click, and the phase error is
+        # the parity mass of the whole virtual source
+        pp = ProtocolParams(n_parties=4, signal_intensity=0.1, slice_count=13)
+        ch = ChannelParams(0.2, 1e5, 0.65, 1e-6)
+        assert transmittance(ch) == 0.0
+        report = rate_pmqcc(pp, ch)
+        assert report.gain > 0.0
+        assert report.phase_error == pytest.approx(parity_split(0.3).p_odd, rel=1e-12)
 
 
 class TestRateStar:
@@ -169,8 +177,8 @@ class TestRateReduced:
 
     def test_table_values(self):
         for distance, mu, expected in [
-            (50.0, 0.1059, 1.7059606097788102e-07),
-            (100.0, 0.1032, 1.6151629903165156e-09),
+            (50.0, 0.1059, 1.705960609777983e-07),
+            (100.0, 0.1032, 1.6151629922769103e-09),
         ]:
             pp = ProtocolParams(n_parties=3, signal_intensity=mu, slice_count=13)
             report = rate_reduced(pp, bench_channel_at(distance), (False, True))
@@ -183,6 +191,14 @@ class TestRateReduced:
         # gains agree (arrivals unchanged); the loss is in the phase error
         assert red.gain == pytest.approx(full.gain, rel=1e-12)
         assert red.phase_error > full.phase_error
+
+    def test_dark_count_floor_uses_reduced_virtual_source(self):
+        # a broken end sends mu instead of mu/2, so at eta = 0 the parity
+        # mass is that of (N-1) mu + mu/2
+        pp = ProtocolParams(n_parties=4, signal_intensity=0.1, slice_count=13)
+        ch = ChannelParams(0.2, 1e5, 0.65, 1e-6)
+        report = rate_reduced(pp, ch, (False, True))
+        assert report.phase_error == pytest.approx(parity_split(0.35).p_odd, rel=1e-12)
 
 
 class TestScalingExponent:
