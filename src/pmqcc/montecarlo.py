@@ -7,17 +7,32 @@ Determinism contract: a run is partitioned into fixed-size chunks whose
 RNG streams derive from (seed, chunk index) alone, so identical
 (seed, rounds, config) produce identical tallies for any worker count.
 
-Sampling model: per branch the four detector outcomes are drawn from the
-branch-level coherent-state click probabilities at the exact arrival
-phase difference (bits, slice positions and reference deviations all
-included), which is exact for the honest device and far faster than
-per-photon sampling.  Rounds where some branch has zero or two clicks
-are discarded, not errors.
+Sampling model: exact thinning, so that random draws go to the rounds
+that can succeed.  A round succeeds only when every one of the N-1
+branches gets exactly one click.  A branch's one-click probability
+p_one(phi) is at most c = (1-p_d)(1 - e^-a + 2 p_d e^-a), its value at
+phi = 0, so each chunk draws
 
-``mode="forced-matching"`` draws slice indices conditioned on the
-sifting rule passing and records the analytic sifting probability
-(2/M)^(N-1) so rate-level estimates stay unbiased; raw sifting at long
-distance is otherwise impractically wasteful.
+1. the sifted count: all rounds under ``mode="forced-matching"``,
+   Binomial(rounds, (2/M)^(N-1)) under ``mode="full-random"``;
+2. the candidate count K ~ Binomial(sifted, c^(N-1));
+3. bits, in-slice phases and half-slice offsets for the K candidates
+   only.  Given that a round sifts, its slice indices follow the
+   forced-matching law whatever the mode: the first is uniform and each
+   next one sits comp or comp + M/2 slices on.  Branch l of a candidate
+   clicks once when u_l c < p_one(phi_l), and on the R port when
+   u_l c < p_R-only(phi_l), with one uniform u_l per branch.
+
+The click probabilities are the coherent-state ones at the exact arrival
+phase difference (bits, slice positions and reference deviations all
+included), so the tallies are exact in distribution for the honest
+device, and a chunk costs O(K N) draws rather than O(rounds N).
+Rounds where some branch has zero or two clicks are discarded, not
+errors.
+
+``mode="forced-matching"`` records the analytic sifting probability
+(2/M)^(N-1) so rate-level estimates stay unbiased; it gives
+(M/2)^(N-1) times more sifted rounds per sent round than raw sifting.
 """
 
 from __future__ import annotations
@@ -152,6 +167,27 @@ def _wilson(successes: int, trials: int, z: float = 1.0):
     return center, half
 
 
+def _branch_probabilities(arrival: float, dark_count: float, phase_delta: np.ndarray):
+    """P(exactly one click) and P(only R clicks) of each branch at encoded
+    phase difference ``phase_delta``; every click term is an expm1, so
+    nothing cancels at small arrival or small phase difference."""
+    log_nodark = math.log1p(-dark_count)
+    left_exponent = log_nodark - arrival * np.cos(phase_delta / 2.0) ** 2
+    right_exponent = log_nodark - arrival * np.sin(phase_delta / 2.0) ** 2
+    right_only = np.exp(left_exponent) * -np.expm1(right_exponent)
+    left_only = np.exp(right_exponent) * -np.expm1(left_exponent)
+    return left_only + right_only, right_only
+
+
+def _candidate_bound(arrival: float, dark_count: float) -> float:
+    """Tight upper bound c on a branch's one-click probability over all
+    phases.  With silent probabilities s_L, s_R, P(one click) =
+    s_L + s_R - 2 s_L s_R, where s_L s_R = (1-p_d)^2 e^-a does not depend
+    on the phase and s_L + s_R is convex in cos^2(phi/2), so the maximum
+    is the value at phi = 0: c = (1-p_d)(1 - e^-a + 2 p_d e^-a)."""
+    return (1.0 - dark_count) * (-math.expm1(-arrival) + 2.0 * dark_count * math.exp(-arrival))
+
+
 def _run_chunk(
     rng: np.random.Generator,
     n_rounds: int,
@@ -164,49 +200,41 @@ def _run_chunk(
     comp: np.ndarray,
 ) -> SimTally:
     n, m = n_parties, slice_count
-    half_m = m // 2
-
     if mode == "forced-matching":
-        slices = np.empty((n, n_rounds), dtype=np.int64)
-        slices[0] = rng.integers(0, m, n_rounds)
-        offsets = rng.integers(0, 2, (n - 1, n_rounds))
-        for p in range(1, n):
-            slices[p] = (slices[p - 1] + comp[p - 1] + offsets[p - 1] * half_m) % m
-        sift_mask = np.ones(n_rounds, dtype=bool)
+        n_sift = n_rounds
     else:
-        slices = rng.integers(0, m, (n, n_rounds))
-        diffs = np.stack([(slices[p] + comp[p] - slices[p + 1]) % m for p in range(n - 1)])
-        sift_mask = np.all((diffs == 0) | (diffs == half_m), axis=0)
-
-    n_sift = int(sift_mask.sum())
+        n_sift = int(rng.binomial(n_rounds, (2.0 / m) ** (n - 1)))
     tally = SimTally(n_parties=n, slice_count=m, sent=n_rounds, sifted=n_sift, mode=mode)
     tally.pair_errors = {p: 0 for p in range(2, n + 1)}
-    if n_sift == 0:
+
+    bound = _candidate_bound(arrival, dark_count)
+    n_cand = int(rng.binomial(n_sift, bound ** (n - 1)))
+    if n_cand == 0:
         return tally
 
-    slices = slices[:, sift_mask]
-    bits = rng.integers(0, 2, (n, n_sift))
-    in_slice = rng.random((n, n_sift))
-    phases = (slices + in_slice) * (2.0 * math.pi / m)
-    # cumulative physical deviation of party p's frame relative to party 1
-    cum_dev = np.concatenate([[0.0], np.cumsum(deviations)])
-    encoded = phases + math.pi * bits + cum_dev[:, None]
-    phase_delta = encoded[1:] - encoded[:-1]
-
-    log_nodark = math.log1p(-dark_count)
-    p_left = -np.expm1(log_nodark - arrival * np.cos(phase_delta / 2.0) ** 2)
-    p_right = -np.expm1(log_nodark - arrival * np.sin(phase_delta / 2.0) ** 2)
-    left = rng.random((n - 1, n_sift)) < p_left
-    right = rng.random((n - 1, n_sift)) < p_right
-
-    one_click = left ^ right
-    success = np.all(one_click, axis=0)
+    # round detail for the candidates only.  Slice p+1 sits comp_p or
+    # comp_p + M/2 slices after slice p; the absolute slice index shifts
+    # each phase difference by whole turns only, so it is not drawn.
+    half_offset = rng.integers(0, 2, (n - 1, n_cand))
+    bits = rng.integers(0, 2, (n, n_cand))
+    in_slice = rng.random((n, n_cand))
+    slice_steps = comp[:, None] + half_offset * (m // 2) + in_slice[1:] - in_slice[:-1]
+    phase_delta = (
+        slice_steps * (2.0 * math.pi / m)
+        + math.pi * (bits[1:] - bits[:-1])
+        + deviations[:, None]
+    )
+    p_one, p_right = _branch_probabilities(arrival, dark_count, phase_delta)
+    # a candidate branch clicks once with probability p_one / c; given
+    # that, scaled is uniform on [0, p_one), so it fell below p_right with
+    # probability P(R | one click)
+    scaled = rng.random((n - 1, n_cand)) * bound
+    success = np.all(scaled < p_one, axis=0)
     tally.success = int(success.sum())
     if tally.success == 0:
-        tally.pattern_counts = {}
         return tally
 
-    r_click = right[:, success]
+    r_click = (scaled < p_right)[:, success]
     # pattern ids: branch l contributes bit 2^l when its right detector fired
     ids = np.zeros(r_click.shape[1], dtype=np.int64)
     for l in range(n - 1):
@@ -220,10 +248,8 @@ def _run_chunk(
 
     # bit-flip cooperation: party p flips for every R branch and every
     # half-slice offset between it and party 1
-    diffs = np.stack([(slices[p] + comp[p] - slices[p + 1]) % m for p in range(n - 1)])
-    half_offset = (diffs[:, success] == half_m).astype(np.int64)
     bits_s = bits[:, success]
-    flips = np.cumsum(r_click.astype(np.int64) + half_offset, axis=0) % 2
+    flips = np.cumsum(r_click + half_offset[:, success], axis=0) % 2
     for p in range(2, n + 1):
         corrected = (bits_s[p - 1] + flips[p - 2]) % 2
         tally.pair_errors[p] = int(np.sum(corrected != bits_s[0]))

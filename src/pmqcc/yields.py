@@ -162,8 +162,9 @@ def yield_probability(topology: BranchTopology, k: int, term_cap: int = DEFAULT_
 
     Per-branch success factors given n photons assigned,
     (1-p_d) (1 - (1-2 p_d) (1-s)^n), are memoized per branch and photon
-    count; the composition count C(k+B-1, B-1) is checked against
-    ``term_cap`` before enumerating.
+    count, formed as (1-p_d)(-expm1(n log1p(-s)) + 2 p_d (1-s)^n) so that
+    nothing cancels at small survival s; the composition count
+    C(k+B-1, B-1) is checked against ``term_cap`` before enumerating.
     """
     if not isinstance(k, int) or k < 0:
         raise ParameterError(f"k must be a nonnegative integer, got {k}")
@@ -178,9 +179,12 @@ def yield_probability(topology: BranchTopology, k: int, term_cap: int = DEFAULT_
     log_ws = np.log(ws)
     # success factor per (branch, occupation)
     factors = np.empty((nb, k + 1))
+    photons = np.arange(k + 1)
     for l in range(nb):
-        miss = (1.0 - ss[l]) ** np.arange(k + 1)
-        factors[l] = (1.0 - pd) * (1.0 - (1.0 - 2.0 * pd) * miss)
+        miss = (1.0 - ss[l]) ** photons
+        # 1 - (1-s)^n; at s = 1 every photon arrives
+        hit = -np.expm1(photons * np.log1p(-ss[l])) if ss[l] < 1.0 else (photons > 0).astype(float)
+        factors[l] = (1.0 - pd) * (hit + 2.0 * pd * miss)
     log_fact = [math.lgamma(n + 1) for n in range(k + 1)]
 
     total = 0.0

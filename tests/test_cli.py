@@ -266,10 +266,11 @@ class TestEntryPoint:
     @pytest.mark.parametrize("command", [
         ["rate"],
         ["curve", "--l-min", "50", "--l-max", "50", "--l-step", "10", "--optimize", "signal"],
+        ["simulate"],
     ])
     def test_leaves_scipy_unimported(self, tmp_path, command):
-        # only the simulator's quadrature comparison needs scipy
-        cfg = write_config(tmp_path, TABLE_CONFIG)
+        config = TestSimulateCommand.CONFIG if command[0] == "simulate" else TABLE_CONFIG
+        cfg = write_config(tmp_path, config)
         argv = [command[0], cfg, *command[1:], "--out", str(tmp_path / "out")]
         probe = (
             "import sys\n"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
@@ -163,3 +164,87 @@ class TestQuadratureOracle:
         avg_sin2 = (1.0 - (m / math.pi) ** 2 * math.sin(math.pi / m) ** 2) / 2.0
         expected = math.exp(-a) * a * avg_sin2 / branch_gain_avg(a, 0.0)
         assert stats.qber == pytest.approx(expected, rel=2e-2)
+
+
+def quad_branch_average(a, pd, m, phi0):
+    """(gain, wrong-port rate) by adaptive quadrature over the triangle,
+    nested in a quadrature over phi_0 when phi0 is None."""
+    w = 2.0 * math.pi / m
+
+    def tri_average(p0, wrong):
+        def integrand(phi):
+            cp = click_probabilities(a, phi, pd)
+            right_only = cp.p_left_silent * cp.p_right_click
+            one = right_only + cp.p_left_click * cp.p_right_silent
+            return (right_only if wrong else one) * phase_delta_density(phi, p0, m)
+
+        return quad(integrand, p0 - w, p0 + w, points=[p0], epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    if phi0 is not None:
+        return tri_average(phi0, False), tri_average(phi0, True)
+    h = math.pi / m
+    return tuple(
+        quad(lambda p0: tri_average(p0, wrong), -h, h, epsabs=0.0, epsrel=1e-13, limit=200)[0] / (2.0 * h)
+        for wrong in (False, True)
+    )
+
+
+def mpmath_branch_average(a, pd, m, phi0):
+    """(gain, wrong-port rate) at 25 digits.  With phi0 None the phase
+    difference has the density of a uniform phi_0 on [-pi/M, pi/M) plus
+    the triangle, a piecewise quadratic on [-3 pi/M, 3 pi/M]."""
+    with mpmath.workdps(25):
+        a, pd, h = mpmath.mpf(a), mpmath.mpf(pd), mpmath.pi / m
+
+        def rates(phi):
+            log_nodark = mpmath.log1p(-pd)
+            left = log_nodark - a * mpmath.cos(phi / 2) ** 2
+            right = log_nodark - a * mpmath.sin(phi / 2) ** 2
+            right_only = mpmath.exp(left) * -mpmath.expm1(right)
+            return right_only + mpmath.exp(right) * -mpmath.expm1(left), right_only
+
+        if phi0 is not None:
+            c = mpmath.mpf(phi0)
+
+            def density(phi):
+                return max(2 * h - abs(phi - c), 0) / (4 * h * h)
+
+            cuts = [c - 2 * h, c, c + 2 * h]
+        else:
+            def triangle_cdf(y):
+                y = min(max(y, -2 * h), 2 * h)
+                return (y + 2 * h) ** 2 / (8 * h * h) if y <= 0 else 1 - (2 * h - y) ** 2 / (8 * h * h)
+
+            def density(phi):
+                return (triangle_cdf(phi + h) - triangle_cdf(phi - h)) / (2 * h)
+
+            cuts = [-3 * h, -h, h, 3 * h]
+        return tuple(
+            float(mpmath.quad(lambda phi: rates(phi)[i] * density(phi), cuts, method="gauss-legendre"))
+            for i in (0, 1)
+        )
+
+
+class TestGaussLegendreAverage:
+    """The fixed-order rule against adaptive quadrature and 25-digit
+    mpmath for a in [1e-8, 5] and M in [2, 2e6], the range its
+    docstring claims."""
+
+    @pytest.mark.parametrize("phi0_share", [0.0, 0.7, None])
+    @pytest.mark.parametrize("m", [2, 14, 2_000_000])
+    @pytest.mark.parametrize("a,pd", [(1e-8, 0.0), (1e-3, 7.2e-8), (0.05, 1e-6), (1.0, 0.0), (5.0, 0.01)])
+    def test_against_references(self, a, pd, m, phi0_share):
+        phi0 = None if phi0_share is None else phi0_share * math.pi / m
+        stats = exact_branch_average(a, pd, m, reference_offset=phi0)
+        for gain, wrong, rel in (
+            (*mpmath_branch_average(a, pd, m, phi0), 1e-12),
+            (*quad_branch_average(a, pd, m, phi0), 1e-9),
+        ):
+            assert stats.gain == pytest.approx(gain, rel=rel)
+            assert stats.qber == pytest.approx(wrong / gain, rel=rel)
+
+    def test_geometry_domain(self):
+        with pytest.raises(ParameterError):
+            exact_branch_average(0.01, 0.0, 1)
+        with pytest.raises(ParameterError):
+            exact_branch_average(0.01, 0.0, 13, reference_offset=1.0)

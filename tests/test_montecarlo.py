@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pmqcc import (
@@ -14,6 +15,8 @@ from pmqcc import (
     run_rounds,
     transmittance,
 )
+from pmqcc.montecarlo import MODES, _branch_probabilities, _candidate_bound
+from tests.transfer_matrix import expected_tally
 
 
 def protocol(m=14, mu=0.1333, n=3):
@@ -135,6 +138,56 @@ class TestAgreementWithAnalytics:
         tally = run_rounds(pp, ch, SimConfig(rounds=300_000, seed=31))
         assert tally.success > 0
         assert all(v == 0 for v in tally.pair_errors.values())
+
+
+def within_5_sigma(count: int, trials: int, p: float) -> bool:
+    return abs(count - trials * p) <= 5.0 * math.sqrt(trials * p * (1.0 - p))
+
+
+class TestThinning:
+    @pytest.mark.parametrize("a", [0.0, 1e-9, 0.05, 1.0, 10.0])
+    @pytest.mark.parametrize("pd", [0.0, 7.2e-8, 0.1])
+    def test_one_click_probability_is_bounded_tightly(self, a, pd):
+        phi = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 4001)
+        p_one, p_right = _branch_probabilities(a, pd, phi)
+        bound = _candidate_bound(a, pd)
+        # up to a few ulps of rounding in the two evaluations
+        assert np.all(p_one <= bound * (1.0 + 4.0 * np.finfo(float).eps))
+        assert np.all(p_right <= p_one)
+        assert p_one[2000] == pytest.approx(bound, rel=1e-15)  # phi = 0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_high_arrival_counts_match_transfer_matrix(self, n):
+        # a = 3 at M = 2: p_one / c spans 0.36-1 and the wrong-port rate is
+        # large, so both the acceptance and the R-port rule are exercised
+        pp = protocol(m=2, mu=3.0, n=n)
+        ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=1.0, dark_count=0.01)
+        tally = run_rounds(pp, ch, SimConfig(rounds=200_000, seed=61))
+        expect = expected_tally(n, 3.0, 0.01, 2)
+        assert within_5_sigma(tally.success, tally.sifted, expect["success"])
+        assert len(tally.pattern_counts) == 2 ** (n - 1)
+        for count in tally.pattern_counts.values():
+            assert within_5_sigma(count, tally.success, expect["pattern"])
+        for p, q in expect["pair_error"].items():
+            assert within_5_sigma(tally.pair_errors[p], tally.success, q)
+
+    def test_modes_agree_on_success_per_sifted_round(self):
+        pp = protocol(m=4, mu=3.0)
+        ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=1.0, dark_count=0.01)
+        forced = run_rounds(pp, ch, SimConfig(rounds=100_000, seed=62))
+        full = run_rounds(pp, ch, SimConfig(rounds=400_000, seed=63, mode="full-random"))
+        p_forced, p_full = forced.success / forced.sifted, full.success / full.sifted
+        pooled = (forced.success + full.success) / (forced.sifted + full.sifted)
+        sigma = math.sqrt(pooled * (1.0 - pooled) * (1.0 / forced.sifted + 1.0 / full.sifted))
+        assert abs(p_forced - p_full) < 5.0 * sigma
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_light_and_no_darks_never_succeeds(self, mode):
+        ch = ChannelParams(loss_rate=0.2, distance=20_000.0, detector_efficiency=0.65, dark_count=0.0)
+        assert transmittance(ch) == 0.0
+        tally = run_rounds(protocol(m=4), ch, SimConfig(rounds=200_000, seed=64, mode=mode))
+        assert tally.sifted > 0
+        assert tally.success == 0 and tally.pattern_counts == {}
 
 
 class TestCompensation:

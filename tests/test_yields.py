@@ -221,6 +221,14 @@ class TestPhaseErrorAcrossDomain:
         topo = self.topology(5, distance, 7.2e-8, layout)
         assert phase_error_rate(topo) == pytest.approx(enumerated_phase_error(topo), rel=1e-9)
 
+    @pytest.mark.parametrize("distance", [200.0, 250.0, 300.0])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_composition_enumeration_keeps_every_digit(self, n, distance):
+        # the enumerated branch factor 1 - (1-2p_d)(1-s)^n must not cancel
+        # at small survival s: both references are sums of nonnegative terms
+        topo = self.topology(n, distance, 7.2e-8, None)
+        assert enumerated_phase_error(topo) == pytest.approx(branchwise_phase_error(topo), rel=1e-14)
+
     @pytest.mark.parametrize("pd", [1e-10, 1e-13, 1e-16, 0.0])
     @pytest.mark.parametrize("n,distance", [(3, 200.0), (5, 150.0), (7, 120.0)])
     def test_vanishing_dark_counts(self, n, distance, pd):
