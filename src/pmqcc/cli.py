@@ -20,9 +20,9 @@ from .core import ChannelParams, ProtocolParams, transmittance
 from .decoy import rate_lower
 from .errors import ParameterError, PMQCCError
 from .interference import exact_branch_average
-from .keyrate import RateReport, rate_pmqcc, rate_pmqcc_star, rate_reduced
+from .keyrate import RateReport
 from .montecarlo import SimConfig, estimate, run_rounds
-from .optimize import optimize_decoys, optimize_signal
+from .optimize import OBJECTIVES, objective_rate, optimize_decoys, optimize_signal
 
 __all__ = ["main"]
 
@@ -43,7 +43,7 @@ CONFIG_KEYS = {
     "mode",
 }
 
-PROTOCOLS = ("pmqcc", "pmqcc-star", "reduced", "decoy-lower")
+PROTOCOLS = (*OBJECTIVES, "decoy-lower")
 
 CSV_HEADER = "L_km,rate,gain,qber_max,phase_error,mu,M,flag"
 
@@ -132,14 +132,19 @@ def parse_boundaries(cfg: dict) -> tuple:
     return ("left" in marks, "right" in marks)
 
 
+def _signal_options(cfg: dict) -> dict:
+    """Keyword options of ``optimize_signal`` taken from the config."""
+    return {
+        "ec_efficiency": float(cfg["f"]),
+        "signal_phase_misalignment": float(cfg.get("signal_phase_misalignment", 0.0)),
+        "boundaries": parse_boundaries(cfg),
+    }
+
+
 def compute_rate(protocol: str, pp: ProtocolParams, ch: ChannelParams, cfg: dict) -> RateReport:
-    if protocol == "pmqcc":
-        return rate_pmqcc(pp, ch)
-    if protocol == "pmqcc-star":
-        return rate_pmqcc_star(pp, ch)
-    if protocol == "reduced":
-        return rate_reduced(pp, ch, parse_boundaries(cfg))
-    return rate_lower(pp, ch)
+    if protocol == "decoy-lower":
+        return rate_lower(pp, ch)
+    return objective_rate(protocol, pp, ch, parse_boundaries(cfg))
 
 
 def report_dict(report: RateReport) -> dict:
@@ -177,25 +182,13 @@ def _zero_row(length: float, mu: float, slices: int, flag: str) -> str:
 
 
 def _curve_row(length: float, protocol: str, cfg: dict, optimize: str) -> str:
-    ch = ChannelParams(
-        loss_rate=float(cfg["alpha_db_per_km"]),
-        distance=length,
-        detector_efficiency=float(cfg["detector_efficiency"]),
-        dark_count=float(cfg["dark_count"]),
-    )
+    ch = build_channel({**cfg, "distance_km": length})
     try:
         if optimize == "none":
             pp = build_protocol(cfg)
         else:
             objective = protocol if protocol != "decoy-lower" else "pmqcc"
-            result = optimize_signal(
-                ch,
-                int(cfg["parties"]),
-                objective,
-                ec_efficiency=float(cfg["f"]),
-                signal_phase_misalignment=float(cfg.get("signal_phase_misalignment", 0.0)),
-                boundaries=parse_boundaries(cfg),
-            )
+            result = optimize_signal(ch, int(cfg["parties"]), objective, **_signal_options(cfg))
             if result.flagged_zero:
                 return _zero_row(length, 0, 0, "infeasible")
             pp = result.best_params
@@ -204,7 +197,7 @@ def _curve_row(length: float, protocol: str, cfg: dict, optimize: str) -> str:
                 pp = dataclasses.replace(
                     pp, decoy_intensities=tuple(float(x) for x in cfg.get("decoys", ()))
                 )
-            if protocol == "decoy-lower" and optimize == "signal+decoys":
+            if optimize == "signal+decoys":
                 dec = optimize_decoys(
                     ch,
                     pp.n_parties,
@@ -233,6 +226,8 @@ def cmd_curve(args) -> int:
         raise ConfigError("need l-min <= l-max and a positive l-step")
     if args.optimize == "none":
         _require(cfg, ["mu", "slices"])
+    if args.optimize == "signal+decoys" and args.protocol != "decoy-lower":
+        raise ConfigError("--optimize signal+decoys needs --protocol decoy-lower")
     lines = [CSV_HEADER]
     length = args.l_min
     while length <= args.l_max + 1e-9:
@@ -290,14 +285,7 @@ def cmd_optimize(args) -> int:
     _require(cfg, ["parties", "f"])
     ch = build_channel(cfg)
     if args.target == "signal":
-        result = optimize_signal(
-            ch,
-            int(cfg["parties"]),
-            args.protocol,
-            ec_efficiency=float(cfg["f"]),
-            signal_phase_misalignment=float(cfg.get("signal_phase_misalignment", 0.0)),
-            boundaries=parse_boundaries(cfg),
-        )
+        result = optimize_signal(ch, int(cfg["parties"]), args.protocol, **_signal_options(cfg))
     else:
         _require(cfg, ["mu", "slices"])
         result = optimize_decoys(
@@ -353,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="parameter optimization (JSON)")
     p_opt.add_argument("config")
     p_opt.add_argument("--target", choices=("signal", "decoys"), default="signal")
-    p_opt.add_argument("--protocol", choices=("pmqcc", "pmqcc-star", "reduced"), default="pmqcc")
+    p_opt.add_argument("--protocol", choices=tuple(OBJECTIVES), default="pmqcc")
     p_opt.add_argument("--out", default=None)
     p_opt.set_defaults(func=cmd_optimize)
     return parser

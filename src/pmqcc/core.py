@@ -34,9 +34,10 @@ class ProtocolParams:
     """Protocol-side knobs: party count, intensities, phase slices.
 
     ``decoy_intensities`` is a strictly decreasing tuple; a trailing 0.0
-    (vacuum decoy) is allowed.  ``slice_count`` may be odd: the analytic
-    rate formulas accept any integer M >= 2, and only the round-level
-    simulator (which needs a literal M/2 slice offset) insists on even M.
+    (vacuum decoy) is allowed.  ``slice_count`` may be odd: the closed-form
+    slice misalignment behind the sliced rates accepts any integer M >= 3,
+    the round-level simulator (which needs a literal M/2 slice offset)
+    any even M >= 2, and the starred rate ignores M.
     """
 
     n_parties: int
@@ -118,8 +119,14 @@ def transmittance(ch: ChannelParams) -> float:
 
 def intrinsic_misalignment(slice_count: int) -> float:
     """Effective phase misalignment from coarse phase slicing,
-    e_delta(M) = pi/M - (M^2/pi^2) sin^3(pi/M); decays like pi^3/(2 M^3)."""
-    if not isinstance(slice_count, int) or slice_count < 2:
-        raise ParameterError(f"slice_count must be an integer >= 2, got {slice_count}")
+    e_delta(M) = pi/M - (M^2/pi^2) sin^3(pi/M); decays like pi^3/(2 M^3).
+
+    Defined for M >= 3 only: e_delta(2) = 1.166 is not a probability, and
+    the closed-form branch QBER stays <= 1/2 exactly when e_delta <= 1/2.
+    """
+    if not isinstance(slice_count, int) or slice_count < 3:
+        raise ParameterError(
+            f"the closed-form slice misalignment needs slice_count >= 3, got {slice_count}"
+        )
     m = float(slice_count)
     return math.pi / m - (m * m / math.pi**2) * math.sin(math.pi / m) ** 3

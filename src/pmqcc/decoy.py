@@ -34,8 +34,8 @@ from .errors import (
     InsufficientIntensitiesError,
     ParameterError,
 )
-from .interference import branch_gain_avg, branch_qber_avg
-from .keyrate import RateReport, _assemble, _marginals
+from .interference import branch_gain_avg
+from .keyrate import RateReport, key_rate
 
 __all__ = [
     "DecoyGains",
@@ -80,12 +80,11 @@ class DecoyGains:
 @dataclass(frozen=True)
 class DecoyBounds:
     """Certified-safe estimates: yield lower bounds for the targeted even
-    orders, the phase-error upper bound, and the rate lower bound."""
+    orders and the phase-error upper bound."""
 
     y_lower: dict
     n_cut: int
     phase_error_upper: float | None = None
-    rate_lower: float | None = None
 
 
 def n_cut_for(n_parties: int) -> int:
@@ -260,7 +259,9 @@ def phase_error_upper(
     return float(min(max(bound, 0.0), 1.0))
 
 
-def _estimation_pipeline(pp: ProtocolParams, ch: ChannelParams):
+def decoy_bounds(pp: ProtocolParams, ch: ChannelParams) -> DecoyBounds:
+    """Estimation on simulated honest gains: the even-order yield lower
+    bounds and the phase-error upper bound they certify."""
     n = pp.n_parties
     n_cut = n_cut_for(n)
     if not pp.has_vacuum_decoy:
@@ -270,33 +271,17 @@ def _estimation_pipeline(pp: ProtocolParams, ch: ChannelParams):
             f"N={n} needs {n_cut + 1} nonzero decoys plus vacuum, got {len(pp.nonzero_decoys)}"
         )
     gains = simulate_decoy_gains(pp, ch)
-    partial = yields_lower_general(gains, float(n - 1), n_cut)
-
+    y_lower = yields_lower_general(gains, float(n - 1), n_cut).y_lower
     arrival = transmittance(ch) * pp.signal_intensity
     q_mu = branch_gain_avg(arrival, ch.dark_count) ** (n - 1)
-    e_x_u = phase_error_upper(partial.y_lower, pp.signal_intensity, q_mu, gains.vacuum_gain, n)
-
-    branch_e = branch_qber_avg(arrival, ch.dark_count, pp.slice_count)
-    prefactor = (2.0 / pp.slice_count) ** (n - 1)
-    # E_X may lie anywhere in [0, E_X^U], and H peaks at 1/2: a bound above
-    # 1/2 certifies no more than 1/2 does
-    e_x_charged = min(e_x_u, 0.5)
-    report = _assemble(prefactor, q_mu, _marginals(branch_e, n), e_x_charged, pp.ec_efficiency)
-    bounds = DecoyBounds(
-        y_lower=partial.y_lower, n_cut=n_cut, phase_error_upper=e_x_u, rate_lower=report.rate
-    )
-    return bounds, report
-
-
-def decoy_bounds(pp: ProtocolParams, ch: ChannelParams) -> DecoyBounds:
-    """Full estimation pipeline on simulated honest gains: yield bounds,
-    phase-error upper bound, and the certified rate lower bound."""
-    bounds, _ = _estimation_pipeline(pp, ch)
-    return bounds
+    e_x_u = phase_error_upper(y_lower, pp.signal_intensity, q_mu, gains.vacuum_gain, n)
+    return DecoyBounds(y_lower=y_lower, n_cut=n_cut, phase_error_upper=e_x_u)
 
 
 def rate_lower(pp: ProtocolParams, ch: ChannelParams) -> RateReport:
     """Certified key-rate lower bound as a rate report; ``phase_error``
     carries the phase error charged in the privacy term, min(E_X^U, 1/2)."""
-    _, report = _estimation_pipeline(pp, ch)
-    return report
+    e_x_u = decoy_bounds(pp, ch).phase_error_upper
+    # E_X may lie anywhere in [0, E_X^U], and H peaks at 1/2: a bound above
+    # 1/2 certifies no more than 1/2 does
+    return key_rate(pp, ch, phase_error=min(e_x_u, 0.5))

@@ -1,7 +1,8 @@
 """Key-rate assembly: gains, marginal QBERs and phase errors combined
 into final conference-key rates.
 
-Three protocol variants share one pipeline:
+Three protocol variants, and the decoy-certified bound, share one
+assembly, ``key_rate``:
 
 * the phase-sliced protocol, with sifting prefactor (2/M)^(N-1) and the
   slice-misalignment QBER;
@@ -88,41 +89,43 @@ def qber_star(arrival_intensity: float, dark_count: float, misalignment: float) 
     return wrong / gain
 
 
-def _marginals(branch_e: float, n_parties: int) -> tuple:
-    return tuple(marginal_qber(branch_e, m) for m in range(2, n_parties + 1))
-
-
-def _dead_channel_report(prefactor: float, n_parties: int) -> RateReport:
-    # no detections at all: zero gain, zero rate, nothing to clamp
-    return RateReport(
-        rate=0.0,
-        gain=0.0,
-        marginal_qbers=(0.0,) * (n_parties - 1),
-        phase_error=0.0,
-        sifting_prefactor=prefactor,
-        clamped=False,
-    )
-
-
-def _phase_error(pp: ProtocolParams, eta: float, dark_count: float, boundaries=None) -> float:
-    # eta = 0 is the dark-count floor: survival-0 branches leave the parity
-    # mass of the virtual source
-    if boundaries is None:
-        topo = BranchTopology.symmetric(pp.n_parties, pp.signal_intensity, eta, dark_count)
-    else:
-        topo = BranchTopology.chain(pp.n_parties, pp.signal_intensity, eta, dark_count, boundaries)
-    return phase_error_rate(topo)
-
-
-def _assemble(
-    prefactor: float,
-    gain: float,
-    marginals: tuple,
-    phase_error: float,
-    ec_efficiency: float,
+def key_rate(
+    pp: ProtocolParams,
+    ch: ChannelParams,
+    *,
+    sliced: bool = True,
+    boundaries: tuple = (False, False),
+    phase_error: float | None = None,
 ) -> RateReport:
-    cost = ec_efficiency * max(binary_entropy(e) for e in marginals) + binary_entropy(phase_error)
-    raw = prefactor * gain * (1.0 - cost)
+    """R = P Q [1 - f max_m H(E_m) - H(E_X)] for every protocol variant.
+
+    ``sliced`` selects the phase-sliced prefactor (2/M)^(N-1) and the
+    slice-misalignment branch QBER; otherwise the prefactor is 1 and the
+    branch QBER comes from the signal-mode misalignment.  E_X is the exact
+    phase error of the chain with the given broken ends unless the caller
+    supplies one (the decoy-certified bound).
+    """
+    n = pp.n_parties
+    eta = transmittance(ch)
+    arrival = eta * pp.signal_intensity
+    prefactor = (2.0 / pp.slice_count) ** (n - 1) if sliced else 1.0
+    branch_gain = branch_gain_avg(arrival, ch.dark_count)
+    if branch_gain == 0.0:
+        # no detections at all: zero gain, zero rate, nothing to clamp
+        return RateReport(0.0, 0.0, (0.0,) * (n - 1), 0.0, prefactor)
+    gain = branch_gain ** (n - 1)
+    if sliced:
+        branch_e = branch_qber_avg(arrival, ch.dark_count, pp.slice_count)
+    else:
+        branch_e = qber_star(arrival, ch.dark_count, pp.signal_phase_misalignment)
+    marginals = tuple(marginal_qber(branch_e, m) for m in range(2, n + 1))
+    if phase_error is None:
+        # eta = 0 is the dark-count floor: survival-0 branches leave the
+        # parity mass of the virtual source
+        topo = BranchTopology.chain(n, pp.signal_intensity, eta, ch.dark_count, boundaries)
+        phase_error = phase_error_rate(topo)
+    leak = pp.ec_efficiency * max(binary_entropy(e) for e in marginals)
+    raw = prefactor * gain * (1.0 - (leak + binary_entropy(phase_error)))
     return RateReport(
         rate=max(raw, 0.0),
         gain=gain,
@@ -136,33 +139,14 @@ def _assemble(
 def rate_pmqcc(pp: ProtocolParams, ch: ChannelParams) -> RateReport:
     """Conference key rate of the phase-sliced protocol on the symmetric
     chain: R = (2/M)^(N-1) Q [1 - f max_m H(E_m) - H(E_X)]."""
-    n = pp.n_parties
-    eta = transmittance(ch)
-    arrival = eta * pp.signal_intensity
-    prefactor = (2.0 / pp.slice_count) ** (n - 1)
-    branch_gain = branch_gain_avg(arrival, ch.dark_count)
-    if branch_gain == 0.0:
-        return _dead_channel_report(prefactor, n)
-    gain = branch_gain ** (n - 1)
-    branch_e = branch_qber_avg(arrival, ch.dark_count, pp.slice_count)
-    e_x = _phase_error(pp, eta, ch.dark_count)
-    return _assemble(prefactor, gain, _marginals(branch_e, n), e_x, pp.ec_efficiency)
+    return key_rate(pp, ch)
 
 
 def rate_pmqcc_star(pp: ProtocolParams, ch: ChannelParams) -> RateReport:
     """Rate without phase post-selection on signals: sifting prefactor 1,
     branch QBER from the signal-mode misalignment, identical phase
     error."""
-    n = pp.n_parties
-    eta = transmittance(ch)
-    arrival = eta * pp.signal_intensity
-    branch_gain = branch_gain_avg(arrival, ch.dark_count)
-    if branch_gain == 0.0:
-        return _dead_channel_report(1.0, n)
-    gain = branch_gain ** (n - 1)
-    branch_e = qber_star(arrival, ch.dark_count, pp.signal_phase_misalignment)
-    e_x = _phase_error(pp, eta, ch.dark_count)
-    return _assemble(1.0, gain, _marginals(branch_e, n), e_x, pp.ec_efficiency)
+    return key_rate(pp, ch, sliced=False)
 
 
 def rate_reduced(pp: ProtocolParams, ch: ChannelParams, boundaries: tuple) -> RateReport:
@@ -173,17 +157,7 @@ def rate_reduced(pp: ProtocolParams, ch: ChannelParams, boundaries: tuple) -> Ra
     asymmetric virtual intensities — differs.  With no boundaries this
     reproduces ``rate_pmqcc``.
     """
-    n = pp.n_parties
-    eta = transmittance(ch)
-    arrival = eta * pp.signal_intensity
-    prefactor = (2.0 / pp.slice_count) ** (n - 1)
-    branch_gain = branch_gain_avg(arrival, ch.dark_count)
-    if branch_gain == 0.0:
-        return _dead_channel_report(prefactor, n)
-    gain = branch_gain ** (n - 1)
-    branch_e = branch_qber_avg(arrival, ch.dark_count, pp.slice_count)
-    e_x = _phase_error(pp, eta, ch.dark_count, boundaries)
-    return _assemble(prefactor, gain, _marginals(branch_e, n), e_x, pp.ec_efficiency)
+    return key_rate(pp, ch, boundaries=boundaries)
 
 
 def scaling_exponent(points) -> float:

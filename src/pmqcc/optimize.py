@@ -23,13 +23,33 @@ import numpy as np
 from .core import ChannelParams, ProtocolParams
 from .decoy import n_cut_for, rate_lower
 from .errors import DegenerateGeometryError, ParameterError
-from .keyrate import rate_pmqcc, rate_pmqcc_star, rate_reduced
+from .keyrate import RateReport, rate_pmqcc, rate_pmqcc_star, rate_reduced
 
 __all__ = ["OptimizationResult", "optimize_signal", "optimize_decoys"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-OBJECTIVES = ("pmqcc", "pmqcc-star", "reduced")
+# signal-intensity search window, golden-section tolerance, and the size
+# of the geometric grid that brackets the maximum
+MU_BOUNDS = (1e-3, 1.0)
+MU_TOL = 1e-4
+COARSE_POINTS = 40
+
+# objective name -> name of its rate function, imported above and looked
+# up in this module's namespace on every call
+OBJECTIVES = {"pmqcc": "rate_pmqcc", "pmqcc-star": "rate_pmqcc_star", "reduced": "rate_reduced"}
+
+
+def objective_rate(
+    objective: str, pp: ProtocolParams, ch: ChannelParams, boundaries: tuple
+) -> RateReport:
+    """Rate report of one objective; ``boundaries`` marks the broken ends
+    of the reduced chain.  A rebound module global (a tracer's wrapper,
+    say) takes effect because the function is looked up at call time."""
+    if objective not in OBJECTIVES:
+        raise ParameterError(f"objective must be one of {tuple(OBJECTIVES)}, got {objective!r}")
+    rate = globals()[OBJECTIVES[objective]]
+    return rate(pp, ch, boundaries) if objective == "reduced" else rate(pp, ch)
 
 
 @dataclass(frozen=True)
@@ -42,7 +62,6 @@ class OptimizationResult:
     best_rate: float
     evaluations: int
     flagged_zero: bool = False
-    trace: tuple | None = None
 
 
 def _golden_refine(obj, lo: float, hi: float, tol: float):
@@ -67,17 +86,18 @@ def _golden_refine(obj, lo: float, hi: float, tol: float):
     return x, obj(x), evals + 1
 
 
-def _maximize_scalar(obj, lo: float, hi: float, tol: float, coarse: int = 40):
-    """Coarse geometric bracket followed by golden-section refinement."""
-    grid = np.geomspace(lo, hi, coarse)
+def _maximize_scalar(obj):
+    """Coarse geometric bracket over ``MU_BOUNDS`` followed by
+    golden-section refinement to ``MU_TOL``."""
+    grid = np.geomspace(*MU_BOUNDS, COARSE_POINTS)
     vals = [obj(x) for x in grid]
-    evals = coarse
+    evals = COARSE_POINTS
     i = int(np.argmax(vals))
     if vals[i] <= 0.0:
         return None, 0.0, evals
     left = grid[max(i - 1, 0)]
-    right = grid[min(i + 1, coarse - 1)]
-    x, fx, extra = _golden_refine(obj, left, right, tol)
+    right = grid[min(i + 1, COARSE_POINTS - 1)]
+    x, fx, extra = _golden_refine(obj, left, right, MU_TOL)
     if vals[i] > fx:
         x, fx = float(grid[i]), vals[i]
     return float(x), float(fx), evals + extra
@@ -92,9 +112,6 @@ def optimize_signal(
     signal_phase_misalignment: float = 0.0,
     boundaries: tuple = (False, True),
     m_values=range(4, 65),
-    mu_bounds: tuple = (1e-3, 1.0),
-    mu_tol: float = 1e-4,
-    keep_trace: bool = False,
 ) -> OptimizationResult:
     """Maximize the key rate over (signal intensity, slice count).
 
@@ -102,8 +119,6 @@ def optimize_signal(
     misalignment from the signal-mode parameter), so only the intensity
     is searched.
     """
-    if objective not in OBJECTIVES:
-        raise ParameterError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
     def params(mu: float, m: int) -> ProtocolParams:
         return ProtocolParams(
@@ -115,39 +130,26 @@ def optimize_signal(
         )
 
     def rate_at(mu: float, m: int) -> float:
-        pp = params(mu, m)
-        if objective == "pmqcc":
-            return rate_pmqcc(pp, ch).rate
-        if objective == "pmqcc-star":
-            return rate_pmqcc_star(pp, ch).rate
-        return rate_reduced(pp, ch, boundaries).rate
+        return objective_rate(objective, params(mu, m), ch, boundaries).rate
 
     evaluations = 0
-    trace = [] if keep_trace else None
     best = (0.0, None, None)  # rate, mu, M
 
     slice_grid = [13] if objective == "pmqcc-star" else list(m_values)
     for m in slice_grid:
-        mu, rate, used = _maximize_scalar(
-            lambda x: rate_at(x, m), mu_bounds[0], mu_bounds[1], mu_tol
-        )
+        mu, rate, used = _maximize_scalar(lambda x: rate_at(x, m))
         evaluations += used
-        if trace is not None and mu is not None:
-            trace.append(((mu, m), rate))
         if mu is not None and rate > best[0]:
             best = (rate, mu, m)
 
     if best[1] is None:
         return OptimizationResult(
-            best_params=None, best_rate=0.0, evaluations=evaluations, flagged_zero=True,
-            trace=tuple(trace) if trace is not None else None,
+            best_params=None, best_rate=0.0, evaluations=evaluations, flagged_zero=True
         )
-    best_pp = params(best[1], best[2])
     return OptimizationResult(
-        best_params=best_pp,
+        best_params=params(best[1], best[2]),
         best_rate=rate_at(best[1], best[2]),
         evaluations=evaluations,
-        trace=tuple(trace) if trace is not None else None,
     )
 
 
@@ -160,7 +162,6 @@ def optimize_decoys(
     ec_efficiency: float = 1.16,
     restarts: int = 3,
     sweeps: int = 25,
-    keep_trace: bool = False,
 ) -> OptimizationResult:
     """Maximize the certified rate lower bound over the decoy intensities
     (ordering constraints enforced, vacuum always appended).
@@ -204,7 +205,6 @@ def optimize_decoys(
             xs.append(xs[-1] / rng.uniform(20.0, 400.0))
             yield np.log(np.array(xs[:n_decoys]))
 
-    trace = [] if keep_trace else None
     best_rate, best_xs = 0.0, None
     for start in starting_points():
         log_xs = start.copy()
@@ -224,20 +224,14 @@ def optimize_decoys(
                 step /= 2.0
                 if step < 1e-4:
                     break
-        if trace is not None:
-            trace.append((tuple(np.exp(log_xs)), current))
         if current > best_rate:
             best_rate, best_xs = current, np.exp(log_xs)
 
     if best_xs is None:
         return OptimizationResult(
-            best_params=None, best_rate=0.0, evaluations=evaluations, flagged_zero=True,
-            trace=tuple(trace) if trace is not None else None,
+            best_params=None, best_rate=0.0, evaluations=evaluations, flagged_zero=True
         )
     best_pp = params(best_xs)
     return OptimizationResult(
-        best_params=best_pp,
-        best_rate=rate_lower(best_pp, ch).rate,
-        evaluations=evaluations,
-        trace=tuple(trace) if trace is not None else None,
+        best_params=best_pp, best_rate=rate_lower(best_pp, ch).rate, evaluations=evaluations
     )

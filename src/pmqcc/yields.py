@@ -128,13 +128,16 @@ class BranchTopology:
         source intensity mu at effective transmittance eta/2; all other
         arms contribute mu/2 at eta.  Arriving intensities stay balanced,
         so per-branch gain and QBER match the symmetric chain while the
-        virtual intensity (and hence the phase-error rate) grows.
+        virtual intensity (and hence the phase-error rate) grows.  With
+        no broken end this is the symmetric chain.
         """
         if n_parties < 2:
             raise ParameterError(f"n_parties must be >= 2, got {n_parties}")
         if len(boundaries) != 2:
             raise ParameterError("boundaries must be a (left, right) pair of flags")
         left_b, right_b = (bool(boundaries[0]), bool(boundaries[1]))
+        if not (left_b or right_b):
+            return cls.symmetric(n_parties, mu, eta, dark_count)
         branches = []
         for l in range(n_parties - 1):
             if l == 0 and left_b:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +90,20 @@ class TestRateCommand:
         assert code == 0
         assert json.loads(out)["rate"] == pytest.approx(1.7327e-11, rel=5e-3)
 
+    @pytest.mark.parametrize("mu", [0.0857, 1e-3])
+    def test_two_slices_exit_2(self, tmp_path, capsys, mu):
+        # the closed-form misalignment is no probability at M = 2: this
+        # point used to report a positive rate at pair QBER 0.99, and low mu
+        # failed inside the marginal QBER
+        cfg = write_config(
+            tmp_path,
+            {**TABLE_CONFIG, "parties": 2, "distance_km": 100.0, "mu": mu,
+             "dark_count": 1e-4, "slices": 2},
+        )
+        code, out, err = run_cli(["rate", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert "slice_count >= 3" in json.loads(err)["error"]["message"]
+
     def test_reduced_protocol(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TABLE_CONFIG, "mu": 0.1059, "boundaries": ["right"]})
         code, out, _ = run_cli(["rate", cfg, "--protocol", "reduced"], capsys)
@@ -169,6 +184,17 @@ class TestCurveCommand:
         fields = out.strip().splitlines()[1].split(",")
         assert fields[7] == "ok"
         assert float(fields[1]) > 0.0
+
+    @pytest.mark.parametrize("protocol", ["pmqcc", "pmqcc-star", "reduced"])
+    def test_decoy_optimization_needs_decoy_lower(self, tmp_path, capsys, protocol):
+        cfg = write_config(tmp_path, GOLDEN_N3)
+        code, out, err = run_cli(
+            ["curve", cfg, "--l-min", "50", "--l-max", "50", "--l-step", "10",
+             "--protocol", protocol, "--optimize", "signal+decoys"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "ConfigError"
 
     def test_four_party_curve_slope(self, tmp_path, capsys):
         from pmqcc import scaling_exponent
@@ -281,3 +307,56 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+# Byte-for-byte CLI outputs, recorded from the program before the rate
+# pipeline was folded into one assembly; any refactor must keep them.
+GOLDEN_DIR = Path(__file__).with_name("golden")
+GOLDEN_N3 = {
+    **TABLE_CONFIG,
+    "decoys": [0.0204583, 0.0182017, 9.27216e-5, 0.0],
+    "signal_phase_misalignment": 0.015,
+    "boundaries": ["right"],
+}
+GOLDEN_N5 = {
+    **TABLE_CONFIG,
+    "parties": 5,
+    "distance_km": 20.0,
+    "mu": 0.05,
+    "decoys": [0.025, 0.0125, 0.00625, 0.003125, 0.00025, 0.0],
+    "boundaries": ["left", "right"],
+}
+GOLDEN_RANGES = {3: ("0", "300", "75"), 5: ("0", "60", "20")}
+GOLDEN_PROTOCOLS = ("pmqcc", "pmqcc-star", "reduced", "decoy-lower")
+
+
+def golden_cases() -> dict:
+    """Case name -> (config, command, arguments after the config path)."""
+    cases = {}
+    for n, cfg in ((3, GOLDEN_N3), (5, GOLDEN_N5)):
+        l_min, l_max, l_step = GOLDEN_RANGES[n]
+        for protocol in GOLDEN_PROTOCOLS:
+            cases[f"rate-n{n}-{protocol}"] = (cfg, "rate", ["--protocol", protocol])
+            cases[f"curve-n{n}-{protocol}"] = (
+                cfg, "curve",
+                ["--protocol", protocol, "--l-min", l_min, "--l-max", l_max, "--l-step", l_step],
+            )
+    optimized = [(p, "signal") for p in GOLDEN_PROTOCOLS] + [("decoy-lower", "signal+decoys")]
+    for protocol, target in optimized:
+        cases[f"curve-optimized-{protocol}-{target}"] = (
+            GOLDEN_N3, "curve",
+            ["--protocol", protocol, "--l-min", "50", "--l-max", "150", "--l-step", "100",
+             "--optimize", target],
+        )
+    far = {**GOLDEN_N3, "distance_km": 150.0, "mu": 0.104815}
+    for target in ("signal", "decoys"):
+        cases[f"optimize-{target}"] = (far, "optimize", ["--target", target])
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_golden_bytes(name, tmp_path, capsys):
+    cfg, command, rest = golden_cases()[name]
+    code, out, err = run_cli([command, write_config(tmp_path, cfg), *rest], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")

@@ -124,6 +124,13 @@ class TestIntrinsicMisalignment:
         with pytest.raises(ParameterError):
             intrinsic_misalignment(1)
 
+    def test_two_slices_rejected(self):
+        # e_delta(2) = 1.166 is no probability; from M = 3 on it is <= 1/2,
+        # which keeps the closed-form branch QBER <= 1/2
+        with pytest.raises(ParameterError, match="slice_count >= 3"):
+            intrinsic_misalignment(2)
+        assert intrinsic_misalignment(3) < 0.5
+
 
 class TestParams:
     def test_protocol_validation(self):
