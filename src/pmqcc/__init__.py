@@ -52,8 +52,18 @@ from .keyrate import (
     rate_reduced,
     scaling_exponent,
 )
-from .montecarlo import EmpiricalEstimates, SimConfig, SimTally, estimate, run_rounds
 from .optimize import OptimizationResult, optimize_decoys, optimize_signal
 from .yields import BranchSpec, BranchTopology, phase_error_rate, yield_probability
 
 __version__ = "0.1.0"
+
+# the simulator's names load numpy, so they are imported on first use
+_MONTECARLO_NAMES = ("EmpiricalEstimates", "SimConfig", "SimTally", "estimate", "run_rounds")
+
+
+def __getattr__(name):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,8 +20,7 @@ from .core import ChannelParams, ProtocolParams, transmittance
 from .decoy import rate_lower
 from .errors import ParameterError, PMQCCError
 from .interference import exact_branch_average
-from .keyrate import RateReport
-from .montecarlo import SimConfig, estimate, run_rounds
+from .keyrate import RateReport, rate_constants
 from .optimize import OBJECTIVES, objective_rate, optimize_decoys, optimize_signal
 
 __all__ = ["main"]
@@ -181,14 +180,14 @@ def _zero_row(length: float, mu: float, slices: int, flag: str) -> str:
     return f"{_fmt(length)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(mu)},{slices},{flag}"
 
 
-def _curve_row(length: float, protocol: str, cfg: dict, optimize: str) -> str:
+def _curve_row(length: float, protocol: str, cfg: dict, optimize: str, pp, options) -> str:
+    """One CSV row: ``pp`` is the configured protocol under ``--optimize
+    none``, and ``options`` the ``optimize_signal`` options otherwise."""
     ch = build_channel({**cfg, "distance_km": length})
     try:
-        if optimize == "none":
-            pp = build_protocol(cfg)
-        else:
+        if optimize != "none":
             objective = protocol if protocol != "decoy-lower" else "pmqcc"
-            result = optimize_signal(ch, int(cfg["parties"]), objective, **_signal_options(cfg))
+            result = optimize_signal(ch, int(cfg["parties"]), objective, **options)
             if result.flagged_zero:
                 return _zero_row(length, 0, 0, "infeasible")
             pp = result.best_params
@@ -224,20 +223,31 @@ def cmd_curve(args) -> int:
     _require(cfg, ["parties", "alpha_db_per_km", "detector_efficiency", "dark_count", "f"])
     if args.l_min > args.l_max or args.l_step <= 0:
         raise ConfigError("need l-min <= l-max and a positive l-step")
-    if args.optimize == "none":
-        _require(cfg, ["mu", "slices"])
     if args.optimize == "signal+decoys" and args.protocol != "decoy-lower":
         raise ConfigError("--optimize signal+decoys needs --protocol decoy-lower")
+    # parameters that hold at every distance are checked here, once, so that
+    # a config rate rejects fails as it does there instead of flagging rows
+    pp = options = None
+    if args.optimize == "none":
+        _require(cfg, ["mu", "slices"])
+        pp = build_protocol(cfg)
+        rate_constants(pp, sliced=args.protocol != "pmqcc-star")
+    else:
+        options = _signal_options(cfg)
     lines = [CSV_HEADER]
     length = args.l_min
     while length <= args.l_max + 1e-9:
-        lines.append(_curve_row(length, args.protocol, cfg, args.optimize))
+        lines.append(_curve_row(length, args.protocol, cfg, args.optimize, pp, options))
         length += args.l_step
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
+    # imported here: the simulator loads numpy, which rate, curve and
+    # optimize --target signal do without
+    from .montecarlo import SimConfig, estimate, run_rounds
+
     cfg = load_config(args.config)
     _require(cfg, ["parties", "mu", "slices", "seed", "rounds"])
     cfg.setdefault("f", 1.16)

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import ChannelParams, ProtocolParams, transmittance
 from .errors import (
     DegenerateGeometryError,
@@ -127,6 +125,8 @@ def _eliminate(ts, kill_orders):
     adjacent combinations (u, v) with phi_k(v) u - phi_k(u) v, which
     zeroes the order-k coefficient phi_k(c) = sum_i c_i t_i^k / k!.
     """
+    import numpy as np  # here, not at module level: rates without decoys need no numpy
+
     combos = [np.eye(len(ts))[i] for i in range(len(ts))]
     ts = np.asarray(ts, dtype=float)
 
@@ -147,6 +147,8 @@ def _ladder_bound(ts, a_values, m: int, kill_orders, check_orders: int) -> float
     """Lower bound on Y_m from intensities ts (descending) and their
     vacuum-subtracted scaled gains A.  Verifies the sign pattern that
     makes dropping the retained higher orders safe."""
+    import numpy as np
+
     _check_separation(ts)
     c = _eliminate(ts, kill_orders)
     ts = np.asarray(ts, dtype=float)

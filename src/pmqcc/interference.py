@@ -34,6 +34,7 @@ __all__ = [
     "branch_success",
     "branch_gain_avg",
     "branch_qber_avg",
+    "sliced_qber",
     "phase_delta_density",
     "exact_branch_average",
 ]
@@ -109,12 +110,17 @@ def branch_gain_avg(arrival_intensity: float, dark_count: float) -> float:
 def branch_qber_avg(arrival_intensity: float, dark_count: float, slice_count: int) -> float:
     """Slice-averaged branch QBER closed form,
     E = (p_d + a e_delta(M)) e^-a / Q."""
+    return sliced_qber(arrival_intensity, dark_count, intrinsic_misalignment(slice_count))
+
+
+def sliced_qber(arrival_intensity: float, dark_count: float, misalignment: float) -> float:
+    """``branch_qber_avg`` at a given slice misalignment e_delta, so that a
+    caller sweeping the intensity at fixed M evaluates e_delta(M) once."""
     gain = branch_gain_avg(arrival_intensity, dark_count)
     if gain <= 0.0:
         raise ParameterError("branch gain underflowed to 0; no QBER is defined")
-    e_delta = intrinsic_misalignment(slice_count)
     return (
-        (dark_count + arrival_intensity * e_delta)
+        (dark_count + arrival_intensity * misalignment)
         * math.exp(-arrival_intensity)
         / gain
     )

@@ -2,7 +2,7 @@
 into final conference-key rates.
 
 Three protocol variants, and the decoy-certified bound, share one
-assembly, ``key_rate``:
+assembly:
 
 * the phase-sliced protocol, with sifting prefactor (2/M)^(N-1) and the
   slice-misalignment QBER;
@@ -11,6 +11,13 @@ assembly, ``key_rate``:
 * reduced networks whose boundary parties waste half their light, which
   leaves per-branch gain/QBER unchanged but inflates the virtual-source
   intensity and with it the phase-error rate.
+
+The assembly has two layers.  ``rate_kernel`` takes plain floats and the
+distance-free constants of ``rate_constants`` and returns the raw rate
+and its parts; it is the only place R is formed.  ``key_rate`` takes the
+validated parameter records, calls the kernel and reports the result.
+The signal optimizer calls the kernel directly, so a sweep over the
+intensity builds no records.
 
 Negative raw rates clamp to 0 with a flag rather than raising, since
 optimizers routinely sweep infeasible regions.
@@ -21,17 +28,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import ChannelParams, ProtocolParams, binary_entropy, transmittance
+from .core import (
+    ChannelParams,
+    ProtocolParams,
+    binary_entropy,
+    intrinsic_misalignment,
+    transmittance,
+)
 from .errors import InsufficientDataError, ParameterError
-from .interference import branch_gain_avg, branch_qber_avg
-from .yields import BranchTopology, phase_error_rate
+from .interference import branch_gain_avg, sliced_qber
+from .yields import chain_phase_error
 
 __all__ = [
     "RateReport",
     "marginal_qber",
     "qber_star",
+    "rate_constants",
+    "rate_kernel",
     "rate_pmqcc",
     "rate_pmqcc_star",
     "rate_reduced",
@@ -89,6 +102,56 @@ def qber_star(arrival_intensity: float, dark_count: float, misalignment: float) 
     return wrong / gain
 
 
+def rate_constants(pp: ProtocolParams, sliced: bool = True) -> tuple:
+    """The distance-free constants of a rate: the sifting prefactor and the
+    branch misalignment.  Sliced, these are (2/M)^(N-1) and e_delta(M),
+    which needs M >= 3; otherwise 1 and the signal-mode misalignment."""
+    if not sliced:
+        return 1.0, pp.signal_phase_misalignment
+    return (2.0 / pp.slice_count) ** (pp.n_parties - 1), intrinsic_misalignment(pp.slice_count)
+
+
+def rate_kernel(
+    n: int,
+    mu: float,
+    f: float,
+    pd: float,
+    eta: float,
+    prefactor: float,
+    misalignment: float,
+    sliced: bool,
+    boundaries: tuple,
+    phase_error: float | None = None,
+) -> tuple:
+    """(raw rate, gain, marginal QBERs, E_X) from plain floats:
+    R = P Q [1 - f max_m H(E_m) - H(E_X)], unclamped.
+
+    ``prefactor`` and ``misalignment`` come from ``rate_constants``; the
+    branch QBER is the sliced closed form when ``sliced``, else the
+    starred one.  E_X is the exact phase error of the chain with the
+    given broken ends unless the caller supplies one (the decoy-certified
+    bound).  The other inputs are those of validated ``ProtocolParams``
+    and ``ChannelParams``: party count, signal intensity, error-correction
+    efficiency, dark count and transmittance.
+    """
+    arrival = eta * mu
+    branch_gain = branch_gain_avg(arrival, pd)
+    if branch_gain == 0.0:
+        # no detections at all: zero gain, zero rate, nothing to clamp
+        return 0.0, 0.0, (0.0,) * (n - 1), 0.0
+    gain = branch_gain ** (n - 1)
+    branch_qber = sliced_qber if sliced else qber_star
+    branch_e = branch_qber(arrival, pd, misalignment)
+    marginals = tuple(marginal_qber(branch_e, m) for m in range(2, n + 1))
+    if phase_error is None:
+        # eta = 0 is the dark-count floor: survival-0 branches leave the
+        # parity mass of the virtual source
+        phase_error = chain_phase_error(n, mu, eta, pd, boundaries)
+    leak = f * max(binary_entropy(e) for e in marginals)
+    raw = prefactor * gain * (1.0 - (leak + binary_entropy(phase_error)))
+    return raw, gain, marginals, phase_error
+
+
 def key_rate(
     pp: ProtocolParams,
     ch: ChannelParams,
@@ -97,7 +160,7 @@ def key_rate(
     boundaries: tuple = (False, False),
     phase_error: float | None = None,
 ) -> RateReport:
-    """R = P Q [1 - f max_m H(E_m) - H(E_X)] for every protocol variant.
+    """The rate report of ``rate_kernel`` for every protocol variant.
 
     ``sliced`` selects the phase-sliced prefactor (2/M)^(N-1) and the
     slice-misalignment branch QBER; otherwise the prefactor is 1 and the
@@ -105,27 +168,19 @@ def key_rate(
     phase error of the chain with the given broken ends unless the caller
     supplies one (the decoy-certified bound).
     """
-    n = pp.n_parties
-    eta = transmittance(ch)
-    arrival = eta * pp.signal_intensity
-    prefactor = (2.0 / pp.slice_count) ** (n - 1) if sliced else 1.0
-    branch_gain = branch_gain_avg(arrival, ch.dark_count)
-    if branch_gain == 0.0:
-        # no detections at all: zero gain, zero rate, nothing to clamp
-        return RateReport(0.0, 0.0, (0.0,) * (n - 1), 0.0, prefactor)
-    gain = branch_gain ** (n - 1)
-    if sliced:
-        branch_e = branch_qber_avg(arrival, ch.dark_count, pp.slice_count)
-    else:
-        branch_e = qber_star(arrival, ch.dark_count, pp.signal_phase_misalignment)
-    marginals = tuple(marginal_qber(branch_e, m) for m in range(2, n + 1))
-    if phase_error is None:
-        # eta = 0 is the dark-count floor: survival-0 branches leave the
-        # parity mass of the virtual source
-        topo = BranchTopology.chain(n, pp.signal_intensity, eta, ch.dark_count, boundaries)
-        phase_error = phase_error_rate(topo)
-    leak = pp.ec_efficiency * max(binary_entropy(e) for e in marginals)
-    raw = prefactor * gain * (1.0 - (leak + binary_entropy(phase_error)))
+    prefactor, misalignment = rate_constants(pp, sliced)
+    raw, gain, marginals, phase_error = rate_kernel(
+        pp.n_parties,
+        pp.signal_intensity,
+        pp.ec_efficiency,
+        ch.dark_count,
+        transmittance(ch),
+        prefactor,
+        misalignment,
+        sliced,
+        boundaries,
+        phase_error,
+    )
     return RateReport(
         rate=max(raw, 0.0),
         gain=gain,
@@ -164,12 +219,14 @@ def scaling_exponent(points) -> float:
     """Least-squares slope of log10(rate) versus distance, in decades/km,
     over the positive-rate points; loss-dominated chains fall near
     -(N-1) alpha / 10."""
-    pts = [(float(l), float(r)) for l, r in points if r > 0.0]
+    pts = [(float(l), math.log10(r)) for l, r in points if r > 0.0]
     if len(pts) < 2:
         raise InsufficientDataError("scaling fit needs at least 2 positive-rate points")
-    ls = np.array([p[0] for p in pts])
-    rs = np.array([p[1] for p in pts])
-    if np.allclose(ls, ls[0]):
+    ls = [p[0] for p in pts]
+    if all(abs(l - ls[0]) <= 1e-8 + 1e-5 * abs(ls[0]) for l in ls):
         raise InsufficientDataError("scaling fit needs at least 2 distinct distances")
-    slope, _ = np.polyfit(ls, np.log10(rs), 1)
-    return float(slope)
+    l_mean = math.fsum(ls) / len(pts)
+    y_mean = math.fsum(p[1] for p in pts) / len(pts)
+    return math.fsum((l - l_mean) * (y - y_mean) for l, y in pts) / math.fsum(
+        (l - l_mean) ** 2 for l in ls
+    )

@@ -5,7 +5,9 @@ integer grid over the slice count M (all integers, since the analytic
 prefactor and misalignment accept odd M) and, per M, a coarse log grid
 over the signal intensity followed by golden-section refinement.  The
 coarse grid protects the refinement from the zero-rate plateaus that
-surround the feasible window.
+surround the feasible window.  Each evaluation calls the float rate
+kernel with constants hoisted per M, and the optimum is re-evaluated
+through the full rate report.
 
 ``optimize_decoys`` maximizes the certified rate lower bound over the
 decoy intensity triple-or-more in log space by coordinate descent from a
@@ -18,12 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import ChannelParams, ProtocolParams
+from .core import ChannelParams, ProtocolParams, transmittance
 from .decoy import n_cut_for, rate_lower
 from .errors import DegenerateGeometryError, ParameterError
-from .keyrate import RateReport, rate_pmqcc, rate_pmqcc_star, rate_reduced
+from .keyrate import (
+    RateReport,
+    rate_constants,
+    rate_kernel,
+    rate_pmqcc,
+    rate_pmqcc_star,
+    rate_reduced,
+)
 
 __all__ = ["OptimizationResult", "optimize_signal", "optimize_decoys"]
 
@@ -34,6 +41,21 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 MU_BOUNDS = (1e-3, 1.0)
 MU_TOL = 1e-4
 COARSE_POINTS = 40
+# np.geomspace(*MU_BOUNDS, COARSE_POINTS) element for element: computing
+# it as 10.0 ** y instead misses one point by an ulp, and that moves the
+# last bit of some optima
+COARSE_GRID = (
+    0.001, 0.001193776641714437, 0.0014251026703029977, 0.0017012542798525892,
+    0.002030917620904735, 0.0024244620170823282, 0.0028942661247167516, 0.003455107294592218,
+    0.004124626382901352, 0.004923882631706742, 0.0058780160722749115, 0.00701703828670383,
+    0.008376776400682925, 0.01, 0.01193776641714437, 0.014251026703029985,
+    0.017012542798525893, 0.020309176209047358, 0.024244620170823284, 0.028942661247167517,
+    0.0345510729459222, 0.04124626382901352, 0.04923882631706741, 0.05878016072274915,
+    0.07017038286703829, 0.0837677640068292, 0.1, 0.1193776641714437,
+    0.14251026703029993, 0.17012542798525893, 0.2030917620904737, 0.24244620170823283,
+    0.28942661247167517, 0.3455107294592222, 0.4124626382901352, 0.49238826317067413,
+    0.5878016072274912, 0.701703828670383, 0.8376776400682924, 1.0,
+)
 
 # objective name -> name of its rate function, imported above and looked
 # up in this module's namespace on every call
@@ -46,10 +68,14 @@ def objective_rate(
     """Rate report of one objective; ``boundaries`` marks the broken ends
     of the reduced chain.  A rebound module global (a tracer's wrapper,
     say) takes effect because the function is looked up at call time."""
-    if objective not in OBJECTIVES:
-        raise ParameterError(f"objective must be one of {tuple(OBJECTIVES)}, got {objective!r}")
+    _check_objective(objective)
     rate = globals()[OBJECTIVES[objective]]
     return rate(pp, ch, boundaries) if objective == "reduced" else rate(pp, ch)
+
+
+def _check_objective(objective: str) -> None:
+    if objective not in OBJECTIVES:
+        raise ParameterError(f"objective must be one of {tuple(OBJECTIVES)}, got {objective!r}")
 
 
 @dataclass(frozen=True)
@@ -89,18 +115,18 @@ def _golden_refine(obj, lo: float, hi: float, tol: float):
 def _maximize_scalar(obj):
     """Coarse geometric bracket over ``MU_BOUNDS`` followed by
     golden-section refinement to ``MU_TOL``."""
-    grid = np.geomspace(*MU_BOUNDS, COARSE_POINTS)
+    grid = COARSE_GRID
     vals = [obj(x) for x in grid]
     evals = COARSE_POINTS
-    i = int(np.argmax(vals))
+    i = max(range(COARSE_POINTS), key=vals.__getitem__)  # the first maximum
     if vals[i] <= 0.0:
         return None, 0.0, evals
     left = grid[max(i - 1, 0)]
     right = grid[min(i + 1, COARSE_POINTS - 1)]
     x, fx, extra = _golden_refine(obj, left, right, MU_TOL)
     if vals[i] > fx:
-        x, fx = float(grid[i]), vals[i]
-    return float(x), float(fx), evals + extra
+        x, fx = grid[i], vals[i]
+    return x, fx, evals + extra
 
 
 def optimize_signal(
@@ -119,6 +145,10 @@ def optimize_signal(
     misalignment from the signal-mode parameter), so only the intensity
     is searched.
     """
+    _check_objective(objective)
+    sliced = objective != "pmqcc-star"
+    ends = boundaries if objective == "reduced" else (False, False)
+    eta = transmittance(ch)
 
     def params(mu: float, m: int) -> ProtocolParams:
         return ProtocolParams(
@@ -129,15 +159,22 @@ def optimize_signal(
             signal_phase_misalignment=signal_phase_misalignment,
         )
 
-    def rate_at(mu: float, m: int) -> float:
-        return objective_rate(objective, params(mu, m), ch, boundaries).rate
-
     evaluations = 0
     best = (0.0, None, None)  # rate, mu, M
 
-    slice_grid = [13] if objective == "pmqcc-star" else list(m_values)
+    slice_grid = list(m_values) if sliced else [13]
     for m in slice_grid:
-        mu, rate, used = _maximize_scalar(lambda x: rate_at(x, m))
+        # validates the fixed parameters and M once, as every rate at M would
+        prefactor, misalignment = rate_constants(params(MU_BOUNDS[1], m), sliced)
+
+        def rate_at(mu: float) -> float:
+            raw = rate_kernel(
+                n_parties, mu, ec_efficiency, ch.dark_count, eta,
+                prefactor, misalignment, sliced, ends,
+            )[0]
+            return max(raw, 0.0)
+
+        mu, rate, used = _maximize_scalar(rate_at)
         evaluations += used
         if mu is not None and rate > best[0]:
             best = (rate, mu, m)
@@ -146,9 +183,10 @@ def optimize_signal(
         return OptimizationResult(
             best_params=None, best_rate=0.0, evaluations=evaluations, flagged_zero=True
         )
+    best_params = params(best[1], best[2])
     return OptimizationResult(
-        best_params=params(best[1], best[2]),
-        best_rate=rate_at(best[1], best[2]),
+        best_params=best_params,
+        best_rate=objective_rate(objective, best_params, ch, boundaries).rate,
         evaluations=evaluations,
     )
 
@@ -169,6 +207,8 @@ def optimize_decoys(
     Log-space coordinate descent with shrinking line searches, restarted
     from fixed seed-derived starting points; deterministic.
     """
+    import numpy as np  # here, not at module level: only this search needs it
+
     n_decoys = n_cut_for(n_parties) + 1
 
     def params(decoys) -> ProtocolParams:

@@ -18,15 +18,15 @@ occupation compositions of k (the desk-scale oracle, with a configurable
 term cap).  ``phase_error_rate`` needs no yields at all: by Poisson
 thinning the branch photon numbers are independent Poisson variables, so
 the odd-photon-number share of the gain factorizes over branches into an
-O(branches) closed form with no truncation.
+O(branches) closed form with no truncation.  ``chain_phase_error`` is the
+same closed form on the chain of ``BranchTopology.chain``, taken from
+plain floats so that an intensity sweep builds no topology records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EnumerationLimitError, ParameterError
 
@@ -35,6 +35,7 @@ __all__ = [
     "BranchTopology",
     "yield_probability",
     "phase_error_rate",
+    "chain_phase_error",
 ]
 
 DEFAULT_TERM_CAP = 10_000_000
@@ -71,13 +72,7 @@ class BranchSpec:
     ) -> "BranchSpec":
         """Build a branch from its two source arms; a valid interference
         branch needs equal arriving intensities on both arms."""
-        left, right = eta_left * mu_left, eta_right * mu_right
-        if not math.isclose(left, right, rel_tol=_ARM_BALANCE_RTOL):
-            raise ParameterError(
-                f"arm arrival intensities must match, got {left} vs {right}"
-            )
-        mu_v = mu_left + mu_right
-        return cls(virtual_intensity=mu_v, survival=(left + right) / mu_v)
+        return cls(*_merge_arms(mu_left, eta_left, mu_right, eta_right))
 
 
 @dataclass(frozen=True)
@@ -131,33 +126,35 @@ class BranchTopology:
         virtual intensity (and hence the phase-error rate) grows.  With
         no broken end this is the symmetric chain.
         """
-        if n_parties < 2:
-            raise ParameterError(f"n_parties must be >= 2, got {n_parties}")
-        if len(boundaries) != 2:
-            raise ParameterError("boundaries must be a (left, right) pair of flags")
-        left_b, right_b = (bool(boundaries[0]), bool(boundaries[1]))
-        if not (left_b or right_b):
-            return cls.symmetric(n_parties, mu, eta, dark_count)
-        branches = []
-        for l in range(n_parties - 1):
-            if l == 0 and left_b:
-                left_arm = (mu, eta / 2.0)
-            else:
-                left_arm = (mu / 2.0, eta)
-            if l == n_parties - 2 and right_b:
-                right_arm = (mu, eta / 2.0)
-            else:
-                right_arm = (mu / 2.0, eta)
-            branches.append(BranchSpec.from_arms(*left_arm, *right_arm))
-        return cls(branches=tuple(branches), dark_count=dark_count)
+        branches = _chain_branches(n_parties, mu, eta, boundaries)
+        return cls(branches=tuple(BranchSpec(t, s) for t, s in branches), dark_count=dark_count)
 
 
-def _branch_weights(topology: BranchTopology):
-    """Per-branch landing probability w_l and survival s_l."""
-    total = topology.total_virtual_intensity
-    ws = np.array([b.virtual_intensity / total for b in topology.branches])
-    ss = np.array([b.survival for b in topology.branches])
-    return ws, ss
+def _merge_arms(mu_left: float, eta_left: float, mu_right: float, eta_right: float) -> tuple:
+    """(virtual intensity, survival) of the branch fed by two source arms,
+    whose arriving intensities must balance."""
+    left, right = eta_left * mu_left, eta_right * mu_right
+    if not math.isclose(left, right, rel_tol=_ARM_BALANCE_RTOL):
+        raise ParameterError(f"arm arrival intensities must match, got {left} vs {right}")
+    mu_v = mu_left + mu_right
+    return mu_v, (left + right) / mu_v
+
+
+def _chain_branches(n_parties: int, mu: float, eta: float, boundaries: tuple) -> list:
+    """(virtual intensity, survival) of each branch of ``BranchTopology.chain``."""
+    if n_parties < 2:
+        raise ParameterError(f"n_parties must be >= 2, got {n_parties}")
+    if len(boundaries) != 2:
+        raise ParameterError("boundaries must be a (left, right) pair of flags")
+    left_b, right_b = (bool(boundaries[0]), bool(boundaries[1]))
+    if not (left_b or right_b):
+        return [(mu, eta)] * (n_parties - 1)
+    branches = []
+    for l in range(n_parties - 1):
+        left_arm = (mu, eta / 2.0) if l == 0 and left_b else (mu / 2.0, eta)
+        right_arm = (mu, eta / 2.0) if l == n_parties - 2 and right_b else (mu / 2.0, eta)
+        branches.append(_merge_arms(*left_arm, *right_arm))
+    return branches
 
 
 def yield_probability(topology: BranchTopology, k: int, term_cap: int = DEFAULT_TERM_CAP) -> float:
@@ -178,40 +175,41 @@ def yield_probability(topology: BranchTopology, k: int, term_cap: int = DEFAULT_
             f"{n_terms} compositions of k={k} over {nb} branches exceed the cap {term_cap}"
         )
     pd = topology.dark_count
-    ws, ss = _branch_weights(topology)
-    log_ws = np.log(ws)
+    total_v = topology.total_virtual_intensity
+    log_ws = [math.log(b.virtual_intensity / total_v) for b in topology.branches]
     # success factor per (branch, occupation)
-    factors = np.empty((nb, k + 1))
-    photons = np.arange(k + 1)
-    for l in range(nb):
-        miss = (1.0 - ss[l]) ** photons
-        # 1 - (1-s)^n; at s = 1 every photon arrives
-        hit = -np.expm1(photons * np.log1p(-ss[l])) if ss[l] < 1.0 else (photons > 0).astype(float)
-        factors[l] = (1.0 - pd) * (hit + 2.0 * pd * miss)
+    factors = []
+    for b in topology.branches:
+        s = b.survival
+        row = []
+        for n in range(k + 1):
+            # 1 - (1-s)^n; at s = 1 every photon arrives
+            hit = -math.expm1(n * math.log1p(-s)) if s < 1.0 else float(n > 0)
+            row.append((1.0 - pd) * (hit + 2.0 * pd * (1.0 - s) ** n))
+        factors.append(row)
     log_fact = [math.lgamma(n + 1) for n in range(k + 1)]
 
     total = 0.0
-    comp = [0] * nb
 
     def recurse(level: int, remaining: int, log_w_acc: float, f_acc: float):
         nonlocal total
         if level == nb - 1:
             n = remaining
             logp = log_fact[k] - log_fact[n] + n * log_ws[level] + log_w_acc
-            total += math.exp(logp) * f_acc * factors[level, n]
+            total += math.exp(logp) * f_acc * factors[level][n]
             return
         for n in range(remaining + 1):
             recurse(
                 level + 1,
                 remaining - n,
                 log_w_acc + n * log_ws[level] - log_fact[n],
-                f_acc * factors[level, n],
+                f_acc * factors[level][n],
             )
 
     if nb == 1:
-        return float(factors[0, k])
+        return factors[0][k]
     recurse(0, k, 0.0, 1.0)
-    return float(min(max(total, 0.0), 1.0))
+    return min(max(total, 0.0), 1.0)
 
 
 def phase_error_rate(topology: BranchTopology) -> float:
@@ -228,10 +226,22 @@ def phase_error_rate(topology: BranchTopology) -> float:
     no alternating sum.  Each ratio lies in [-1, 1], so long chains cannot
     overflow; e^{a_l - 2t_l} <= 1 because a_l <= t_l.
     """
-    pd = topology.dark_count
+    branches = [(b.virtual_intensity, b.survival) for b in topology.branches]
+    return _parity_phase_error(branches, topology.dark_count)
+
+
+def chain_phase_error(n_parties: int, mu: float, eta: float, dark_count: float, boundaries: tuple) -> float:
+    """``phase_error_rate(BranchTopology.chain(...))`` from the same floats,
+    without building the records.  Unlike the records, it does not check
+    the ranges of mu, eta and p_d: callers pass validated parameters."""
+    return _parity_phase_error(_chain_branches(n_parties, mu, eta, boundaries), dark_count)
+
+
+def _parity_phase_error(branches, pd: float) -> float:
+    """E_X of ``phase_error_rate`` over (virtual intensity, survival) pairs."""
     ratio = 1.0
-    for b in topology.branches:
-        a, t = b.arrival_intensity, b.virtual_intensity
+    for t, s in branches:
+        a = t * s
         gain = -math.expm1(-a) + 2.0 * pd * math.exp(-a)
         if gain <= 0.0:
             raise ParameterError("overall gain is 0; phase error undefined")

@@ -144,6 +144,30 @@ class TestCurveCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("change", [{"mu": -0.1}, {"slices": 2}], ids=["negative-mu", "two-slices"])
+    def test_config_that_rate_rejects_exits_2(self, tmp_path, capsys, change):
+        # this used to exit 0 with every row flagged error:ParameterError
+        # and the message lost
+        cfg = write_config(tmp_path, {**TABLE_CONFIG, **change})
+        rate = run_cli(["rate", cfg], capsys)
+        curve = run_cli(["curve", cfg, "--l-min", "0", "--l-max", "20", "--l-step", "10"], capsys)
+        assert rate[:2] == (2, "")
+        assert curve == rate
+
+    def test_distance_dependent_error_keeps_row_flag(self, tmp_path, capsys):
+        # without dark counts the signal gain vanishes once eta underflows,
+        # so the decoy bound is undefined at that distance alone
+        cfg = write_config(tmp_path, {
+            **TABLE_CONFIG, "dark_count": 0.0, "mu": 0.104815,
+            "decoys": [0.0204583, 0.0182017, 9.27216e-5, 0.0],
+        })
+        code, out, err = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0",
+                                  "--l-max", "100000", "--l-step", "100000"], capsys)
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert rows[0].endswith(",13,ok")
+        assert rows[1].endswith(",0,error:ParameterError")
+
     def test_optimized_point_matches_benchmark(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {k: v for k, v in TABLE_CONFIG.items() if k not in ("mu", "slices")})
         code, out, _ = run_cli(
@@ -295,18 +319,34 @@ class TestEntryPoint:
         ["simulate"],
     ])
     def test_leaves_scipy_unimported(self, tmp_path, command):
-        config = TestSimulateCommand.CONFIG if command[0] == "simulate" else TABLE_CONFIG
-        cfg = write_config(tmp_path, config)
-        argv = [command[0], cfg, *command[1:], "--out", str(tmp_path / "out")]
-        probe = (
-            "import sys\n"
-            "from pmqcc.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert loaded_after(tmp_path, command, "scipy") == []
+
+    @pytest.mark.parametrize("command", [
+        [],
+        ["rate", "--protocol", "pmqcc"],
+        ["rate", "--protocol", "pmqcc-star"],
+        ["rate", "--protocol", "reduced"],
+        ["curve", "--l-min", "50", "--l-max", "50", "--l-step", "10", "--optimize", "signal"],
+        ["optimize", "--target", "signal"],
+    ], ids=["import", "rate-pmqcc", "rate-pmqcc-star", "rate-reduced", "curve-signal",
+            "optimize-signal"])
+    def test_leaves_numpy_unimported(self, tmp_path, command):
+        assert loaded_after(tmp_path, command, "numpy") == []
+
+
+def loaded_after(tmp_path, command: list, package: str) -> list:
+    """Modules of ``package`` loaded in a fresh interpreter after
+    ``import pmqcc`` and, unless ``command`` is empty, after running that
+    command on a config that it accepts."""
+    config = TestSimulateCommand.CONFIG if command[:1] == ["simulate"] else TABLE_CONFIG
+    lines = ["import json", "import sys", "import pmqcc"]
+    if command:
+        argv = [command[0], write_config(tmp_path, config), *command[1:], "--out", str(tmp_path / "out")]
+        lines += ["from pmqcc.cli import main", f"assert main({argv!r}) == 0"]
+    lines.append(f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))")
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 # Byte-for-byte CLI outputs, recorded from the program before the rate

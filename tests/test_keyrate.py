@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,8 +20,12 @@ from pmqcc import (
     rate_pmqcc_star,
     rate_reduced,
     scaling_exponent,
+    binary_entropy,
+    phase_error_rate,
     transmittance,
 )
+from pmqcc.keyrate import key_rate, rate_constants, rate_kernel
+from pmqcc.optimize import MU_BOUNDS
 from tests.conftest import bench_channel_at
 from tests.enumeration import enumerated_gain, parity_split
 
@@ -222,3 +228,98 @@ class TestScalingExponent:
             scaling_exponent([(50.0, 1e-7)])
         with pytest.raises(InsufficientDataError):
             scaling_exponent([(50.0, 1e-7), (60.0, 0.0)])
+
+    def test_matches_numpy_least_squares(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            points = [(rng.uniform(0.0, 300.0), 10.0 ** rng.uniform(-20.0, -2.0))
+                      for _ in range(rng.randint(2, 12))]
+            ls, rs = np.array(points).T
+            expected = np.polyfit(ls, np.log10(rs), 1)[0]
+            assert scaling_exponent(points) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def reference_rate(pp, ch, sliced, boundaries, phase_error=None) -> float:
+    """The rate assembly over the parameter records in one piece, as it read
+    before the float kernel was split out of it."""
+    n = pp.n_parties
+    eta = transmittance(ch)
+    arrival = eta * pp.signal_intensity
+    prefactor = (2.0 / pp.slice_count) ** (n - 1) if sliced else 1.0
+    branch_gain = branch_gain_avg(arrival, ch.dark_count)
+    if branch_gain == 0.0:
+        return 0.0
+    gain = branch_gain ** (n - 1)
+    if sliced:
+        branch_e = branch_qber_avg(arrival, ch.dark_count, pp.slice_count)
+    else:
+        branch_e = qber_star(arrival, ch.dark_count, pp.signal_phase_misalignment)
+    marginals = [marginal_qber(branch_e, m) for m in range(2, n + 1)]
+    if phase_error is None:
+        topo = BranchTopology.chain(n, pp.signal_intensity, eta, ch.dark_count, boundaries)
+        phase_error = phase_error_rate(topo)
+    leak = pp.ec_efficiency * max(binary_entropy(e) for e in marginals)
+    return max(prefactor * gain * (1.0 - (leak + binary_entropy(phase_error))), 0.0)
+
+
+class TestRateKernel:
+    LAYOUTS = ((False, False), (False, True), (True, False), (True, True))
+
+    def draw(self, rng):
+        """A random rate point: N=2-12, mu over the optimizer's window,
+        M=3-64, distances past where the rate reaches 0, p_d from 0 to
+        1e-3, any broken ends, and the starred variant with its signal
+        misalignment; a quarter of the draws charge a given phase error."""
+        n = rng.randint(2, 12)
+        star = rng.random() < 0.25
+        pp = ProtocolParams(
+            n_parties=n,
+            signal_intensity=MU_BOUNDS[0] * (MU_BOUNDS[1] / MU_BOUNDS[0]) ** rng.random(),
+            slice_count=rng.randint(3, 64),
+            ec_efficiency=rng.choice((1.0, 1.16, 1.5)),
+            signal_phase_misalignment=rng.uniform(0.0, 0.1) if star else 0.0,
+        )
+        ch = ChannelParams(0.2, rng.uniform(0.0, 500.0 / (n - 1)), 0.65,
+                           rng.choice((0.0, 7.2e-8, 1e-3)))
+        ends = rng.choice(self.LAYOUTS)
+        given = rng.uniform(0.0, 0.5) if rng.random() < 0.25 else None
+        return pp, ch, not star, ends, given
+
+    def test_randomized_draws_are_bitwise(self):
+        rng = random.Random(20)
+        outcomes = set()
+        for _ in range(400):
+            pp, ch, sliced, ends, given = self.draw(rng)
+            prefactor, misalignment = rate_constants(pp, sliced)
+            raw, gain, marginals, phase_error = rate_kernel(
+                pp.n_parties, pp.signal_intensity, pp.ec_efficiency, ch.dark_count,
+                transmittance(ch), prefactor, misalignment, sliced, ends, given,
+            )
+            report = key_rate(pp, ch, sliced=sliced, boundaries=ends, phase_error=given)
+            assert max(raw, 0.0) == report.rate == reference_rate(pp, ch, sliced, ends, given)
+            assert (gain, marginals, phase_error) == (
+                report.gain, report.marginal_qbers, report.phase_error)
+            outcomes.add("positive" if raw > 0.0 else "zero")
+        assert outcomes == {"positive", "zero"}
+
+    def test_named_variants_are_the_kernel(self, bench_channel):
+        pp = ProtocolParams(n_parties=4, signal_intensity=0.1, slice_count=13,
+                            signal_phase_misalignment=0.02)
+        eta = transmittance(bench_channel)
+        pd = bench_channel.dark_count
+
+        def kernel(sliced, ends):
+            prefactor, misalignment = rate_constants(pp, sliced)
+            raw = rate_kernel(4, 0.1, pp.ec_efficiency, pd, eta, prefactor, misalignment, sliced, ends)[0]
+            return max(raw, 0.0)
+
+        assert rate_pmqcc(pp, bench_channel).rate == kernel(True, (False, False))
+        assert rate_pmqcc_star(pp, bench_channel).rate == kernel(False, (False, False))
+        assert rate_reduced(pp, bench_channel, (True, False)).rate == kernel(True, (True, False))
+
+    def test_constants(self):
+        pp = ProtocolParams(n_parties=3, signal_intensity=0.1, slice_count=2,
+                            signal_phase_misalignment=0.02)
+        assert rate_constants(pp, sliced=False) == (1.0, 0.02)
+        with pytest.raises(ParameterError, match="slice_count >= 3"):
+            rate_constants(pp)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pmqcc import (
@@ -10,7 +11,20 @@ from pmqcc import (
     rate_pmqcc_star,
     rate_reduced,
 )
+from pmqcc.optimize import COARSE_GRID, COARSE_POINTS, MU_BOUNDS
 from tests.conftest import bench_channel_at
+
+# (N, km, objective, options) -> repr-exact (best_rate, mu, M, evaluations),
+# recorded before the signal search moved onto the float rate kernel
+SIGNAL_PINS = [
+    (3, 0.0, "pmqcc-star", {}, (0.00466295499462838, 0.3222818627506947, 13, 58)),
+    (4, 0.0, "pmqcc-star", {}, (0.00036245414901835176, 0.32819381454914776, 13, 58)),
+    (3, 50.0, "pmqcc", {}, (2.6989203981946936e-07, 0.13325153946430002, 13, 3471)),
+    (6, 5.0, "pmqcc", {}, (3.074864647534463e-13, 0.10112536483043255, 18, 3394)),
+    (4, 20.0, "reduced", {"boundaries": (True, False)}, (3.968709193709239e-09, 0.10133041148481194, 15, 3406)),
+    (3, 100.0, "reduced", {}, (1.6151632361571763e-09, 0.1031781854365203, 13, 3423)),
+    (5, 10.0, "pmqcc-star", {"signal_phase_misalignment": 0.015}, (1.0579727209971773e-08, 0.04747187828944102, 13, 54)),
+]
 
 
 class TestOptimizeSignal:
@@ -54,6 +68,16 @@ class TestOptimizeSignal:
         for distance in (50.0, 200.0):
             result = optimize_signal(bench_channel_at(distance), 3)
             assert 8 <= result.best_params.slice_count <= 32
+
+    @pytest.mark.parametrize("n, km, objective, options, expected", SIGNAL_PINS)
+    def test_pinned_optima(self, n, km, objective, options, expected):
+        result = optimize_signal(ChannelParams(0.2, km, 0.65, 7.2e-8), n, objective, **options)
+        best = result.best_params
+        assert (result.best_rate, best.signal_intensity, best.slice_count, result.evaluations) == expected
+
+    def test_coarse_grid_is_numpy_geomspace(self):
+        # 10.0 ** linspace(-3, 0, 40) misses one of these points by an ulp
+        assert COARSE_GRID == tuple(float(x) for x in np.geomspace(*MU_BOUNDS, COARSE_POINTS))
 
     def test_bad_objective(self):
         with pytest.raises(ParameterError):
