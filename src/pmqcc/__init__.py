@@ -33,16 +33,7 @@ from .errors import (
     ParameterError,
     PMQCCError,
 )
-from .interference import (
-    BranchStats,
-    ClickProbabilities,
-    branch_gain_avg,
-    branch_qber_avg,
-    branch_success,
-    click_probabilities,
-    exact_branch_average,
-    phase_delta_density,
-)
+from .interference import branch_gain_avg, branch_qber_avg
 from .keyrate import (
     RateReport,
     marginal_qber,
@@ -58,7 +49,9 @@ from .yields import BranchSpec, BranchTopology, phase_error_rate, yield_probabil
 __version__ = "0.1.0"
 
 # the simulator's names load numpy, so they are imported on first use
-_MONTECARLO_NAMES = ("EmpiricalEstimates", "SimConfig", "SimTally", "estimate", "run_rounds")
+_MONTECARLO_NAMES = (
+    "EmpiricalEstimates", "SimConfig", "SimTally", "estimate", "run_rounds", "tally_expectation"
+)
 
 
 def __getattr__(name):

@@ -16,12 +16,11 @@ import json
 import math
 import sys
 
-from .core import ChannelParams, ProtocolParams, transmittance
+from .core import ChannelParams, ProtocolParams
 from .decoy import rate_lower
 from .errors import ParameterError, PMQCCError
-from .interference import exact_branch_average
 from .keyrate import RateReport, rate_constants
-from .optimize import OBJECTIVES, objective_rate, optimize_decoys, optimize_signal
+from .optimize import MU_BOUNDS, OBJECTIVES, objective_rate, optimize_decoys, optimize_signal
 
 __all__ = ["main"]
 
@@ -232,8 +231,12 @@ def cmd_curve(args) -> int:
         _require(cfg, ["mu", "slices"])
         pp = build_protocol(cfg)
         rate_constants(pp, sliced=args.protocol != "pmqcc-star")
+        if args.protocol != "decoy-lower":
+            parse_boundaries(cfg)
     else:
         options = _signal_options(cfg)
+        # the optimizer picks mu and M and builds the rest into every row
+        build_protocol({**cfg, "mu": MU_BOUNDS[1], "slices": 4, "decoys": ()})
     lines = [CSV_HEADER]
     length = args.l_min
     while length <= args.l_max + 1e-9:
@@ -246,7 +249,7 @@ def cmd_curve(args) -> int:
 def cmd_simulate(args) -> int:
     # imported here: the simulator loads numpy, which rate, curve and
     # optimize --target signal do without
-    from .montecarlo import SimConfig, estimate, run_rounds
+    from .montecarlo import SimConfig, estimate, run_rounds, tally_expectation
 
     cfg = load_config(args.config)
     _require(cfg, ["parties", "mu", "slices", "seed", "rounds"])
@@ -261,10 +264,7 @@ def cmd_simulate(args) -> int:
     tally = run_rounds(pp, ch, sc, workers=args.workers)
     est = estimate(tally)
 
-    arrival = transmittance(ch) * pp.signal_intensity
-    n = pp.n_parties
-    branch = exact_branch_average(arrival, ch.dark_count, pp.slice_count, reference_offset=0.0)
-    gain_analytic = branch.gain ** (n - 1)
+    gain_analytic, pair_errors = tally_expectation(pp, ch)
 
     def sigma(emp: float, ana: float, trials: int) -> float:
         se = math.sqrt(ana * (1.0 - ana) / trials)
@@ -278,8 +278,7 @@ def cmd_simulate(args) -> int:
         },
         "pair_qber": {},
     }
-    for m in range(2, n + 1):
-        ana = (1.0 - (1.0 - 2.0 * branch.qber) ** (m - 1)) / 2.0
+    for m, ana in pair_errors.items():
         comparison["pair_qber"][str(m)] = {
             "analytic": ana,
             "empirical": est.pair_qbers[m],

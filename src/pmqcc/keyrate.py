@@ -36,7 +36,7 @@ from .core import (
     transmittance,
 )
 from .errors import InsufficientDataError, ParameterError
-from .interference import branch_gain_avg, sliced_qber
+from .interference import branch_gain_avg, sliced_qber_at_gain
 from .yields import chain_phase_error
 
 __all__ = [
@@ -89,9 +89,17 @@ def marginal_qber(branch_qber: float, pair_index: int) -> float:
 def qber_star(arrival_intensity: float, dark_count: float, misalignment: float) -> float:
     """Branch QBER without phase post-selection, for signal-mode phase
     misalignment e*: (1-p_d) e^{-a(1-e*)} (1 - (1-p_d) e^{-a e*}) / Q."""
+    return _qber_star_at_gain(
+        branch_gain_avg(arrival_intensity, dark_count), arrival_intensity, dark_count, misalignment
+    )
+
+
+def _qber_star_at_gain(
+    gain: float, arrival_intensity: float, dark_count: float, misalignment: float
+) -> float:
+    """``qber_star`` given the branch gain Q, which the rate kernel holds."""
     if not 0.0 <= misalignment <= 0.5:
         raise ParameterError(f"misalignment must lie in [0, 0.5], got {misalignment}")
-    gain = branch_gain_avg(arrival_intensity, dark_count)
     if gain <= 0.0:
         raise ParameterError("branch gain underflowed to 0; no QBER is defined")
     a = arrival_intensity
@@ -140,8 +148,8 @@ def rate_kernel(
         # no detections at all: zero gain, zero rate, nothing to clamp
         return 0.0, 0.0, (0.0,) * (n - 1), 0.0
     gain = branch_gain ** (n - 1)
-    branch_qber = sliced_qber if sliced else qber_star
-    branch_e = branch_qber(arrival, pd, misalignment)
+    branch_qber = sliced_qber_at_gain if sliced else _qber_star_at_gain
+    branch_e = branch_qber(branch_gain, arrival, pd, misalignment)
     marginals = tuple(marginal_qber(branch_e, m) for m in range(2, n + 1))
     if phase_error is None:
         # eta = 0 is the dark-count floor: survival-0 branches leave the

@@ -30,6 +30,10 @@ device, and a chunk costs O(K N) draws rather than O(rounds N).
 Rounds where some branch has zero or two clicks are discarded, not
 errors.
 
+``tally_expectation`` is the exact expectation of the tallies under the
+same click model: a transfer-matrix chain over the parties' in-slice
+positions, each integrated with a Gauss-Legendre rule.
+
 ``mode="forced-matching"`` records the analytic sifting probability
 (2/M)^(N-1) so rate-level estimates stay unbiased; it gives
 (M/2)^(N-1) times more sifted rounds per sent round than raw sifting.
@@ -37,7 +41,7 @@ errors.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -47,7 +51,9 @@ import numpy as np
 from .core import ChannelParams, ProtocolParams, transmittance
 from .errors import InsufficientDataError, ParameterError
 
-__all__ = ["SimConfig", "SimTally", "EmpiricalEstimates", "run_rounds", "estimate"]
+__all__ = [
+    "SimConfig", "SimTally", "EmpiricalEstimates", "run_rounds", "estimate", "tally_expectation"
+]
 
 CHUNK_SIZE = 1 << 16
 
@@ -139,9 +145,6 @@ class SimTally:
             "seed": self.seed,
             "mode": self.mode,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 @dataclass(frozen=True)
@@ -321,3 +324,73 @@ def estimate(tally: SimTally) -> EmpiricalEstimates:
     return EmpiricalEstimates(
         gain=gain, gain_halfwidth=gain_half, pair_qbers=qbers, pair_halfwidths=halves
     )
+
+
+GAUSS_LEGENDRE_ORDER = 32
+
+
+def _legendre(order: int, x: float) -> tuple:
+    """P_order(x) and its derivative, by the three-term recurrence."""
+    p_prev, p = 1.0, x
+    for k in range(2, order + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, order * (x * p - p_prev) / (x * x - 1.0)
+
+
+@functools.cache
+def _gauss_legendre(order: int) -> tuple:
+    """(node, weight) pairs of the order-point Gauss-Legendre rule on
+    [-1, 1]: Newton's method on P_order from the usual cosine guesses."""
+    rule = []
+    for i in range(1, order + 1):
+        x = math.cos(math.pi * (i - 0.25) / (order + 0.5))
+        for _ in range(100):
+            p, slope = _legendre(order, x)
+            step = p / slope
+            x -= step
+            if abs(step) <= 1e-15:
+                break
+        _, slope = _legendre(order, x)
+        rule.append((x, 2.0 / ((1.0 - x * x) * slope * slope)))
+    return tuple(rule)
+
+
+def tally_expectation(pp: ProtocolParams, ch: ChannelParams) -> tuple:
+    """Exact expectation of the simulator's tallies at zero reference
+    deviation: (success probability per sifted round, {p: probability
+    that party p disagrees with party 1 given success} for p = 2..N).
+
+    Branch l sees delta_l = (u_{l+1} - u_l) 2 pi / M plus a shift by pi
+    that swaps its ports and that bit-flip cooperation undoes, so both
+    quantities are means over iid uniform in-slice positions u_1..u_N of
+    products of per-branch kernels in (u_l, u_{l+1}).  Each u takes the
+    Gauss-Legendre rule (the kernels are analytic in the positions), and
+    the chain carries the even- and odd-parity weights of the wrong-port
+    clicks separately, so every term is nonnegative and nothing cancels
+    at small intensities or large M.
+    """
+    n, m = pp.n_parties, pp.slice_count
+    rule = _gauss_legendre(GAUSS_LEGENDRE_ORDER)
+    nodes = np.array([t for t, _ in rule])
+    weights = np.array([w for _, w in rule]) / 2.0  # u = (1 + t) / 2
+    one, right = _branch_probabilities(
+        transmittance(ch) * pp.signal_intensity,
+        ch.dark_count,
+        (nodes[None, :] - nodes[:, None]) * (math.pi / m),
+    )
+    # kernel[i, j] times the weight of the next party's position u_j
+    one, right = one * weights, right * weights
+    left = one - right
+    # tails[p - 2]: success of branches p..N-1 given party p's position
+    tails = [np.ones_like(weights)]
+    for _ in range(n - 2):
+        tails.append(one @ tails[-1])
+    tails.reverse()
+    even, odd = weights, np.zeros_like(weights)
+    pair_errors = {}
+    for p in range(2, n + 1):
+        even, odd = even @ left + odd @ right, even @ right + odd @ left
+        wrong = float(odd @ tails[p - 2])
+        success = wrong + float(even @ tails[p - 2])
+        pair_errors[p] = wrong / success if success > 0.0 else 0.0
+    return success, pair_errors

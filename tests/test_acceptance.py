@@ -28,7 +28,6 @@ from pmqcc import (
     SimConfig,
     branch_gain_avg,
     estimate,
-    exact_branch_average,
     n_cut_for,
     optimize_signal,
     phase_error_rate,
@@ -38,7 +37,7 @@ from pmqcc import (
     rate_reduced,
     run_rounds,
     scaling_exponent,
-    transmittance,
+    tally_expectation,
     y2_lower_3party,
     yield_probability,
     yields_lower_general,
@@ -241,13 +240,11 @@ def test_c07_monte_carlo_agreement():
     tally = run_rounds(pp, ch, SimConfig(rounds=1_000_000, seed=8))
     est = estimate(tally)
 
-    arrival = transmittance(ch) * pp.signal_intensity
-    branch = exact_branch_average(arrival, ch.dark_count, pp.slice_count, reference_offset=0.0)
-    gain = branch.gain ** 2
+    gain, pair_errors = tally_expectation(pp, ch)
     sig_gain = abs(est.gain - gain) / math.sqrt(gain * (1.0 - gain) / tally.sifted)
     sigmas = {"gain": sig_gain}
     for m in (2, 3):
-        expected = (1.0 - (1.0 - 2.0 * branch.qber) ** (m - 1)) / 2.0
+        expected = pair_errors[m]
         se = math.sqrt(expected * (1.0 - expected) / tally.success)
         sigmas[f"E{m}"] = abs(est.pair_qbers[m] - expected) / se
 

@@ -144,13 +144,21 @@ class TestCurveCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("change", [{"mu": -0.1}, {"slices": 2}], ids=["negative-mu", "two-slices"])
-    def test_config_that_rate_rejects_exits_2(self, tmp_path, capsys, change):
+    @pytest.mark.parametrize("optimize,change", [
+        pytest.param("none", {"mu": -0.1}, id="negative-mu"),
+        pytest.param("none", {"slices": 2}, id="two-slices"),
+        pytest.param("none", {"boundaries": "right"}, id="boundaries-not-a-list"),
+        pytest.param("signal", {"f": 0.5}, id="signal-f-below-1"),
+        pytest.param("signal", {"signal_phase_misalignment": 0.7}, id="signal-misalignment"),
+        pytest.param("signal", {"parties": 1}, id="signal-one-party"),
+    ])
+    def test_config_that_rate_rejects_exits_2(self, tmp_path, capsys, optimize, change):
         # this used to exit 0 with every row flagged error:ParameterError
-        # and the message lost
+        # (or error:ConfigError) and the message lost
         cfg = write_config(tmp_path, {**TABLE_CONFIG, **change})
         rate = run_cli(["rate", cfg], capsys)
-        curve = run_cli(["curve", cfg, "--l-min", "0", "--l-max", "20", "--l-step", "10"], capsys)
+        curve = run_cli(["curve", cfg, "--l-min", "0", "--l-max", "20", "--l-step", "10",
+                         "--optimize", optimize], capsys)
         assert rate[:2] == (2, "")
         assert curve == rate
 
@@ -269,6 +277,21 @@ class TestSimulateCommand:
         assert payload["comparison"]["gain"]["sigma"] <= 3.0
         for m in ("2", "3"):
             assert payload["comparison"]["pair_qber"][m]["sigma"] <= 3.0
+
+    def test_analytic_pair_qbers_are_exact(self, tmp_path, capsys):
+        # adjacent branches share a party's in-slice phase, so the pair
+        # QBERs are not those of independent branches (about 2 % off here)
+        from tests.transfer_matrix import expected_tally
+
+        cfg = write_config(tmp_path, {**self.CONFIG, "parties": 5, "distance_km": 0.0,
+                                      "slices": 4, "mu": 0.3, "rounds": 20_000})
+        code, out, _ = run_cli(["simulate", cfg], capsys)
+        assert code == 0
+        comparison = json.loads(out)["comparison"]
+        expect = expected_tally(5, 0.65 * 0.3, 7.2e-8, 4, k=2048)
+        assert comparison["gain"]["analytic"] == pytest.approx(expect["success"], rel=1e-6)
+        for p, q in expect["pair_error"].items():
+            assert comparison["pair_qber"][str(p)]["analytic"] == pytest.approx(q, rel=1e-6)
 
     def test_out_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.CONFIG)

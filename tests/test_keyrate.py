@@ -13,7 +13,6 @@ from pmqcc import (
     ProtocolParams,
     branch_gain_avg,
     branch_qber_avg,
-    click_probabilities,
     marginal_qber,
     qber_star,
     rate_pmqcc,
@@ -25,6 +24,7 @@ from pmqcc import (
     transmittance,
 )
 from pmqcc.keyrate import key_rate, rate_constants, rate_kernel
+from pmqcc.montecarlo import _branch_probabilities
 from pmqcc.optimize import MU_BOUNDS
 from tests.conftest import bench_channel_at
 from tests.enumeration import enumerated_gain, parity_split
@@ -70,9 +70,8 @@ class TestQberStar:
         # numerator equals the wrong-port probability at sin^2(phi/2) = e*
         a, pd, estar = 0.00866, 1e-7, 0.015
         phi = 2.0 * math.asin(math.sqrt(estar))
-        cp = click_probabilities(a, phi, pd)
-        wrong = cp.p_left_silent * cp.p_right_click
-        expected = wrong / branch_gain_avg(a, pd)
+        _, wrong = _branch_probabilities(a, pd, np.array(phi))
+        expected = float(wrong) / branch_gain_avg(a, pd)
         assert qber_star(a, pd, estar) == pytest.approx(expected, rel=1e-12)
 
     def test_domain(self):

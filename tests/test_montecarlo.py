@@ -11,11 +11,12 @@ from pmqcc import (
     SimConfig,
     SimTally,
     estimate,
-    exact_branch_average,
     run_rounds,
+    tally_expectation,
     transmittance,
 )
 from pmqcc.montecarlo import MODES, _branch_probabilities, _candidate_bound
+from tests.test_interference import mpmath_branch_average
 from tests.transfer_matrix import expected_tally
 
 
@@ -73,7 +74,7 @@ class TestTally:
         import json
 
         tally = run_rounds(protocol(), channel(), SimConfig(rounds=50_000, seed=3))
-        payload = json.loads(tally.to_json())
+        payload = json.loads(json.dumps(tally.to_dict()))
         for key in ("sent", "sifted", "success", "pattern_counts", "pair_errors",
                     "seed", "mode", "n_parties", "slice_count", "sifting_probability"):
             assert key in payload
@@ -123,12 +124,10 @@ class TestAgreementWithAnalytics:
         pp, ch = protocol(), channel()
         tally = run_rounds(pp, ch, SimConfig(rounds=400_000, seed=21))
         est = estimate(tally)
-        arrival = transmittance(ch) * pp.signal_intensity
-        branch = exact_branch_average(arrival, ch.dark_count, pp.slice_count, reference_offset=0.0)
-        gain = branch.gain ** 2
+        gain, pair_errors = tally_expectation(pp, ch)
         assert abs(est.gain - gain) < 3.0 * math.sqrt(gain * (1.0 - gain) / tally.sifted)
         for m in (2, 3):
-            expected = (1.0 - (1.0 - 2.0 * branch.qber) ** (m - 1)) / 2.0
+            expected = pair_errors[m]
             sigma = math.sqrt(expected * (1.0 - expected) / tally.success)
             assert abs(est.pair_qbers[m] - expected) < 3.0 * sigma
 
@@ -138,6 +137,42 @@ class TestAgreementWithAnalytics:
         tally = run_rounds(pp, ch, SimConfig(rounds=300_000, seed=31))
         assert tally.success > 0
         assert all(v == 0 for v in tally.pair_errors.values())
+
+
+def at_arrival(n: int, arrival: float, dark_count: float, slice_count: int):
+    """Records whose channel delivers exactly ``arrival`` per branch."""
+    pp = ProtocolParams(n_parties=n, signal_intensity=arrival, slice_count=slice_count)
+    ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=1.0, dark_count=dark_count)
+    return pp, ch
+
+
+class TestTallyExpectation:
+    @pytest.mark.parametrize("m", [2, 14, 2_000_000])
+    @pytest.mark.parametrize("pd", [0.0, 7.2e-8, 1e-6, 0.01])
+    @pytest.mark.parametrize("a", [1e-8, 1e-3, 0.05, 1.0, 5.0])
+    def test_two_parties_match_mpmath(self, a, pd, m):
+        # one branch: the in-slice difference has the triangular density
+        # at zero reference deviation
+        gain, wrong = mpmath_branch_average(a, pd, m, 0.0)
+        success, pair_errors = tally_expectation(*at_arrival(2, a, pd, m))
+        assert success == pytest.approx(gain, rel=1e-12)
+        assert pair_errors[2] == pytest.approx(wrong / gain, rel=1e-12)
+
+    @pytest.mark.parametrize("n,a,pd,m", [
+        (3, 0.0547, 7.2e-8, 14), (3, 0.325, 7.2e-8, 6), (4, 3.0, 0.01, 2),
+        (5, 0.195, 7.2e-8, 4), (6, 0.1, 1e-6, 8),
+    ])
+    def test_chains_match_transfer_matrix(self, n, a, pd, m):
+        success, pair_errors = tally_expectation(*at_arrival(n, a, pd, m))
+        expect = expected_tally(n, a, pd, m, k=2048)
+        assert success == pytest.approx(expect["success"], rel=1e-6)
+        assert pair_errors.keys() == expect["pair_error"].keys()
+        for p, q in expect["pair_error"].items():
+            assert pair_errors[p] == pytest.approx(q, rel=1e-6)
+
+    def test_no_light_and_no_darks(self):
+        success, pair_errors = tally_expectation(protocol(m=4), channel(distance=20_000.0, pd=0.0))
+        assert success == 0.0 and pair_errors == {2: 0.0, 3: 0.0}
 
 
 def within_5_sigma(count: int, trials: int, p: float) -> bool:
