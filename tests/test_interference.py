@@ -4,7 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from pmqcc import ParameterError, branch_gain_avg, branch_qber_avg
+from pmqcc import (
+    ChannelParams,
+    ParameterError,
+    ProtocolParams,
+    branch_gain_avg,
+    branch_qber_avg,
+    tally_expectation,
+)
 from pmqcc.montecarlo import _branch_probabilities
 
 
@@ -169,3 +176,22 @@ def mpmath_branch_average(a, pd, m, phi0):
             float(mpmath.quad(lambda phi: rates(phi)[i] * density(phi), cuts, method="gauss-legendre"))
             for i in (0, 1)
         )
+
+
+class TestGaussLegendreAverage:
+    """The fixed-order rule behind ``tally_expectation`` against 25-digit
+    mpmath for a in [1e-8, 5] and M in [2, 2e6]: with two parties the chain
+    is one branch, whose in-slice difference has the triangular density at
+    zero reference deviation, the only deviation ``simulate`` runs."""
+
+    @pytest.mark.parametrize("phi0", [0.0])
+    @pytest.mark.parametrize("m", [2, 14, 2_000_000])
+    @pytest.mark.parametrize("pd", [0.0, 7.2e-8, 1e-6, 0.01])
+    @pytest.mark.parametrize("a", [1e-8, 1e-3, 0.05, 1.0, 5.0])
+    def test_against_references(self, a, pd, m, phi0):
+        gain, wrong = mpmath_branch_average(a, pd, m, phi0)
+        pp = ProtocolParams(n_parties=2, signal_intensity=a, slice_count=m)
+        ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=1.0, dark_count=pd)
+        success, pair_errors = tally_expectation(pp, ch)
+        assert success == pytest.approx(gain, rel=1e-12)
+        assert pair_errors[2] == pytest.approx(wrong / gain, rel=1e-12)

@@ -16,7 +16,6 @@ from pmqcc import (
     transmittance,
 )
 from pmqcc.montecarlo import MODES, _branch_probabilities, _candidate_bound
-from tests.test_interference import mpmath_branch_average
 from tests.transfer_matrix import expected_tally
 
 
@@ -147,17 +146,6 @@ def at_arrival(n: int, arrival: float, dark_count: float, slice_count: int):
 
 
 class TestTallyExpectation:
-    @pytest.mark.parametrize("m", [2, 14, 2_000_000])
-    @pytest.mark.parametrize("pd", [0.0, 7.2e-8, 1e-6, 0.01])
-    @pytest.mark.parametrize("a", [1e-8, 1e-3, 0.05, 1.0, 5.0])
-    def test_two_parties_match_mpmath(self, a, pd, m):
-        # one branch: the in-slice difference has the triangular density
-        # at zero reference deviation
-        gain, wrong = mpmath_branch_average(a, pd, m, 0.0)
-        success, pair_errors = tally_expectation(*at_arrival(2, a, pd, m))
-        assert success == pytest.approx(gain, rel=1e-12)
-        assert pair_errors[2] == pytest.approx(wrong / gain, rel=1e-12)
-
     @pytest.mark.parametrize("n,a,pd,m", [
         (3, 0.0547, 7.2e-8, 14), (3, 0.325, 7.2e-8, 6), (4, 3.0, 0.01, 2),
         (5, 0.195, 7.2e-8, 4), (6, 0.1, 1e-6, 8),
