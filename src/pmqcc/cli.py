@@ -17,7 +17,7 @@ import math
 import sys
 
 from .core import ChannelParams, ProtocolParams
-from .decoy import rate_lower
+from .decoy import check_decoy_set, rate_lower
 from .errors import ParameterError, PMQCCError
 from .keyrate import RateReport, rate_constants
 from .optimize import MU_BOUNDS, OBJECTIVES, objective_rate, optimize_decoys, optimize_signal
@@ -230,13 +230,21 @@ def cmd_curve(args) -> int:
     if args.optimize == "none":
         _require(cfg, ["mu", "slices"])
         pp = build_protocol(cfg)
+        build_channel({**cfg, "distance_km": args.l_min})
+        if args.protocol == "decoy-lower":
+            check_decoy_set(pp)
         rate_constants(pp, sliced=args.protocol != "pmqcc-star")
         if args.protocol != "decoy-lower":
             parse_boundaries(cfg)
     else:
         options = _signal_options(cfg)
-        # the optimizer picks mu and M and builds the rest into every row
-        build_protocol({**cfg, "mu": MU_BOUNDS[1], "slices": 4, "decoys": ()})
+        # the optimizer picks mu and M and builds the rest into every row;
+        # under signal+decoys it picks the decoys too
+        decoys = cfg.get("decoys", ()) if args.optimize == "signal" else ()
+        fixed = build_protocol({**cfg, "mu": MU_BOUNDS[1], "slices": 4, "decoys": decoys})
+        build_channel({**cfg, "distance_km": args.l_min})
+        if args.protocol == "decoy-lower" and args.optimize == "signal":
+            check_decoy_set(fixed)
     lines = [CSV_HEADER]
     length = args.l_min
     while length <= args.l_max + 1e-9:

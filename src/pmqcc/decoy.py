@@ -43,6 +43,7 @@ __all__ = [
     "y2_lower_3party",
     "yields_lower_general",
     "phase_error_upper",
+    "check_decoy_set",
     "decoy_bounds",
     "rate_lower",
 ]
@@ -261,17 +262,27 @@ def phase_error_upper(
     return float(min(max(bound, 0.0), 1.0))
 
 
-def decoy_bounds(pp: ProtocolParams, ch: ChannelParams) -> DecoyBounds:
-    """Estimation on simulated honest gains: the even-order yield lower
-    bounds and the phase-error upper bound they certify."""
-    n = pp.n_parties
-    n_cut = n_cut_for(n)
+def check_decoy_set(pp: ProtocolParams) -> None:
+    """Raise ``InsufficientIntensitiesError`` unless the decoy set has the
+    vacuum intensity and the n_cut + 1 nonzero ones the ladder needs.
+    Neither depends on the channel, so a caller can check them once for
+    every distance."""
+    n_cut = n_cut_for(pp.n_parties)
     if not pp.has_vacuum_decoy:
         raise InsufficientIntensitiesError("the estimator needs a vacuum (0) decoy intensity")
     if len(pp.nonzero_decoys) < n_cut + 1:
         raise InsufficientIntensitiesError(
-            f"N={n} needs {n_cut + 1} nonzero decoys plus vacuum, got {len(pp.nonzero_decoys)}"
+            f"N={pp.n_parties} needs {n_cut + 1} nonzero decoys plus vacuum, "
+            f"got {len(pp.nonzero_decoys)}"
         )
+
+
+def decoy_bounds(pp: ProtocolParams, ch: ChannelParams) -> DecoyBounds:
+    """Estimation on simulated honest gains: the even-order yield lower
+    bounds and the phase-error upper bound they certify."""
+    check_decoy_set(pp)
+    n = pp.n_parties
+    n_cut = n_cut_for(n)
     gains = simulate_decoy_gains(pp, ch)
     y_lower = yields_lower_general(gains, float(n - 1), n_cut).y_lower
     arrival = transmittance(ch) * pp.signal_intensity

@@ -46,19 +46,20 @@ def sliced_qber(arrival_intensity: float, dark_count: float, misalignment: float
     """``branch_qber_avg`` at a given slice misalignment e_delta, so that a
     caller sweeping the intensity at fixed M evaluates e_delta(M) once."""
     return sliced_qber_at_gain(
-        branch_gain_avg(arrival_intensity, dark_count), arrival_intensity, dark_count, misalignment
+        branch_gain_avg(arrival_intensity, dark_count),
+        math.exp(-arrival_intensity),
+        arrival_intensity,
+        dark_count,
+        misalignment,
     )
 
 
 def sliced_qber_at_gain(
-    gain: float, arrival_intensity: float, dark_count: float, misalignment: float
+    gain: float, attenuation: float, arrival_intensity: float, dark_count: float, misalignment: float
 ) -> float:
-    """``sliced_qber`` for a caller that holds the branch gain Q already
-    (the rate kernel), so that Q is computed once per rate."""
+    """``sliced_qber`` for a caller that holds the branch gain Q and the
+    attenuation e^-a already (the rate kernel), so that a sweep over M at
+    fixed intensity computes neither again."""
     if gain <= 0.0:
         raise ParameterError("branch gain underflowed to 0; no QBER is defined")
-    return (
-        (dark_count + arrival_intensity * misalignment)
-        * math.exp(-arrival_intensity)
-        / gain
-    )
+    return (dark_count + arrival_intensity * misalignment) * attenuation / gain

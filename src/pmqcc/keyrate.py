@@ -14,10 +14,17 @@ assembly:
 
 The assembly has two layers.  ``rate_kernel`` takes plain floats and the
 distance-free constants of ``rate_constants`` and returns the raw rate
-and its parts; it is the only place R is formed.  ``key_rate`` takes the
-validated parameter records, calls the kernel and reports the result.
-The signal optimizer calls the kernel directly, so a sweep over the
-intensity builds no records.
+and its parts.  ``key_rate`` takes the validated parameter records,
+calls the kernel and reports the result.
+
+The kernel is two steps.  ``intensity_terms`` computes what depends on
+the signal intensity alone: the branch gain, Q^(N-1), the O(N) phase
+error and its entropy.  ``slice_rate`` adds what depends on the slice
+count M through the prefactor and the misalignment: the branch QBER,
+the marginals, the leak and R; it is the only place R is formed.  The
+signal optimizer calls the two steps directly, so a sweep over the
+intensity builds no records and a sweep over M shares the intensity
+terms.
 
 Negative raw rates clamp to 0 with a flag rather than raising, since
 optimizers routinely sweep infeasible regions.
@@ -41,6 +48,7 @@ from .yields import chain_phase_error
 
 __all__ = [
     "RateReport",
+    "intensity_terms",
     "marginal_qber",
     "qber_star",
     "rate_constants",
@@ -49,7 +57,10 @@ __all__ = [
     "rate_pmqcc_star",
     "rate_reduced",
     "scaling_exponent",
+    "slice_rate",
 ]
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,76 @@ def rate_constants(pp: ProtocolParams, sliced: bool = True) -> tuple:
     return (2.0 / pp.slice_count) ** (pp.n_parties - 1), intrinsic_misalignment(pp.slice_count)
 
 
+def intensity_terms(
+    n: int,
+    mu: float,
+    pd: float,
+    eta: float,
+    boundaries: tuple,
+    phase_error: float | None = None,
+) -> tuple:
+    """The terms of a rate that do not depend on the slice count M:
+    (n, p_d, arrival a, branch gain, e^-a, gain Q^(N-1), E_X, H(E_X)).
+
+    E_X is the exact phase error of the chain with the given broken ends
+    unless the caller supplies one (the decoy-certified bound).  Without
+    any detections (branch gain 0) every term past the arrival is 0, and
+    ``slice_rate`` turns that into a zero rate.  A sweep over M at fixed
+    intensity computes these once and passes them to ``slice_rate`` for
+    every M.
+    """
+    arrival = eta * mu
+    branch_gain = branch_gain_avg(arrival, pd)
+    if branch_gain == 0.0:
+        return n, pd, arrival, 0.0, 0.0, 0.0, 0.0, 0.0
+    if phase_error is None:
+        # eta = 0 is the dark-count floor: survival-0 branches leave the
+        # parity mass of the virtual source
+        phase_error = chain_phase_error(n, mu, eta, pd, boundaries)
+    return (
+        n, pd, arrival, branch_gain, math.exp(-arrival), branch_gain ** (n - 1),
+        phase_error, binary_entropy(phase_error),
+    )
+
+
+def slice_rate(terms: tuple, f: float, prefactor: float, misalignment: float, sliced: bool) -> tuple:
+    """(raw rate, gain, marginal QBERs, E_X) from the ``intensity_terms``
+    and the constants of ``rate_constants``:
+    R = P Q [1 - f max_m H(E_m) - H(E_X)], unclamped.
+
+    The branch QBER is the sliced closed form when ``sliced``, else the
+    starred one.  The marginal QBERs and their entropies are the sums of
+    ``marginal_qber`` and ``binary_entropy`` written out, without their
+    argument checks: the branch QBER is checked once instead.
+    """
+    n, pd, arrival, branch_gain, attenuation, gain, phase_error, phase_entropy = terms
+    if branch_gain == 0.0:
+        # no detections at all: zero gain, zero rate, nothing to clamp
+        return 0.0, 0.0, (0.0,) * (n - 1), 0.0
+    if sliced:
+        e = sliced_qber_at_gain(branch_gain, attenuation, arrival, pd, misalignment)
+    else:
+        e = _qber_star_at_gain(branch_gain, arrival, pd, misalignment)
+    if not 0.0 <= e <= 1.0:
+        raise ParameterError(f"branch QBER must lie in [0, 1], got {e}")
+    q = 1.0 - e
+    marginals = []
+    worst = -math.inf  # max() of the entropies, the first of equal ones
+    for m in range(2, n + 1):
+        total = 0.0
+        for k in range(m // 2):
+            total += math.comb(m - 1, 2 * k + 1) * e ** (2 * k + 1) * q ** (m - 2 * k - 2)
+        marginals.append(total)
+        rest = 1.0 - total
+        h = -((total * math.log(total) if total > 0.0 else 0.0)
+              + (rest * math.log(rest) if rest > 0.0 else 0.0)) / _LN2
+        if h > worst:
+            worst = h
+    leak = f * worst
+    raw = prefactor * gain * (1.0 - (leak + phase_entropy))
+    return raw, gain, tuple(marginals), phase_error
+
+
 def rate_kernel(
     n: int,
     mu: float,
@@ -132,32 +213,15 @@ def rate_kernel(
     phase_error: float | None = None,
 ) -> tuple:
     """(raw rate, gain, marginal QBERs, E_X) from plain floats:
-    R = P Q [1 - f max_m H(E_m) - H(E_X)], unclamped.
+    ``slice_rate`` on the ``intensity_terms``.
 
-    ``prefactor`` and ``misalignment`` come from ``rate_constants``; the
-    branch QBER is the sliced closed form when ``sliced``, else the
-    starred one.  E_X is the exact phase error of the chain with the
-    given broken ends unless the caller supplies one (the decoy-certified
-    bound).  The other inputs are those of validated ``ProtocolParams``
-    and ``ChannelParams``: party count, signal intensity, error-correction
+    ``prefactor`` and ``misalignment`` come from ``rate_constants``.  The
+    other inputs are those of validated ``ProtocolParams`` and
+    ``ChannelParams``: party count, signal intensity, error-correction
     efficiency, dark count and transmittance.
     """
-    arrival = eta * mu
-    branch_gain = branch_gain_avg(arrival, pd)
-    if branch_gain == 0.0:
-        # no detections at all: zero gain, zero rate, nothing to clamp
-        return 0.0, 0.0, (0.0,) * (n - 1), 0.0
-    gain = branch_gain ** (n - 1)
-    branch_qber = sliced_qber_at_gain if sliced else _qber_star_at_gain
-    branch_e = branch_qber(branch_gain, arrival, pd, misalignment)
-    marginals = tuple(marginal_qber(branch_e, m) for m in range(2, n + 1))
-    if phase_error is None:
-        # eta = 0 is the dark-count floor: survival-0 branches leave the
-        # parity mass of the virtual source
-        phase_error = chain_phase_error(n, mu, eta, pd, boundaries)
-    leak = f * max(binary_entropy(e) for e in marginals)
-    raw = prefactor * gain * (1.0 - (leak + binary_entropy(phase_error)))
-    return raw, gain, marginals, phase_error
+    terms = intensity_terms(n, mu, pd, eta, boundaries, phase_error)
+    return slice_rate(terms, f, prefactor, misalignment, sliced)
 
 
 def key_rate(

@@ -5,9 +5,11 @@ integer grid over the slice count M (all integers, since the analytic
 prefactor and misalignment accept odd M) and, per M, a coarse log grid
 over the signal intensity followed by golden-section refinement.  The
 coarse grid protects the refinement from the zero-rate plateaus that
-surround the feasible window.  Each evaluation calls the float rate
-kernel with constants hoisted per M, and the optimum is re-evaluated
-through the full rate report.
+surround the feasible window.  Each evaluation calls the two steps of the
+float rate kernel: the intensity terms (gain, phase error and its
+entropy), kept per intensity for the whole search and shared by every
+M, and the slice step with the constants hoisted per M.  The optimum is
+re-evaluated through the full rate report.
 
 ``optimize_decoys`` maximizes the certified rate lower bound over the
 decoy intensity triple-or-more in log space by coordinate descent from a
@@ -25,11 +27,12 @@ from .decoy import n_cut_for, rate_lower
 from .errors import DegenerateGeometryError, ParameterError
 from .keyrate import (
     RateReport,
+    intensity_terms,
     rate_constants,
-    rate_kernel,
     rate_pmqcc,
     rate_pmqcc_star,
     rate_reduced,
+    slice_rate,
 )
 
 __all__ = ["OptimizationResult", "optimize_signal", "optimize_decoys"]
@@ -161,6 +164,9 @@ def optimize_signal(
 
     evaluations = 0
     best = (0.0, None, None)  # rate, mu, M
+    # mu -> intensity terms: every M scores the same coarse grid, and
+    # golden-section paths of adjacent M coincide for a while
+    terms_at = {}
 
     slice_grid = list(m_values) if sliced else [13]
     for m in slice_grid:
@@ -168,10 +174,10 @@ def optimize_signal(
         prefactor, misalignment = rate_constants(params(MU_BOUNDS[1], m), sliced)
 
         def rate_at(mu: float) -> float:
-            raw = rate_kernel(
-                n_parties, mu, ec_efficiency, ch.dark_count, eta,
-                prefactor, misalignment, sliced, ends,
-            )[0]
+            terms = terms_at.get(mu)
+            if terms is None:
+                terms = terms_at[mu] = intensity_terms(n_parties, mu, ch.dark_count, eta, ends)
+            raw = slice_rate(terms, ec_efficiency, prefactor, misalignment, sliced)[0]
             return max(raw, 0.0)
 
         mu, rate, used = _maximize_scalar(rate_at)

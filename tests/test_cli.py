@@ -144,22 +144,46 @@ class TestCurveCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("optimize,change", [
-        pytest.param("none", {"mu": -0.1}, id="negative-mu"),
-        pytest.param("none", {"slices": 2}, id="two-slices"),
-        pytest.param("none", {"boundaries": "right"}, id="boundaries-not-a-list"),
-        pytest.param("signal", {"f": 0.5}, id="signal-f-below-1"),
-        pytest.param("signal", {"signal_phase_misalignment": 0.7}, id="signal-misalignment"),
-        pytest.param("signal", {"parties": 1}, id="signal-one-party"),
+    @pytest.mark.parametrize("optimize,change,protocol", [
+        pytest.param("none", {"mu": -0.1}, "pmqcc", id="negative-mu"),
+        pytest.param("none", {"slices": 2}, "pmqcc", id="two-slices"),
+        pytest.param("none", {"boundaries": "right"}, "pmqcc", id="boundaries-not-a-list"),
+        pytest.param("signal", {"f": 0.5}, "pmqcc", id="signal-f-below-1"),
+        pytest.param("signal", {"signal_phase_misalignment": 0.7}, "pmqcc", id="signal-misalignment"),
+        pytest.param("signal", {"parties": 1}, "pmqcc", id="signal-one-party"),
+        pytest.param("signal", {"decoys": [0.01, 0.02, 0.0]}, "decoy-lower",
+                     id="signal-decoys-increasing"),
+        pytest.param("signal", {"decoys": [0.02, 0.0, 0.01]}, "pmqcc", id="signal-decoys-inner-zero"),
+        # rate rejects the channel before it looks at the decoy set
+        pytest.param("none", {"detector_efficiency": 1.5, "decoys": [0.02, 0.01, 0.001]},
+                     "decoy-lower", id="bad-detector-and-no-vacuum"),
+        pytest.param("signal", {"detector_efficiency": 1.5, "decoys": [0.02, 0.01, 0.001]},
+                     "decoy-lower", id="signal-bad-detector-and-no-vacuum"),
     ])
-    def test_config_that_rate_rejects_exits_2(self, tmp_path, capsys, optimize, change):
+    def test_config_that_rate_rejects_exits_2(self, tmp_path, capsys, optimize, change, protocol):
         # this used to exit 0 with every row flagged error:ParameterError
         # (or error:ConfigError) and the message lost
         cfg = write_config(tmp_path, {**TABLE_CONFIG, **change})
-        rate = run_cli(["rate", cfg], capsys)
-        curve = run_cli(["curve", cfg, "--l-min", "0", "--l-max", "20", "--l-step", "10",
-                         "--optimize", optimize], capsys)
+        rate = run_cli(["rate", cfg, "--protocol", protocol], capsys)
+        curve = run_cli(["curve", cfg, "--protocol", protocol, "--l-min", "0", "--l-max", "20",
+                         "--l-step", "10", "--optimize", optimize], capsys)
         assert rate[:2] == (2, "")
+        assert curve == rate
+
+    @pytest.mark.parametrize("optimize", ["none", "signal"])
+    @pytest.mark.parametrize("decoys", [
+        pytest.param([0.0204583, 0.0182017, 9.27216e-5], id="no-vacuum"),
+        pytest.param([0.0204583, 0.0182017, 0.0], id="two-nonzero"),
+    ])
+    def test_decoy_set_that_rate_rejects_exits_3(self, tmp_path, capsys, optimize, decoys):
+        # this used to exit 0 with every row flagged
+        # error:InsufficientIntensitiesError
+        cfg = write_config(tmp_path, {**TABLE_CONFIG, "decoys": decoys})
+        rate = run_cli(["rate", cfg, "--protocol", "decoy-lower"], capsys)
+        curve = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0", "--l-max", "20",
+                         "--l-step", "10", "--optimize", optimize], capsys)
+        assert rate[:2] == (3, "")
+        assert json.loads(rate[2])["error"]["type"] == "InsufficientIntensitiesError"
         assert curve == rate
 
     def test_distance_dependent_error_keeps_row_flag(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -23,7 +24,7 @@ from pmqcc import (
     phase_error_rate,
     transmittance,
 )
-from pmqcc.keyrate import key_rate, rate_constants, rate_kernel
+from pmqcc.keyrate import intensity_terms, key_rate, rate_constants, rate_kernel, slice_rate
 from pmqcc.montecarlo import _branch_probabilities
 from pmqcc.optimize import MU_BOUNDS
 from tests.conftest import bench_channel_at
@@ -300,6 +301,49 @@ class TestRateKernel:
                 report.gain, report.marginal_qbers, report.phase_error)
             outcomes.add("positive" if raw > 0.0 else "zero")
         assert outcomes == {"positive", "zero"}
+
+    def test_intensity_terms_serve_every_slice_count(self):
+        # the split the signal optimizer relies on: terms computed once at
+        # an intensity give, for any M, the rate of the one-piece assembly
+        rng = random.Random(21)
+        for _ in range(200):
+            pp, ch, sliced, ends, given = self.draw(rng)
+            n, mu, f, pd, eta = (pp.n_parties, pp.signal_intensity, pp.ec_efficiency,
+                                 ch.dark_count, transmittance(ch))
+            terms = intensity_terms(n, mu, pd, eta, ends, given)
+            for m in {pp.slice_count, 3, rng.randint(4, 64)}:
+                pp_m = dataclasses.replace(pp, slice_count=m)
+                prefactor, misalignment = rate_constants(pp_m, sliced)
+                split = slice_rate(terms, f, prefactor, misalignment, sliced)
+                assert split == rate_kernel(n, mu, f, pd, eta, prefactor, misalignment,
+                                            sliced, ends, given)
+                assert max(split[0], 0.0) == reference_rate(pp_m, ch, sliced, ends, given)
+                arrival = eta * mu
+                if sliced:
+                    branch_e = branch_qber_avg(arrival, pd, m)
+                else:
+                    branch_e = qber_star(arrival, pd, pp.signal_phase_misalignment)
+                assert split[2] == tuple(marginal_qber(branch_e, k) for k in range(2, n + 1))
+
+    @pytest.mark.parametrize("given", [None, 0.3])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_zero_light_splits_like_the_kernel(self, n, given):
+        # no dark counts and an eta that underflows: the branch gain is 0
+        ch = ChannelParams(0.2, 100_000.0, 0.65, 0.0)
+        eta = transmittance(ch)
+        terms = intensity_terms(n, 0.1, 0.0, eta, (False, True), given)
+        assert terms[3] == 0.0
+        for sliced, constants in ((True, ((2.0 / 13) ** (n - 1), 0.01)), (False, (1.0, 0.02))):
+            split = slice_rate(terms, 1.16, *constants, sliced)
+            assert split == (0.0, 0.0, (0.0,) * (n - 1), 0.0)
+            assert split == rate_kernel(n, 0.1, 1.16, 0.0, eta, *constants, sliced, (False, True), given)
+
+    def test_slice_step_checks_the_branch_qber(self):
+        terms = intensity_terms(3, 0.1, 7.2e-8, 0.1, (False, False))
+        # a misalignment past 1/2 is no slice count's; the sliced QBER
+        # then leaves [0, 1]
+        with pytest.raises(ParameterError, match="branch QBER"):
+            slice_rate(terms, 1.16, 1.0, 200.0, True)
 
     def test_named_variants_are_the_kernel(self, bench_channel):
         pp = ProtocolParams(n_parties=4, signal_intensity=0.1, slice_count=13,

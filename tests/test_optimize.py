@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import pmqcc.keyrate
+
 from pmqcc import (
     ChannelParams,
     ParameterError,
@@ -74,6 +76,24 @@ class TestOptimizeSignal:
         result = optimize_signal(ChannelParams(0.2, km, 0.65, 7.2e-8), n, objective, **options)
         best = result.best_params
         assert (result.best_rate, best.signal_intensity, best.slice_count, result.evaluations) == expected
+
+    def test_phase_error_once_per_intensity(self, monkeypatch):
+        # the intensity terms are shared by every M: each mu pays for its
+        # O(N) phase error once, not once per (mu, M) evaluation
+        seen = []
+        phase_error = pmqcc.keyrate.chain_phase_error
+
+        def counting(n, mu, *rest):
+            seen.append(mu)
+            return phase_error(n, mu, *rest)
+
+        monkeypatch.setattr(pmqcc.keyrate, "chain_phase_error", counting)
+        result = optimize_signal(bench_channel_at(50.0), 3)
+        search, reevaluation = seen[:-1], seen[-1]
+        assert reevaluation == result.best_params.signal_intensity
+        assert len(search) == len(set(search))
+        assert set(COARSE_GRID) <= set(search)
+        assert result.evaluations == 3471 > 4 * len(search)
 
     def test_coarse_grid_is_numpy_geomspace(self):
         # 10.0 ** linspace(-3, 0, 40) misses one of these points by an ulp
