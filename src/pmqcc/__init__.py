@@ -48,7 +48,8 @@ from .yields import BranchSpec, BranchTopology, phase_error_rate, yield_probabil
 
 __version__ = "0.1.0"
 
-# the simulator's names load numpy, so they are imported on first use
+# the simulator pulls in random and concurrent.futures (~10 ms), so its
+# names are imported on first use
 _MONTECARLO_NAMES = (
     "EmpiricalEstimates", "SimConfig", "SimTally", "estimate", "run_rounds", "tally_expectation"
 )

@@ -237,7 +237,6 @@ def cmd_curve(args) -> int:
         if args.protocol != "decoy-lower":
             parse_boundaries(cfg)
     else:
-        options = _signal_options(cfg)
         # the optimizer picks mu and M and builds the rest into every row;
         # under signal+decoys it picks the decoys too
         decoys = cfg.get("decoys", ()) if args.optimize == "signal" else ()
@@ -245,6 +244,7 @@ def cmd_curve(args) -> int:
         build_channel({**cfg, "distance_km": args.l_min})
         if args.protocol == "decoy-lower" and args.optimize == "signal":
             check_decoy_set(fixed)
+        options = _signal_options(cfg)
     lines = [CSV_HEADER]
     length = args.l_min
     while length <= args.l_max + 1e-9:
@@ -255,8 +255,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # imported here: the simulator loads numpy, which rate, curve and
-    # optimize --target signal do without
+    # imported here: the simulator pulls in random and concurrent.futures
+    # (~10 ms), which the other commands do without
     from .montecarlo import SimConfig, estimate, run_rounds, tally_expectation
 
     cfg = load_config(args.config)

@@ -6,6 +6,15 @@ reference-deviation compensation, and bit-flip cooperation.
 Determinism contract: a run is partitioned into fixed-size chunks whose
 RNG streams derive from (seed, chunk index) alone, so identical
 (seed, rounds, config) produce identical tallies for any worker count.
+Which kernel draws the chunks is fixed by the config too: a run whose
+expected candidate count E[K] = rounds (2/M)^(N-1) c^(N-1) (the sifting
+factor under ``mode="full-random"`` only; c and K below) is below
+``NUMPY_CANDIDATES`` takes the stdlib kernel, whose chunk stream is
+``random.Random((chunk << 64) | seed)``, and never imports numpy; the
+others take the numpy kernel on
+``default_rng(SeedSequence(seed, spawn_key=(chunk,)))``.  The two draw
+the same model from different streams, so their tallies differ in value
+but not in distribution.
 
 Sampling model: exact thinning, so that random draws go to the rounds
 that can succeed.  A round succeeds only when every one of the N-1
@@ -30,9 +39,17 @@ device, and a chunk costs O(K N) draws rather than O(rounds N).
 Rounds where some branch has zero or two clicks are discarded, not
 errors.
 
+The numpy kernel draws step 3 as arrays over all K candidates.  The
+stdlib kernel draws one candidate at a time (bits and offsets from one
+``getrandbits``, positions and acceptance uniforms from ``random()``)
+and drops it at its first branch that fails, with exact binomial counts
+from ``_binomial``.  Its fixed cost is far below numpy's import and
+per-chunk call overhead, but each candidate costs a few microseconds of
+Python, so heavy runs stay on numpy.
+
 ``tally_expectation`` is the exact expectation of the tallies under the
 same click model: a transfer-matrix chain over the parties' in-slice
-positions, each integrated with a Gauss-Legendre rule.
+positions, each integrated with a Gauss-Legendre rule, in plain Python.
 
 ``mode="forced-matching"`` records the analytic sifting probability
 (2/M)^(N-1) so rate-level estimates stay unbiased; it gives
@@ -43,19 +60,30 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import ChannelParams, ProtocolParams, transmittance
 from .errors import InsufficientDataError, ParameterError
+
+if TYPE_CHECKING:  # imported at run time only by the runs that take the numpy kernel
+    import numpy as np
 
 __all__ = [
     "SimConfig", "SimTally", "EmpiricalEstimates", "run_rounds", "estimate", "tally_expectation"
 ]
 
 CHUNK_SIZE = 1 << 16
+
+# expected candidate count E[K] at and above which a run takes the numpy
+# kernel.  Below it the stdlib kernel finishes before numpy would have
+# imported: timed as `simulate` processes on 2 cores, the two kernels
+# cross over at ~47k (N=4, mu=1, under 10 chunks) to ~85k (N=3, 10 km,
+# 245 chunks) expected candidates
+NUMPY_CANDIDATES = 55_000
 
 MODES = ("full-random", "forced-matching")
 
@@ -174,11 +202,25 @@ def _branch_probabilities(arrival: float, dark_count: float, phase_delta: np.nda
     """P(exactly one click) and P(only R clicks) of each branch at encoded
     phase difference ``phase_delta``; every click term is an expm1, so
     nothing cancels at small arrival or small phase difference."""
+    import numpy as np
+
     log_nodark = math.log1p(-dark_count)
     left_exponent = log_nodark - arrival * np.cos(phase_delta / 2.0) ** 2
     right_exponent = log_nodark - arrival * np.sin(phase_delta / 2.0) ** 2
     right_only = np.exp(left_exponent) * -np.expm1(right_exponent)
     left_only = np.exp(right_exponent) * -np.expm1(left_exponent)
+    return left_only + right_only, right_only
+
+
+def _branch_probability(arrival: float, log_nodark: float, phase_delta: float) -> tuple:
+    """``_branch_probabilities`` at one phase difference on ``math``, given
+    log(1 - p_d): the same expm1 forms, equal up to a few ulps."""
+    cos_half = math.cos(phase_delta / 2.0)
+    sin_half = math.sin(phase_delta / 2.0)
+    left_exponent = log_nodark - arrival * (cos_half * cos_half)
+    right_exponent = log_nodark - arrival * (sin_half * sin_half)
+    right_only = math.exp(left_exponent) * -math.expm1(right_exponent)
+    left_only = math.exp(right_exponent) * -math.expm1(left_exponent)
     return left_only + right_only, right_only
 
 
@@ -189,6 +231,138 @@ def _candidate_bound(arrival: float, dark_count: float) -> float:
     on the phase and s_L + s_R is convex in cos^2(phi/2), so the maximum
     is the value at phi = 0: c = (1-p_d)(1 - e^-a + 2 p_d e^-a)."""
     return (1.0 - dark_count) * (-math.expm1(-arrival) + 2.0 * dark_count * math.exp(-arrival))
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """An exact Binomial(n, p) draw: geometric waiting times between
+    successes when n p < 10, otherwise Hoermann's BTRS transformed
+    rejection with squeeze (J. Statist. Comput. Simul. 46, 101-110, 1993),
+    the algorithm of ``random.binomialvariate`` from Python 3.12 on."""
+    if n == 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    uniform = rng.random
+    if n * p < 10.0:
+        log_q = math.log1p(-p)
+        successes = trials = 0
+        while True:
+            # 1 - uniform() lies in (0, 1], so its log exists
+            trials += math.floor(math.log(1.0 - uniform()) / log_q) + 1
+            if trials > n:
+                return successes
+            successes += 1
+
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    lpq = math.log(p / (1.0 - p))
+    mode = math.floor((n + 1) * p)
+    h = math.lgamma(mode + 1) + math.lgamma(n - mode + 1)
+    while True:
+        u = uniform() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:  # u = -1/2, the one point where the transform diverges
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = 1.0 - uniform()  # in (0, 1], so log(v) below exists
+        if us >= 0.07 and v <= v_r:
+            return k
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - mode) * lpq:
+            return k
+
+
+def _run_chunk_stdlib(
+    rng: random.Random,
+    n_rounds: int,
+    n_parties: int,
+    slice_count: int,
+    arrival: float,
+    dark_count: float,
+    mode: str,
+    deviations: tuple,
+    comp: tuple,
+) -> SimTally:
+    """``_run_chunk`` on the standard library: the same counts, bound and
+    click rule, with each candidate drawn alone and dropped at its first
+    branch that does not click exactly once."""
+    n, m = n_parties, slice_count
+    if mode == "forced-matching":
+        n_sift = n_rounds
+    else:
+        n_sift = _binomial(rng, n_rounds, (2.0 / m) ** (n - 1))
+    tally = SimTally(n_parties=n, slice_count=m, sent=n_rounds, sifted=n_sift, mode=mode)
+    tally.pair_errors = {p: 0 for p in range(2, n + 1)}
+
+    bound = _candidate_bound(arrival, dark_count)
+    n_cand = _binomial(rng, n_sift, bound ** (n - 1))
+    if n_cand == 0:
+        return tally
+
+    log_nodark = math.log1p(-dark_count)
+    slice_phase = 2.0 * math.pi / m
+    # bit 2q of a candidate's draws is party q's bit and bit 2l + 1 branch
+    # l's half-slice offset, so branch l reads the three bits
+    # key = b_l + 2 h_l + 4 b_{l+1} and looks up its whole-slice steps and
+    # its phase shift pi (b_{l+1} - b_l) plus the reference deviation
+    branches = tuple(
+        (
+            tuple(shift + ((key >> 1) & 1) * (m // 2) for key in range(8)),
+            tuple(math.pi * ((key >> 2) - (key & 1)) + deviation for key in range(8)),
+            1 << l,
+        )
+        for l, (shift, deviation) in enumerate(zip(comp, deviations))
+    )
+    # bit-flip cooperation: party p disagrees with party 1 exactly when
+    # the first p - 1 branches hold an odd number of wrong-port clicks, an
+    # R click where b_l + h_l + b_{l+1} is even or an L click where it is odd
+    swapped = tuple(bin(key).count("1") & 1 for key in range(8))
+    counts = [0] * 2 ** (n - 1)
+    wrong_counts = [0] * 2 ** (n - 1)
+    uniform, getrandbits = rng.random, rng.getrandbits
+    for _ in range(n_cand):
+        draws = getrandbits(2 * n - 1)
+        position = uniform()
+        pattern = wrong = 0
+        for steps, turns, mask in branches:
+            key = draws & 7
+            draws >>= 2
+            following = uniform()
+            phase_delta = (steps[key] + following - position) * slice_phase + turns[key]
+            p_one, p_right = _branch_probability(arrival, log_nodark, phase_delta)
+            scaled = uniform() * bound
+            if scaled >= p_one:
+                break
+            right = scaled < p_right
+            if right:
+                pattern |= mask
+            if right != swapped[key]:
+                wrong |= mask
+            position = following
+        else:
+            counts[pattern] += 1
+            wrong_counts[wrong] += 1
+
+    tally.success = sum(counts)
+    tally.pattern_counts = {
+        "".join("R" if (i >> l) & 1 else "L" for l in range(n - 1)): c
+        for i, c in enumerate(counts)
+        if c > 0
+    }
+    for wrong, c in enumerate(wrong_counts):
+        parity = 0
+        for p in range(2, n + 1):
+            parity ^= (wrong >> (p - 2)) & 1
+            tally.pair_errors[p] += parity * c
+    return tally
 
 
 def _run_chunk(
@@ -202,6 +376,8 @@ def _run_chunk(
     deviations: np.ndarray,
     comp: np.ndarray,
 ) -> SimTally:
+    import numpy as np
+
     n, m = n_parties, slice_count
     if mode == "forced-matching":
         n_sift = n_rounds
@@ -273,12 +449,8 @@ def run_rounds(
         raise ParameterError(f"the simulator needs an even slice count, got M={m}")
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
-    deviations = np.asarray(
-        sc.reference_offsets if sc.reference_offsets else (0.0,) * (n - 1), dtype=float
-    )
-    comp = np.asarray(
-        sc.compensation_indices if sc.compensation_indices else (0,) * (n - 1), dtype=np.int64
-    )
+    deviations = sc.reference_offsets or (0.0,) * (n - 1)
+    comp = sc.compensation_indices or (0,) * (n - 1)
     if len(deviations) != n - 1 or len(comp) != n - 1:
         raise ParameterError("reference_offsets and compensation_indices need one entry per adjacent pair")
 
@@ -287,10 +459,25 @@ def run_rounds(
     if sc.rounds % CHUNK_SIZE:
         sizes.append(sc.rounds % CHUNK_SIZE)
 
-    def work(idx_size):
-        idx, size = idx_size
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=sc.seed, spawn_key=(idx,)))
-        return _run_chunk(rng, size, n, m, arrival, ch.dark_count, sc.mode, deviations, comp)
+    sifting = (2.0 / m) ** (n - 1) if sc.mode == "full-random" else 1.0
+    candidates = sc.rounds * sifting * _candidate_bound(arrival, ch.dark_count) ** (n - 1)
+    if candidates < NUMPY_CANDIDATES:
+
+        def work(idx_size):
+            idx, size = idx_size
+            rng = random.Random((idx << 64) | sc.seed)
+            return _run_chunk_stdlib(rng, size, n, m, arrival, ch.dark_count, sc.mode, deviations, comp)
+
+    else:
+        import numpy as np
+
+        deviations = np.asarray(deviations, dtype=float)
+        comp = np.asarray(comp, dtype=np.int64)
+
+        def work(idx_size):
+            idx, size = idx_size
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=sc.seed, spawn_key=(idx,)))
+            return _run_chunk(rng, size, n, m, arrival, ch.dark_count, sc.mode, deviations, comp)
 
     jobs = list(enumerate(sizes))
     if workers == 1:
@@ -371,26 +558,38 @@ def tally_expectation(pp: ProtocolParams, ch: ChannelParams) -> tuple:
     """
     n, m = pp.n_parties, pp.slice_count
     rule = _gauss_legendre(GAUSS_LEGENDRE_ORDER)
-    nodes = np.array([t for t, _ in rule])
-    weights = np.array([w for _, w in rule]) / 2.0  # u = (1 + t) / 2
-    one, right = _branch_probabilities(
-        transmittance(ch) * pp.signal_intensity,
-        ch.dark_count,
-        (nodes[None, :] - nodes[:, None]) * (math.pi / m),
-    )
-    # kernel[i, j] times the weight of the next party's position u_j
-    one, right = one * weights, right * weights
-    left = one - right
+    weights = [w / 2.0 for _, w in rule]  # u = (1 + t) / 2
+    arrival = transmittance(ch) * pp.signal_intensity
+    log_nodark = math.log1p(-ch.dark_count)
+    # kernel(u_i, u_j) times the weight of the next party's position u_j
+    one, right = [], []
+    for t_i, _ in rule:
+        row = [
+            _branch_probability(arrival, log_nodark, (t_j - t_i) * (math.pi / m))
+            for t_j, _ in rule
+        ]
+        one.append([p_one * w for (p_one, _), w in zip(row, weights)])
+        right.append([p_right * w for (_, p_right), w in zip(row, weights)])
+    left = [[a - b for a, b in zip(row_one, row_right)] for row_one, row_right in zip(one, right)]
+    # row vectors times a matrix: dot products with its columns
+    left_columns, right_columns = list(zip(*left)), list(zip(*right))
+
+    def dot(x, y):
+        return sum(map(operator.mul, x, y))
+
     # tails[p - 2]: success of branches p..N-1 given party p's position
-    tails = [np.ones_like(weights)]
+    tails = [[1.0] * len(weights)]
     for _ in range(n - 2):
-        tails.append(one @ tails[-1])
+        tails.append([dot(row, tails[-1]) for row in one])
     tails.reverse()
-    even, odd = weights, np.zeros_like(weights)
+    even, odd = weights, [0.0] * len(weights)
     pair_errors = {}
     for p in range(2, n + 1):
-        even, odd = even @ left + odd @ right, even @ right + odd @ left
-        wrong = float(odd @ tails[p - 2])
-        success = wrong + float(even @ tails[p - 2])
+        even, odd = (
+            [dot(even, lc) + dot(odd, rc) for lc, rc in zip(left_columns, right_columns)],
+            [dot(even, rc) + dot(odd, lc) for lc, rc in zip(left_columns, right_columns)],
+        )
+        wrong = dot(odd, tails[p - 2])
+        success = wrong + dot(even, tails[p - 2])
         pair_errors[p] = wrong / success if success > 0.0 else 0.0
     return success, pair_errors

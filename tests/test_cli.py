@@ -159,6 +159,11 @@ class TestCurveCommand:
                      "decoy-lower", id="bad-detector-and-no-vacuum"),
         pytest.param("signal", {"detector_efficiency": 1.5, "decoys": [0.02, 0.01, 0.001]},
                      "decoy-lower", id="signal-bad-detector-and-no-vacuum"),
+        # and the protocol and the channel before it parses the boundaries
+        pytest.param("signal", {"f": 0.5, "boundaries": "right"}, "pmqcc",
+                     id="signal-f-below-1-and-bad-boundaries"),
+        pytest.param("signal", {"detector_efficiency": 1.5, "boundaries": "right"}, "pmqcc",
+                     id="signal-bad-detector-and-bad-boundaries"),
     ])
     def test_config_that_rate_rejects_exits_2(self, tmp_path, capsys, optimize, change, protocol):
         # this used to exit 0 with every row flagged error:ParameterError
@@ -184,6 +189,16 @@ class TestCurveCommand:
                          "--l-step", "10", "--optimize", optimize], capsys)
         assert rate[:2] == (3, "")
         assert json.loads(rate[2])["error"]["type"] == "InsufficientIntensitiesError"
+        assert curve == rate
+
+    def test_decoy_set_is_checked_before_the_boundaries(self, tmp_path, capsys):
+        # rate --protocol decoy-lower never reads the boundaries
+        cfg = write_config(tmp_path, {**TABLE_CONFIG, "decoys": [0.0204583, 0.0182017, 9.27216e-5],
+                                      "boundaries": "right"})
+        rate = run_cli(["rate", cfg, "--protocol", "decoy-lower"], capsys)
+        curve = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0", "--l-max", "20",
+                         "--l-step", "10", "--optimize", "signal"], capsys)
+        assert rate[:2] == (3, "")
         assert curve == rate
 
     def test_distance_dependent_error_keeps_row_flag(self, tmp_path, capsys):
@@ -375,8 +390,9 @@ class TestEntryPoint:
         ["rate", "--protocol", "reduced"],
         ["curve", "--l-min", "50", "--l-max", "50", "--l-step", "10", "--optimize", "signal"],
         ["optimize", "--target", "signal"],
+        ["simulate"],
     ], ids=["import", "rate-pmqcc", "rate-pmqcc-star", "rate-reduced", "curve-signal",
-            "optimize-signal"])
+            "optimize-signal", "simulate"])
     def test_leaves_numpy_unimported(self, tmp_path, command):
         assert loaded_after(tmp_path, command, "numpy") == []
 

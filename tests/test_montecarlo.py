@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from pmqcc import montecarlo
 from pmqcc import (
     ChannelParams,
     InsufficientDataError,
@@ -15,7 +17,13 @@ from pmqcc import (
     tally_expectation,
     transmittance,
 )
-from pmqcc.montecarlo import MODES, _branch_probabilities, _candidate_bound
+from pmqcc.montecarlo import (
+    MODES,
+    _binomial,
+    _branch_probabilities,
+    _branch_probability,
+    _candidate_bound,
+)
 from tests.transfer_matrix import expected_tally
 
 
@@ -172,12 +180,17 @@ class TestThinning:
     @pytest.mark.parametrize("pd", [0.0, 7.2e-8, 0.1])
     def test_one_click_probability_is_bounded_tightly(self, a, pd):
         phi = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 4001)
-        p_one, p_right = _branch_probabilities(a, pd, phi)
+        vectorized = _branch_probabilities(a, pd, phi)
+        # the stdlib kernel's scalar twin on the same grid
+        scalar = np.array([_branch_probability(a, math.log1p(-pd), x) for x in phi]).T
         bound = _candidate_bound(a, pd)
-        # up to a few ulps of rounding in the two evaluations
-        assert np.all(p_one <= bound * (1.0 + 4.0 * np.finfo(float).eps))
-        assert np.all(p_right <= p_one)
-        assert p_one[2000] == pytest.approx(bound, rel=1e-15)  # phi = 0
+        for p_one, p_right in (vectorized, scalar):
+            # up to a few ulps of rounding in the two evaluations
+            assert np.all(p_one <= bound * (1.0 + 4.0 * np.finfo(float).eps))
+            assert np.all(p_right <= p_one)
+            assert p_one[2000] == pytest.approx(bound, rel=1e-15)  # phi = 0
+        for twin, reference in zip(scalar, vectorized):
+            assert np.all(np.abs(twin - reference) <= 4.0 * np.spacing(np.abs(reference)))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_high_arrival_counts_match_transfer_matrix(self, n):
@@ -211,6 +224,134 @@ class TestThinning:
         tally = run_rounds(protocol(m=4), ch, SimConfig(rounds=200_000, seed=64, mode=mode))
         assert tally.sifted > 0
         assert tally.success == 0 and tally.pattern_counts == {}
+
+
+def binomial_pmf(n: int, p: float, k: int) -> float:
+    return math.exp(
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+
+
+def chi_square_bound(df: int, z: float = 5.0) -> float:
+    """The chi-square quantile ~z sigma above its mean (Wilson-Hilferty)."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+class TestBinomial:
+    # the chunk-sized (n, p) of the stdlib kernel: candidate counts at
+    # N=3 and N=4 in both sampling regimes, and the p > 1/2 reflection
+    @pytest.mark.parametrize("n,p", [
+        (65_536, 0.111), (7_282, 0.0038), (65_536, 0.0021), (65_536, 1e-4), (20, 0.9),
+    ])
+    def test_matches_the_exact_distribution(self, n, p):
+        rng = random.Random(f"binomial:{n}:{p}")
+        draws = [_binomial(rng, n, p) for _ in range(20_000)]
+        size = len(draws)
+        mean = n * p
+        var = n * p * (1.0 - p)
+        fourth = var * (1.0 + 3.0 * (n - 2) * p * (1.0 - p))  # central moment
+        sample_mean = sum(draws) / size
+        sample_var = sum((k - sample_mean) ** 2 for k in draws) / (size - 1)
+        assert abs(sample_mean - mean) <= 5.0 * math.sqrt(var / size)
+        assert abs(sample_var - var) <= 5.0 * math.sqrt((fourth - var * var) / size)
+
+        # chi-square over bins of k holding an expected count of at least 5
+        observed = [0] * (n + 1)
+        for k in draws:
+            observed[k] += 1
+        bins, expected, seen = [], 0.0, 0
+        for k in range(n + 1):
+            expected += size * binomial_pmf(n, p, k)
+            seen += observed[k]
+            if expected >= 5.0:
+                bins.append((expected, seen))
+                expected, seen = 0.0, 0
+        last_expected, last_seen = bins.pop()
+        bins.append((last_expected + expected, last_seen + seen))
+        chi_square = sum((o - e) ** 2 / e for e, o in bins)
+        assert len(bins) > 5
+        assert chi_square <= chi_square_bound(len(bins) - 1)
+
+    def test_edge_cases(self):
+        rng = random.Random(5)
+        assert _binomial(rng, 1000, 0.0) == 0
+        assert _binomial(rng, 1000, 1.0) == 1000
+        assert _binomial(rng, 0, 0.3) == 0
+
+
+def expected_candidates(pp: ProtocolParams, ch: ChannelParams, sc: SimConfig) -> float:
+    n = pp.n_parties
+    sifting = (2.0 / pp.slice_count) ** (n - 1) if sc.mode == "full-random" else 1.0
+    bound = _candidate_bound(transmittance(ch) * pp.signal_intensity, ch.dark_count)
+    return sc.rounds * sifting * bound ** (n - 1)
+
+
+class TestKernels:
+    """Runs below NUMPY_CANDIDATES expected candidates take the stdlib
+    kernel, the others the numpy kernel."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_stdlib_kernel_at_high_arrival_matches_transfer_matrix(self, monkeypatch, n):
+        # TestThinning's high-arrival runs take the numpy kernel
+        monkeypatch.setattr(montecarlo, "NUMPY_CANDIDATES", math.inf)
+        pp = protocol(m=2, mu=3.0, n=n)
+        ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=1.0, dark_count=0.01)
+        tally = run_rounds(pp, ch, SimConfig(rounds=60_000, seed=65))
+        expect = expected_tally(n, 3.0, 0.01, 2)
+        assert within_5_sigma(tally.success, tally.sifted, expect["success"])
+        assert len(tally.pattern_counts) == 2 ** (n - 1)
+        for count in tally.pattern_counts.values():
+            assert within_5_sigma(count, tally.success, expect["pattern"])
+        for p, q in expect["pair_error"].items():
+            assert within_5_sigma(tally.pair_errors[p], tally.success, q)
+
+    @pytest.mark.parametrize("kernel", ["stdlib", "numpy"])
+    def test_branches_share_their_parties_positions(self, monkeypatch, kernel):
+        # at N=6, M=6, a=10 a candidate succeeds with probability 0.196 when
+        # branch l sees u_{l+1} - u_l, and 7 % more often when every branch
+        # measured its party against party 1 instead
+        monkeypatch.setattr(montecarlo, "NUMPY_CANDIDATES", math.inf if kernel == "stdlib" else 0)
+        pp = protocol(m=6, mu=10.0, n=6)
+        ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=1.0, dark_count=0.01)
+        tally = run_rounds(pp, ch, SimConfig(rounds=100_000, seed=68))
+        success, pair_errors = tally_expectation(pp, ch)
+        assert within_5_sigma(tally.success, tally.sifted, success)
+        for p, q in pair_errors.items():
+            assert within_5_sigma(tally.pair_errors[p], tally.success, q)
+
+    # tallies of runs above the crossover, recorded from the numpy kernel
+    # before the stdlib kernel existed
+    PINNED = [
+        (
+            (3, 1.0, 14, 0.65, 7.2e-8),
+            {"rounds": 1_000_000, "seed": 2718},
+            {"sent": 1_000_000, "sifted": 1_000_000, "success": 226_569,
+             "pattern_counts": {"LL": 56_492, "LR": 56_813, "RL": 56_569, "RR": 56_695},
+             "pair_errors": {"2": 1371, "3": 2748}},
+        ),
+        (
+            (4, 3.0, 2, 1.0, 0.01),
+            {"rounds": 100_000, "seed": 2718, "mode": "full-random",
+             "reference_offsets": (0.1, 0.0, -0.2), "compensation_indices": (1, 0, 1)},
+            {"sent": 100_000, "sifted": 100_000, "success": 24_944,
+             "pattern_counts": {"LLL": 3109, "LLR": 3120, "LRL": 3151, "LRR": 3153,
+                                "RLL": 3101, "RLR": 3068, "RRL": 3065, "RRR": 3177},
+             "pair_errors": {"2": 19_501, "3": 17_282, "4": 9208}},
+        ),
+    ]
+
+    @pytest.mark.parametrize("record,run,counts", PINNED, ids=["n3-0km-mu1", "n4-full-random-offsets"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_numpy_kernel_tallies_are_pinned(self, record, run, counts, workers):
+        n, mu, m, efficiency, pd = record
+        pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=m)
+        ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=efficiency, dark_count=pd)
+        sc = SimConfig(**run)
+        assert expected_candidates(pp, ch, sc) >= montecarlo.NUMPY_CANDIDATES
+        tally = run_rounds(pp, ch, sc, workers=workers).to_dict()
+        assert {key: tally[key] for key in counts} == counts
 
 
 class TestCompensation:
