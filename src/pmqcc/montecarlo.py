@@ -9,9 +9,9 @@ RNG streams derive from (seed, chunk index) alone, so identical
 Which kernel draws the chunks is fixed by the config too: a run whose
 expected candidate count E[K] = rounds (2/M)^(N-1) c^(N-1) (the sifting
 factor under ``mode="full-random"`` only; c and K below) is below
-``NUMPY_CANDIDATES`` takes the stdlib kernel, whose chunk stream is
-``random.Random((chunk << 64) | seed)``, and never imports numpy; the
-others take the numpy kernel on
+``_numpy_threshold(N, chunks)`` takes the stdlib kernel, whose chunk
+stream is ``random.Random((chunk << 64) | seed)``, and never imports
+numpy; the others take the numpy kernel on
 ``default_rng(SeedSequence(seed, spawn_key=(chunk,)))``.  The two draw
 the same model from different streams, so their tallies differ in value
 but not in distribution.
@@ -44,8 +44,11 @@ stdlib kernel draws one candidate at a time (bits and offsets from one
 ``getrandbits``, positions and acceptance uniforms from ``random()``)
 and drops it at its first branch that fails, with exact binomial counts
 from ``_binomial``.  Its fixed cost is far below numpy's import and
-per-chunk call overhead, but each candidate costs a few microseconds of
-Python, so heavy runs stay on numpy.
+per-chunk call overhead, but each candidate branch costs about a
+microsecond of Python, so heavy runs stay on numpy.  It holds the
+interpreter lock throughout, so it runs its chunks on one thread
+whatever ``workers`` asks for; only the numpy kernel, which releases
+the lock inside its array calls, spreads them over a thread pool.
 
 ``tally_expectation`` is the exact expectation of the tallies under the
 same click model: a transfer-matrix chain over the parties' in-slice
@@ -78,12 +81,15 @@ __all__ = [
 
 CHUNK_SIZE = 1 << 16
 
-# expected candidate count E[K] at and above which a run takes the numpy
-# kernel.  Below it the stdlib kernel finishes before numpy would have
-# imported: timed as `simulate` processes on 2 cores, the two kernels
-# cross over at ~47k (N=4, mu=1, under 10 chunks) to ~85k (N=3, 10 km,
-# 245 chunks) expected candidates
-NUMPY_CANDIDATES = 55_000
+# The kernels' cost difference, fitted to `simulate` process times on 2
+# cores (N=3-4, 6-906 chunks, E[K] 40k-160k): numpy costs ~0.16 s more
+# to import plus ~80 us more per chunk, and the stdlib kernel ~1.1 us
+# more per candidate branch.  So the crossover grows with the chunk
+# count and falls as 1/(N-1): NUMPY_CANDIDATES is its E[K] at N=3 with
+# few chunks, and NUMPY_CHUNKS the chunk count whose extra numpy call
+# overhead matches the import.
+NUMPY_CANDIDATES = 72_000
+NUMPY_CHUNKS = 2_000
 
 MODES = ("full-random", "forced-matching")
 
@@ -231,6 +237,12 @@ def _candidate_bound(arrival: float, dark_count: float) -> float:
     on the phase and s_L + s_R is convex in cos^2(phi/2), so the maximum
     is the value at phi = 0: c = (1-p_d)(1 - e^-a + 2 p_d e^-a)."""
     return (1.0 - dark_count) * (-math.expm1(-arrival) + 2.0 * dark_count * math.exp(-arrival))
+
+
+def _numpy_threshold(n_parties: int, n_chunks: int) -> float:
+    """Expected candidate count at and above which a run of
+    ``n_chunks`` chunks takes the numpy kernel."""
+    return NUMPY_CANDIDATES * 2.0 / (n_parties - 1) * (1.0 + n_chunks / NUMPY_CHUNKS)
 
 
 def _binomial(rng: random.Random, n: int, p: float) -> int:
@@ -461,7 +473,8 @@ def run_rounds(
 
     sifting = (2.0 / m) ** (n - 1) if sc.mode == "full-random" else 1.0
     candidates = sc.rounds * sifting * _candidate_bound(arrival, ch.dark_count) ** (n - 1)
-    if candidates < NUMPY_CANDIDATES:
+    stdlib = candidates < _numpy_threshold(n, len(sizes))
+    if stdlib:
 
         def work(idx_size):
             idx, size = idx_size
@@ -480,7 +493,7 @@ def run_rounds(
             return _run_chunk(rng, size, n, m, arrival, ch.dark_count, sc.mode, deviations, comp)
 
     jobs = list(enumerate(sizes))
-    if workers == 1:
+    if workers == 1 or stdlib:
         parts = [work(j) for j in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

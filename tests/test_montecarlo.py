@@ -289,8 +289,35 @@ def expected_candidates(pp: ProtocolParams, ch: ChannelParams, sc: SimConfig) ->
 
 
 class TestKernels:
-    """Runs below NUMPY_CANDIDATES expected candidates take the stdlib
+    """Runs below ``_numpy_threshold`` expected candidates take the stdlib
     kernel, the others the numpy kernel."""
+
+    # (N, chunks, E[K], the kernel whose `simulate` process was faster by
+    # 20 ms or more), timed with the kernel forced on 2 cores
+    TIMED = [
+        (3, 25, 50_000, "stdlib"), (3, 35, 70_000, "stdlib"), (3, 44, 90_000, "numpy"),
+        (3, 245, 64_543, "stdlib"), (3, 245, 89_915, "numpy"), (3, 245, 119_098, "numpy"),
+        (3, 567, 100_000, "numpy"), (3, 736, 130_000, "numpy"), (3, 906, 160_000, "numpy"),
+        (3, 3057, 60_000, "stdlib"), (3, 6114, 120_000, "stdlib"),
+        (4, 6, 40_000, "stdlib"), (4, 9, 60_000, "numpy"),
+        (4, 2231, 40_000, "stdlib"), (4, 3347, 60_000, "stdlib"),
+    ]
+
+    @pytest.mark.parametrize("n,chunks,candidates,faster", TIMED)
+    def test_threshold_picks_the_faster_kernel(self, n, chunks, candidates, faster):
+        numpy = candidates >= montecarlo._numpy_threshold(n, chunks)
+        assert ("numpy" if numpy else "stdlib") == faster
+
+    def test_stdlib_kernel_runs_on_one_thread(self, monkeypatch):
+        # it holds the interpreter lock, so a pool would only add contention
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the stdlib kernel started a thread pool")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        pp, ch = protocol(m=16), channel()
+        sc = SimConfig(rounds=200_000, seed=5)
+        assert expected_candidates(pp, ch, sc) < montecarlo._numpy_threshold(3, 4)
+        assert run_rounds(pp, ch, sc, workers=2).to_dict() == run_rounds(pp, ch, sc).to_dict()
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_stdlib_kernel_at_high_arrival_matches_transfer_matrix(self, monkeypatch, n):
@@ -349,7 +376,8 @@ class TestKernels:
         pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=m)
         ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=efficiency, dark_count=pd)
         sc = SimConfig(**run)
-        assert expected_candidates(pp, ch, sc) >= montecarlo.NUMPY_CANDIDATES
+        chunks = -(-sc.rounds // montecarlo.CHUNK_SIZE)
+        assert expected_candidates(pp, ch, sc) >= montecarlo._numpy_threshold(n, chunks)
         tally = run_rounds(pp, ch, sc, workers=workers).to_dict()
         assert {key: tally[key] for key in counts} == counts
 
