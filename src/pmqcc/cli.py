@@ -20,7 +20,14 @@ from .core import ChannelParams, ProtocolParams
 from .decoy import check_decoy_set, rate_lower
 from .errors import ParameterError, PMQCCError
 from .keyrate import RateReport, rate_constants
-from .optimize import MU_BOUNDS, OBJECTIVES, objective_rate, optimize_decoys, optimize_signal
+from .optimize import (
+    MU_BOUNDS,
+    OBJECTIVES,
+    check_decoy_search,
+    objective_rate,
+    optimize_decoys,
+    optimize_signal,
+)
 
 __all__ = ["main"]
 
@@ -244,6 +251,8 @@ def cmd_curve(args) -> int:
         build_channel({**cfg, "distance_km": args.l_min})
         if args.protocol == "decoy-lower" and args.optimize == "signal":
             check_decoy_set(fixed)
+        if args.optimize == "signal+decoys":
+            check_decoy_search(fixed.n_parties)
         options = _signal_options(cfg)
     lines = [CSV_HEADER]
     length = args.l_min

@@ -19,11 +19,17 @@ returning an unsafe bound.
 For three nonzero decoys the m=2 rung reduces to a closed form, kept
 separately as ``y2_lower_3party`` and pinned against the general ladder
 by the test suite.
+
+The ladder runs on plain floats.  Its dot products round once per term,
+as a fused multiply-add does (``_fused_dot``), which is how numpy's BLAS
+dot rounds these short vectors, so the bounds keep the bits they had
+when the ladder ran on numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import ChannelParams, ProtocolParams, transmittance
@@ -54,6 +60,13 @@ MIN_RELATIVE_SEPARATION = 1e-3
 # cap on sum(|c_i| A_i) / |G|: beyond this the combination has cancelled
 # away too many digits to certify anything
 MAX_CONDITION = 1e9
+
+# Veltkamp's splitting constant 2**27 + 1, and the magnitudes between
+# which Dekker's split of a float product into p + e is exact: no
+# overflow in the split, no underflow in the low parts
+_VELTKAMP = 134217729.0
+_EXACT_SPLIT_MIN = 2.0**-960
+_EXACT_SPLIT_MAX = 2.0**990
 
 
 @dataclass(frozen=True)
@@ -118,7 +131,58 @@ def _check_separation(ts) -> None:
             )
 
 
-def _eliminate(ts, kill_orders):
+def _fma(a: float, b: float, s: float) -> float:
+    """a * b + s rounded once, as a fused multiply-add rounds it.
+
+    Dekker's product splits a * b exactly into p + e, and ``math.fsum``
+    rounds p + e + s correctly.  Outside the range where that split is
+    exact, the sum is formed from integer ratios instead: int true
+    division rounds correctly too."""
+    p = a * b
+    if not (a and b):
+        return p + s  # a signed zero plus s: IEEE addition signs it as the fma does
+    if not s:
+        return p
+    if (_EXACT_SPLIT_MIN < abs(p) < _EXACT_SPLIT_MAX and abs(a) < _EXACT_SPLIT_MAX
+            and abs(b) < _EXACT_SPLIT_MAX and abs(s) < _EXACT_SPLIT_MAX):
+        t = _VELTKAMP * a
+        a_hi = t - (t - a)
+        a_lo = a - a_hi
+        t = _VELTKAMP * b
+        b_hi = t - (t - b)
+        b_lo = b - b_hi
+        e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+        return math.fsum((s, p, e))
+    try:
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        sn, sd = s.as_integer_ratio()
+        num = an * bn * sd + sn * ad * bd
+        return num / (ad * bd * sd) if num else 0.0
+    except (OverflowError, ValueError):  # an inf or nan operand, or an inf result
+        return p + s
+
+
+def _fused_dot(c, x) -> float:
+    """sum(c_i x_i) accumulated left to right with one rounding per term,
+    as the BLAS dot behind numpy's ``np.dot`` does on short float64
+    vectors (a fused multiply-add per step, from 0.0)."""
+    acc = 0.0
+    for ci, xi in zip(c, x):
+        if ci:
+            acc = _fma(ci, xi, acc)
+        else:
+            acc += ci * xi  # the fma of a signed zero product, without the call
+    return acc
+
+
+def _powers(ts, k: int) -> list:
+    """t**k for each t, squaring by multiplication as numpy's ``ts**2``
+    does: libm's pow(t, 2) differs from t*t in the last bit now and then."""
+    return [t * t for t in ts] if k == 2 else [t**k for t in ts]
+
+
+def _eliminate(ts, kill_orders) -> list:
     """Pairwise elimination of the given photon-number orders.
 
     Returns the final coefficient vector c over the inputs, normalized
@@ -126,41 +190,44 @@ def _eliminate(ts, kill_orders):
     adjacent combinations (u, v) with phi_k(v) u - phi_k(u) v, which
     zeroes the order-k coefficient phi_k(c) = sum_i c_i t_i^k / k!.
     """
-    import numpy as np  # here, not at module level: rates without decoys need no numpy
-
-    combos = [np.eye(len(ts))[i] for i in range(len(ts))]
-    ts = np.asarray(ts, dtype=float)
-
-    def phi(c, k):
-        return float(np.dot(c, ts**k)) / math.factorial(k)
-
+    n = len(ts)
+    combos = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for k in kill_orders:
+        powers = _powers(ts, k)
+        fact = math.factorial(k)
+        phis = [_fused_dot(c, powers) / fact for c in combos]
         combos = [
-            phi(combos[i + 1], k) * combos[i] - phi(combos[i], k) * combos[i + 1]
+            [phis[i + 1] * u - phis[i] * v for u, v in zip(combos[i], combos[i + 1])]
             for i in range(len(combos) - 1)
         ]
-        combos = [c / np.max(np.abs(c)) for c in combos]
+        combos = [_normalized(c) for c in combos]
     (c,) = combos
     return c
+
+
+def _normalized(c: list) -> list:
+    """c / max|c|, with numpy's nan for an all-zero or nan vector."""
+    scale = max(map(abs, c))
+    if not scale or any(map(math.isnan, c)):
+        return [math.nan] * len(c)
+    return [x / scale for x in c]
 
 
 def _ladder_bound(ts, a_values, m: int, kill_orders, check_orders: int) -> float:
     """Lower bound on Y_m from intensities ts (descending) and their
     vacuum-subtracted scaled gains A.  Verifies the sign pattern that
-    makes dropping the retained higher orders safe."""
-    import numpy as np
+    makes dropping the retained higher orders safe.
 
+    The bound and its denominator use the fused dot; the sign guards and
+    the cancellation ratio are one-sided tests, where a plain float sum
+    does."""
     _check_separation(ts)
     c = _eliminate(ts, kill_orders)
-    ts = np.asarray(ts, dtype=float)
-    t_max = float(ts[0])
+    t_max = ts[0]
 
-    def phi(k):
-        return float(np.dot(c, ts**k)) / math.factorial(k)
-
-    g_m = phi(m)
+    g_m = _fused_dot(c, _powers(ts, m)) / math.factorial(m)
     if g_m < 0.0:
-        c = -c
+        c = [-x for x in c]
         g_m = -g_m
     if g_m <= 0.0:
         raise DegenerateGeometryError("elimination denominator collapsed to 0")
@@ -169,7 +236,7 @@ def _ladder_bound(ts, a_values, m: int, kill_orders, check_orders: int) -> float
     for k in range(1, check_orders + 1):
         if k == m or k in kill_orders:
             continue
-        psi_k = phi(k) * math.factorial(k) / t_max**k
+        psi_k = sum(map(operator.mul, c, _powers(ts, k))) / t_max**k
         if psi_k > 1e-9 * psi_m:
             raise DegenerateGeometryError(
                 f"order-{k} elimination coefficient has the unsafe sign"
@@ -178,14 +245,13 @@ def _ladder_bound(ts, a_values, m: int, kill_orders, check_orders: int) -> float
     if c[0] > 0.0:
         raise DegenerateGeometryError("asymptotic elimination coefficient has the unsafe sign")
 
-    a_values = np.asarray(a_values, dtype=float)
-    g = float(np.dot(c, a_values))
-    g_abs = float(np.dot(np.abs(c), np.clip(a_values, 0.0, None)))
+    g = _fused_dot(c, a_values)
+    g_abs = sum(abs(ci) * max(a, 0.0) for ci, a in zip(c, a_values))
     if g != 0.0 and g_abs / abs(g) > MAX_CONDITION:
         raise DegenerateGeometryError(
             f"elimination too ill-conditioned (cancellation {g_abs / abs(g):.1e})"
         )
-    return float(min(max(g / g_m, 0.0), 1.0))
+    return min(max(g / g_m, 0.0), 1.0)
 
 
 def _scaled_gain_excesses(g: DecoyGains, scale: float, intensities):

@@ -13,8 +13,9 @@ re-evaluated through the full rate report.
 
 ``optimize_decoys`` maximizes the certified rate lower bound over the
 decoy intensity triple-or-more in log space by coordinate descent from a
-few fixed starting points; configurations rejected by the estimator as
-degenerate count as rate 0 and are never returned as optima.
+few fixed starting points (``START_DRAWS``, a table of seeded uniform
+draws); configurations rejected by the estimator as degenerate count as
+rate 0 and are never returned as optima.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .keyrate import (
     slice_rate,
 )
 
-__all__ = ["OptimizationResult", "optimize_signal", "optimize_decoys"]
+__all__ = ["OptimizationResult", "optimize_signal", "check_decoy_search", "optimize_decoys"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -44,9 +45,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 MU_BOUNDS = (1e-3, 1.0)
 MU_TOL = 1e-4
 COARSE_POINTS = 40
-# np.geomspace(*MU_BOUNDS, COARSE_POINTS) element for element: computing
-# it as 10.0 ** y instead misses one point by an ulp, and that moves the
-# last bit of some optima
+# np.geomspace(*MU_BOUNDS, COARSE_POINTS) element for element, as numpy's
+# AVX-512 path computes it (its baseline path puts index 34 one ulp
+# higher): computing it as 10.0 ** y instead misses one point by an ulp,
+# and that moves the last bit of some optima
 COARSE_GRID = (
     0.001, 0.001193776641714437, 0.0014251026703029977, 0.0017012542798525892,
     0.002030917620904735, 0.0024244620170823282, 0.0028942661247167516, 0.003455107294592218,
@@ -59,6 +61,75 @@ COARSE_GRID = (
     0.28942661247167517, 0.3455107294592222, 0.4124626382901352, 0.49238826317067413,
     0.5878016072274912, 0.701703828670383, 0.8376776400682924, 1.0,
 )
+
+# the first draws of np.random.default_rng(1000 + r).random(), one row per
+# decoy-search restart r and enough columns for n_cut + 1 = 17 decoys
+# (N up to 17); a uniform draw on [lo, hi) is lo + (hi - lo) * u, as
+# numpy's ``Generator.uniform`` forms it
+START_DRAWS = (
+    (
+        0.5213857379750627, 0.6038418470063296, 0.47094179732225394, 0.20324794254467882,
+        0.5287590256200526, 0.19103628008078877, 0.2815455986418517, 0.753681552191594,
+        0.5516717767312141, 0.8637220757083885, 0.8053722209059218, 0.24837266320613882,
+        0.18985741208154028, 0.9839955818921721, 0.669997165946232, 0.2803828299787884,
+        0.20391323427420127,
+    ),
+    (
+        0.6125949285699509, 0.01570046782033152, 0.18768957688192967, 0.8578900645411249,
+        0.07619863426781426, 0.20109024444542412, 0.6301009993730667, 0.09856213352097432,
+        0.1522044045102997, 0.180245007412709, 0.13192838801799178, 0.9841169795989557,
+        0.7651532111809396, 0.2534679147405474, 0.4906209837894989, 0.21108273486122675,
+        0.3604854515944512,
+    ),
+    (
+        0.3808211594831159, 0.35718933767094696, 0.7476123170681911, 0.38949191910491154,
+        0.3371311867995367, 0.554894529529624, 0.1872184016645808, 0.11965237903687864,
+        0.8403498245850005, 0.40270005746530324, 0.9288514529982621, 0.3479132017067148,
+        0.36595373947252063, 0.9897526888083057, 0.28307656046435514, 0.03207083178596193,
+        0.0028255507531961266,
+    ),
+    (
+        0.18775736826863343, 0.2567058102188221, 0.4946793271888513, 0.6607915574841853,
+        0.7521128616760768, 0.7230978681396768, 0.34043719950408013, 0.5975405884981562,
+        0.9705771125120725, 0.7067041404667089, 0.21703473546567242, 0.14070030939509937,
+        0.7071974956272638, 0.8628907711700844, 0.3895257185114104, 0.1147605781444323,
+        0.5355834505973794,
+    ),
+    (
+        0.0008804527407150209, 0.13015131212763142, 0.13847736529859134, 0.38065463694723745,
+        0.6206738048579876, 0.8370927679159851, 0.1254923400595731, 0.5604766674384422,
+        0.2742495749428059, 0.8249869948303966, 0.6417502375516123, 0.2147086462298886,
+        0.040505797944109245, 0.49154688173231653, 0.32468899969820975, 0.9652799312740642,
+        0.7795759694794436,
+    ),
+    (
+        0.08221917306789372, 0.9305620423886036, 0.28728402836777045, 0.6385580486204986,
+        0.8347927245440864, 0.9767220034530403, 0.16223470409015794, 0.4968046547787116,
+        0.7168271350015637, 0.3400036898999208, 0.9445920280003571, 0.17058751922898674,
+        0.6677887054445794, 0.49619036492748114, 0.44706273567756794, 0.9538245535877294,
+        0.7441875504175591,
+    ),
+    (
+        0.33692143357282445, 0.6008569437996548, 0.2978312994091755, 0.23757244469557315,
+        0.7997698561657394, 0.3350451551953154, 0.4057733892628195, 0.3564356821708432,
+        0.6748539437214829, 0.4889456292110227, 0.862911430993872, 0.7718655057460044,
+        0.08301935328642807, 0.4650098122549452, 0.7949388617915114, 0.019964608734050038,
+        0.3988515156947806,
+    ),
+    (
+        0.07122493746088576, 0.8159803451779433, 0.6429285129186573, 0.19659524482764845,
+        0.58881879351667, 0.8953371516183265, 0.45118085966884813, 0.19761857359999602,
+        0.35799034086206927, 0.04295899793272917, 0.8164435390130385, 0.48487600844533596,
+        0.8089745570459012, 0.5596728145224117, 0.9725927077497662, 0.8326644376288705,
+        0.6057085812983306,
+    ),
+)
+DECOY_RESTARTS = 3
+
+
+def _uniform(lo: float, hi: float, u: float) -> float:
+    return lo + (hi - lo) * u
+
 
 # objective name -> name of its rate function, imported above and looked
 # up in this module's namespace on every call
@@ -197,6 +268,19 @@ def optimize_signal(
     )
 
 
+def check_decoy_search(n_parties: int, restarts: int = DECOY_RESTARTS) -> None:
+    """Raise ``ParameterError`` unless ``START_DRAWS`` has a row for every
+    restart and a column for every decoy of an N-party search."""
+    if restarts > len(START_DRAWS):
+        raise ParameterError(f"restarts must be at most {len(START_DRAWS)}, got {restarts}")
+    n_decoys = n_cut_for(n_parties) + 1
+    if n_decoys > len(START_DRAWS[0]):
+        raise ParameterError(
+            f"the decoy search covers up to {len(START_DRAWS[0])} decoys, "
+            f"N={n_parties} needs {n_decoys}"
+        )
+
+
 def optimize_decoys(
     ch: ChannelParams,
     n_parties: int,
@@ -204,7 +288,7 @@ def optimize_decoys(
     slice_count: int,
     *,
     ec_efficiency: float = 1.16,
-    restarts: int = 3,
+    restarts: int = DECOY_RESTARTS,
     sweeps: int = 25,
 ) -> OptimizationResult:
     """Maximize the certified rate lower bound over the decoy intensities
@@ -213,8 +297,7 @@ def optimize_decoys(
     Log-space coordinate descent with shrinking line searches, restarted
     from fixed seed-derived starting points; deterministic.
     """
-    import numpy as np  # here, not at module level: only this search needs it
-
+    check_decoy_search(n_parties, restarts)
     n_decoys = n_cut_for(n_parties) + 1
 
     def params(decoys) -> ProtocolParams:
@@ -230,8 +313,8 @@ def optimize_decoys(
 
     def objective(log_xs) -> float:
         nonlocal evaluations
-        xs = np.exp(log_xs)
-        if np.any(xs[:-1] <= xs[1:] * (1.0 + 2e-3)) or xs[0] >= signal_intensity:
+        xs = [math.exp(v) for v in log_xs]
+        if any(hi <= lo * (1.0 + 2e-3) for hi, lo in zip(xs, xs[1:])) or xs[0] >= signal_intensity:
             return 0.0
         evaluations += 1
         try:
@@ -241,26 +324,22 @@ def optimize_decoys(
 
     def starting_points():
         mu = signal_intensity
-        for r in range(restarts):
-            rng = np.random.default_rng(1000 + r)
-            top = mu / rng.uniform(2.0, 8.0)
-            ratios = rng.uniform(1.3, 3.0, n_decoys - 2)
-            xs = [top]
-            for q in ratios:
-                xs.append(xs[-1] / q)
-            xs.append(xs[-1] / rng.uniform(20.0, 400.0))
-            yield np.log(np.array(xs[:n_decoys]))
+        for u in START_DRAWS[:restarts]:
+            xs = [mu / _uniform(2.0, 8.0, u[0])]
+            for q in u[1:n_decoys - 1]:
+                xs.append(xs[-1] / _uniform(1.3, 3.0, q))
+            xs.append(xs[-1] / _uniform(20.0, 400.0, u[n_decoys - 1]))
+            yield [math.log(x) for x in xs]
 
     best_rate, best_xs = 0.0, None
-    for start in starting_points():
-        log_xs = start.copy()
+    for log_xs in starting_points():
         current = objective(log_xs)
         step = 0.5
         for _ in range(sweeps):
             improved = False
             for i in range(n_decoys):
                 for delta in (step, -step):
-                    trial = log_xs.copy()
+                    trial = list(log_xs)
                     trial[i] += delta
                     val = objective(trial)
                     if val > current:
@@ -271,7 +350,7 @@ def optimize_decoys(
                 if step < 1e-4:
                     break
         if current > best_rate:
-            best_rate, best_xs = current, np.exp(log_xs)
+            best_rate, best_xs = current, [math.exp(v) for v in log_xs]
 
     if best_xs is None:
         return OptimizationResult(

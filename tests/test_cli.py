@@ -352,6 +352,16 @@ class TestOptimizeCommand:
         assert payload["M"] == 13
         assert payload["mu"] == pytest.approx(0.1333, abs=5e-3)
 
+    def test_decoy_search_beyond_the_draws_exits_2(self, tmp_path, capsys):
+        # N=18 needs 19 decoys, two more than the search has starting draws for
+        cfg = write_config(tmp_path, {**TABLE_CONFIG, "parties": 18})
+        optimize = run_cli(["optimize", cfg, "--target", "decoys"], capsys)
+        curve = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0", "--l-max", "20",
+                         "--l-step", "10", "--optimize", "signal+decoys"], capsys)
+        assert optimize[:2] == (2, "")
+        assert "N=18 needs 19" in json.loads(optimize[2])["error"]["message"]
+        assert curve == optimize
+
     def test_infeasible_flagged_zero_exit_0(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -391,17 +401,34 @@ class TestEntryPoint:
         ["curve", "--l-min", "50", "--l-max", "50", "--l-step", "10", "--optimize", "signal"],
         ["optimize", "--target", "signal"],
         ["simulate"],
+        ["rate", "--protocol", "decoy-lower"],
+        ["optimize", "--target", "decoys"],
+        ["curve", "--protocol", "decoy-lower", "--l-min", "50", "--l-max", "50", "--l-step", "10",
+         "--optimize", "signal+decoys"],
     ], ids=["import", "rate-pmqcc", "rate-pmqcc-star", "rate-reduced", "curve-signal",
-            "optimize-signal", "simulate"])
+            "optimize-signal", "simulate", "rate-decoy-lower", "optimize-decoys",
+            "curve-signal+decoys"])
     def test_leaves_numpy_unimported(self, tmp_path, command):
         assert loaded_after(tmp_path, command, "numpy") == []
+
+
+# the decoy-lower anchor: a decoy set the estimator accepts, 150 km
+DECOY_CONFIG = {
+    **TABLE_CONFIG, "distance_km": 150.0, "mu": 0.104815,
+    "decoys": [0.0204583, 0.0182017, 9.27216e-5, 0.0],
+}
 
 
 def loaded_after(tmp_path, command: list, package: str) -> list:
     """Modules of ``package`` loaded in a fresh interpreter after
     ``import pmqcc`` and, unless ``command`` is empty, after running that
     command on a config that it accepts."""
-    config = TestSimulateCommand.CONFIG if command[:1] == ["simulate"] else TABLE_CONFIG
+    if command[:1] == ["simulate"]:
+        config = TestSimulateCommand.CONFIG
+    elif any("decoy" in arg for arg in command):
+        config = DECOY_CONFIG
+    else:
+        config = TABLE_CONFIG
     lines = ["import json", "import sys", "import pmqcc"]
     if command:
         argv = [command[0], write_config(tmp_path, config), *command[1:], "--out", str(tmp_path / "out")]

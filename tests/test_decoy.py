@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from pmqcc import (
@@ -20,6 +23,7 @@ from pmqcc import (
     yield_probability,
     yields_lower_general,
 )
+from pmqcc.decoy import _fused_dot
 from tests.conftest import bench_channel_at
 from tests.enumeration import enumerated_yields, poisson_weight
 
@@ -144,6 +148,57 @@ class TestGeneralLadder:
         g = forward_gains(squeezed, 2.0, lambda k: 1.0 - 0.9**k, 0.0)
         with pytest.raises(DegenerateGeometryError):
             yields_lower_general(g, 2.0, 2)
+
+
+def fused_dot_oracle(c, x) -> float:
+    """Left-to-right fused multiply-add from 0.0: each step's exact value
+    a*b + acc rounded once (Fraction to float rounds correctly)."""
+    acc = 0.0
+    for ci, xi in zip(c, x):
+        acc = float(Fraction(ci) * Fraction(xi) + Fraction(acc))
+    return acc
+
+
+def wide_float(rng: random.Random) -> float:
+    """Zero a fifth of the time; otherwise either sign, at a magnitude
+    near 1 or anywhere from 1e-160 to 1e150, so products reach subnormals
+    and pass both ends of the range where Dekker's split is exact."""
+    if rng.random() < 0.2:
+        return 0.0
+    exponent = rng.uniform(-160.0, 150.0) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0)
+    return rng.choice((-1.0, 1.0)) * rng.random() * 10.0**exponent
+
+
+class TestFusedDot:
+    @pytest.mark.parametrize("length", range(1, 14))
+    def test_matches_sequential_fma_oracle(self, length):
+        rng = random.Random(length)
+        for _ in range(400):
+            c = [wide_float(rng) for _ in range(length)]
+            x = [wide_float(rng) for _ in range(length)]
+            assert _fused_dot(c, x) == fused_dot_oracle(c, x)
+
+    @pytest.mark.parametrize("a_exp,b_exp,s_exp", [
+        pytest.param(-500, -520, -1020, id="subnormal-product"),
+        pytest.param(-480, -485, -965, id="below-the-split"),
+        pytest.param(500, 495, 995, id="above-the-split"),
+        pytest.param(995, -990, 5, id="huge-factor"),
+    ])
+    def test_matches_oracle_beyond_the_exact_split(self, a_exp, b_exp, s_exp):
+        rng = random.Random(a_exp - b_exp)
+        for _ in range(300):
+            a, b, s = (rng.uniform(-2.0, 2.0) * 2.0**e for e in (a_exp, b_exp, s_exp))
+            assert _fused_dot([1.0, a], [s, b]) == fused_dot_oracle([1.0, a], [s, b])
+
+    def test_rounds_each_step_once(self):
+        # -p + a*b leaves exactly the rounding error of p = a*b, which a
+        # separately rounded product would cancel to 0
+        rng = random.Random(7)
+        for _ in range(200):
+            a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1e3, 1e3)
+            error = float(Fraction(a) * Fraction(b) - Fraction(a * b))
+            assert _fused_dot([1.0, a], [-(a * b), b]) == error
+            assert fused_dot_oracle([1.0, a], [-(a * b), b]) == error
 
 
 class TestPhaseErrorUpper:

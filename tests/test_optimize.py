@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from pmqcc import (
     rate_pmqcc_star,
     rate_reduced,
 )
-from pmqcc.optimize import COARSE_GRID, COARSE_POINTS, MU_BOUNDS
+from pmqcc.optimize import COARSE_GRID, COARSE_POINTS, MU_BOUNDS, START_DRAWS, _uniform
 from tests.conftest import bench_channel_at
 
 # (N, km, objective, options) -> repr-exact (best_rate, mu, M, evaluations),
@@ -96,8 +98,15 @@ class TestOptimizeSignal:
         assert result.evaluations == 3471 > 4 * len(search)
 
     def test_coarse_grid_is_numpy_geomspace(self):
-        # 10.0 ** linspace(-3, 0, 40) misses one of these points by an ulp
-        assert COARSE_GRID == tuple(float(x) for x in np.geomspace(*MU_BOUNDS, COARSE_POINTS))
+        # 10.0 ** linspace(-3, 0, 40) misses one of these points by an ulp.
+        # The grid holds numpy's values on its AVX-512 (X86_V4) path; the
+        # baseline path puts index 34 one ulp higher
+        grid = tuple(float(x) for x in np.geomspace(*MU_BOUNDS, COARSE_POINTS))
+        if numpy_dispatches_x86_v4():
+            assert COARSE_GRID == grid
+        else:
+            assert (COARSE_GRID[0], COARSE_GRID[-1]) == (grid[0], grid[-1])
+            assert all(abs(a - b) <= math.ulp(b) for a, b in zip(COARSE_GRID, grid))
 
     def test_bad_objective(self):
         with pytest.raises(ParameterError):
@@ -130,3 +139,40 @@ class TestOptimizeDecoys:
         result = optimize_decoys(ch, 3, 0.104815, 13, restarts=1, sweeps=0)
         assert not result.flagged_zero
         assert result.best_rate == rate_lower(result.best_params, ch).rate
+
+    def test_start_draws_are_the_seeded_generator_draws(self):
+        for r, row in enumerate(START_DRAWS):
+            assert row == tuple(np.random.default_rng(1000 + r).random(len(row)).tolist())
+
+    def test_uniform_draws_match_numpy(self):
+        # the search used to draw each starting point from the generator
+        n_decoys = len(START_DRAWS[0])
+        for r, u in enumerate(START_DRAWS):
+            rng = np.random.default_rng(1000 + r)
+            drawn = [rng.uniform(2.0, 8.0), *rng.uniform(1.3, 3.0, n_decoys - 2).tolist(),
+                     rng.uniform(20.0, 400.0)]
+            ours = [_uniform(2.0, 8.0, u[0]), *(_uniform(1.3, 3.0, q) for q in u[1:-1]),
+                    _uniform(20.0, 400.0, u[-1])]
+            assert ours == drawn
+
+    def test_restarts_beyond_the_draws_raise(self):
+        ch = bench_channel_at(150.0)
+        with pytest.raises(ParameterError, match="restarts"):
+            optimize_decoys(ch, 3, 0.104815, 13, restarts=len(START_DRAWS) + 1)
+        result = optimize_decoys(ch, 3, 0.104815, 13, restarts=len(START_DRAWS), sweeps=0)
+        assert result.evaluations == len(START_DRAWS)
+
+    def test_draws_cover_sixteen_parties(self):
+        # N=16 and N=17 need 17 decoys; N=18 needs 19
+        for n in (16, 17):
+            optimize_decoys(bench_channel_at(0.0), n, 0.1, 13, restarts=1, sweeps=0)
+        with pytest.raises(ParameterError, match="N=18 needs 19"):
+            optimize_decoys(bench_channel_at(0.0), 18, 0.1, 13)
+
+
+def numpy_dispatches_x86_v4() -> bool:
+    """Whether numpy runs its AVX-512 (X86_V4) kernels on this host, which
+    NPY_DISABLE_CPU_FEATURES=X86_V4 turns off."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return bool(__cpu_features__.get("X86_V4"))
