@@ -5,59 +5,55 @@ Computes asymptotic conference-key rates from a physical channel and
 detector model, certifies decoy-state bounds, cross-validates the
 analytics against a round-level Monte Carlo protocol simulator, and
 optimizes protocol parameters.
-"""
 
-from .core import (
-    ChannelParams,
-    ProtocolParams,
-    binary_entropy,
-    intrinsic_misalignment,
-    transmittance,
-)
-from .decoy import (
-    DecoyBounds,
-    DecoyGains,
-    decoy_bounds,
-    n_cut_for,
-    phase_error_upper,
-    rate_lower,
-    simulate_decoy_gains,
-    y2_lower_3party,
-    yields_lower_general,
-)
-from .errors import (
-    DegenerateGeometryError,
-    EnumerationLimitError,
-    InsufficientDataError,
-    InsufficientIntensitiesError,
-    ParameterError,
-    PMQCCError,
-)
-from .interference import branch_gain_avg, branch_qber_avg
-from .keyrate import (
-    RateReport,
-    marginal_qber,
-    qber_star,
-    rate_pmqcc,
-    rate_pmqcc_star,
-    rate_reduced,
-    scaling_exponent,
-)
-from .optimize import OptimizationResult, optimize_decoys, optimize_signal
-from .yields import BranchSpec, BranchTopology, phase_error_rate, yield_probability
+``import pmqcc`` loads no layer: each public name is imported from its
+module on first use (PEP 562), so a process pays only for the layers it
+runs.
+"""
 
 __version__ = "0.1.0"
 
-# the simulator pulls in random and concurrent.futures (~10 ms), so its
-# names are imported on first use
-_MONTECARLO_NAMES = (
-    "EmpiricalEstimates", "SimConfig", "SimTally", "estimate", "run_rounds", "tally_expectation"
-)
+# public name -> the module that defines it
+_MODULE_OF = {
+    **dict.fromkeys(
+        ("ChannelParams", "ProtocolParams", "binary_entropy", "intrinsic_misalignment", "transmittance"),
+        "core",
+    ),
+    **dict.fromkeys(
+        ("DecoyBounds", "DecoyGains", "decoy_bounds", "n_cut_for", "phase_error_upper", "rate_lower",
+         "simulate_decoy_gains", "y2_lower_3party", "yields_lower_general"),
+        "decoy",
+    ),
+    **dict.fromkeys(
+        ("DegenerateGeometryError", "EnumerationLimitError", "InsufficientDataError",
+         "InsufficientIntensitiesError", "ParameterError", "PMQCCError"),
+        "errors",
+    ),
+    **dict.fromkeys(("branch_gain_avg", "branch_qber_avg"), "interference"),
+    **dict.fromkeys(
+        ("RateReport", "marginal_qber", "qber_star", "rate_pmqcc", "rate_pmqcc_star", "rate_reduced",
+         "scaling_exponent"),
+        "keyrate",
+    ),
+    **dict.fromkeys(
+        ("EmpiricalEstimates", "SimConfig", "SimTally", "estimate", "run_rounds", "tally_expectation"),
+        "montecarlo",
+    ),
+    **dict.fromkeys(("OptimizationResult", "optimize_decoys", "optimize_signal"), "optimize"),
+    **dict.fromkeys(("BranchSpec", "BranchTopology", "phase_error_rate", "yield_probability"), "yields"),
+}
+_SUBMODULES = frozenset(_MODULE_OF.values()) | {"cli"}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _MONTECARLO_NAMES:
-        from . import montecarlo
+    from importlib import import_module
 
-        return getattr(montecarlo, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value

@@ -6,28 +6,23 @@ outputs are byte-stable across runs.
 Exit codes: 0 ok, 2 configuration/validation failure, 3 computation
 failure (degenerate decoys, insufficient data, ...); errors are emitted
 as a machine-readable JSON object on stderr.
+
+A process imports only the layers its command runs: the decoy
+estimator, the optimizers and the simulator are imported inside the
+commands that use them, so a plain rate loads ``core``, ``errors``,
+``interference`` and ``keyrate`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 
 from .core import ChannelParams, ProtocolParams
-from .decoy import check_decoy_set, rate_lower
 from .errors import ParameterError, PMQCCError
-from .keyrate import RateReport, rate_constants
-from .optimize import (
-    MU_BOUNDS,
-    OBJECTIVES,
-    check_decoy_search,
-    objective_rate,
-    optimize_decoys,
-    optimize_signal,
-)
+from .keyrate import OBJECTIVES, RateReport, objective_rate, rate_constants
 
 __all__ = ["main"]
 
@@ -148,6 +143,8 @@ def _signal_options(cfg: dict) -> dict:
 
 def compute_rate(protocol: str, pp: ProtocolParams, ch: ChannelParams, cfg: dict) -> RateReport:
     if protocol == "decoy-lower":
+        from .decoy import rate_lower
+
         return rate_lower(pp, ch)
     return objective_rate(protocol, pp, ch, parse_boundaries(cfg))
 
@@ -192,6 +189,8 @@ def _curve_row(length: float, protocol: str, cfg: dict, optimize: str, pp, optio
     ch = build_channel({**cfg, "distance_km": length})
     try:
         if optimize != "none":
+            from .optimize import optimize_decoys, optimize_signal
+
             objective = protocol if protocol != "decoy-lower" else "pmqcc"
             result = optimize_signal(ch, int(cfg["parties"]), objective, **options)
             if result.flagged_zero:
@@ -199,8 +198,13 @@ def _curve_row(length: float, protocol: str, cfg: dict, optimize: str, pp, optio
             pp = result.best_params
             if protocol == "decoy-lower" and optimize == "signal":
                 # keep the configured decoy set alongside the optimized signal
-                pp = dataclasses.replace(
-                    pp, decoy_intensities=tuple(float(x) for x in cfg.get("decoys", ()))
+                pp = ProtocolParams(
+                    pp.n_parties,
+                    pp.signal_intensity,
+                    pp.slice_count,
+                    pp.ec_efficiency,
+                    tuple(float(x) for x in cfg.get("decoys", ())),
+                    pp.signal_phase_misalignment,
                 )
             if optimize == "signal+decoys":
                 dec = optimize_decoys(
@@ -239,17 +243,23 @@ def cmd_curve(args) -> int:
         pp = build_protocol(cfg)
         build_channel({**cfg, "distance_km": args.l_min})
         if args.protocol == "decoy-lower":
+            from .decoy import check_decoy_set
+
             check_decoy_set(pp)
         rate_constants(pp, sliced=args.protocol != "pmqcc-star")
         if args.protocol != "decoy-lower":
             parse_boundaries(cfg)
     else:
+        from .optimize import MU_BOUNDS, check_decoy_search
+
         # the optimizer picks mu and M and builds the rest into every row;
         # under signal+decoys it picks the decoys too
         decoys = cfg.get("decoys", ()) if args.optimize == "signal" else ()
         fixed = build_protocol({**cfg, "mu": MU_BOUNDS[1], "slices": 4, "decoys": decoys})
         build_channel({**cfg, "distance_km": args.l_min})
         if args.protocol == "decoy-lower" and args.optimize == "signal":
+            from .decoy import check_decoy_set
+
             check_decoy_set(fixed)
         if args.optimize == "signal+decoys":
             check_decoy_search(fixed.n_parties)
@@ -264,8 +274,6 @@ def cmd_curve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # imported here: the simulator pulls in random and concurrent.futures
-    # (~10 ms), which the other commands do without
     from .montecarlo import SimConfig, estimate, run_rounds, tally_expectation
 
     cfg = load_config(args.config)
@@ -307,6 +315,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .optimize import optimize_decoys, optimize_signal
+
     cfg = load_config(args.config)
     _require(cfg, ["parties", "f"])
     ch = build_channel(cfg)
@@ -367,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="parameter optimization (JSON)")
     p_opt.add_argument("config")
     p_opt.add_argument("--target", choices=("signal", "decoys"), default="signal")
-    p_opt.add_argument("--protocol", choices=tuple(OBJECTIVES), default="pmqcc")
+    p_opt.add_argument("--protocol", choices=OBJECTIVES, default="pmqcc")
     p_opt.add_argument("--out", default=None)
     p_opt.set_defaults(func=cmd_optimize)
     return parser

@@ -14,11 +14,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
 
 __all__ = [
+    "Record",
     "ProtocolParams",
     "ChannelParams",
     "binary_entropy",
@@ -29,8 +29,50 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class Record:
+    """Base of the package's records.
+
+    A record names its fields, in order, in ``__slots__``, and its
+    ``__init__`` passes their values to ``Record.__init__`` in that order
+    before it validates them.  Records are immutable (assignment raises
+    ``AttributeError``), compare and hash by value, and print as
+    ``Name(field=value, ...)``.  ``dataclasses`` would generate the same
+    methods, but importing it and decorating a class cost more than the
+    rate a CLI process computes.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ProtocolParams(Record):
     """Protocol-side knobs: party count, intensities, phase slices.
 
     ``decoy_intensities`` is a strictly decreasing tuple; a trailing 0.0
@@ -40,14 +82,24 @@ class ProtocolParams:
     any even M >= 2, and the starred rate ignores M.
     """
 
-    n_parties: int
-    signal_intensity: float
-    slice_count: int
-    ec_efficiency: float = 1.16
-    decoy_intensities: tuple = ()
-    signal_phase_misalignment: float = 0.0
+    __slots__ = (
+        "n_parties", "signal_intensity", "slice_count", "ec_efficiency", "decoy_intensities",
+        "signal_phase_misalignment",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        n_parties: int,
+        signal_intensity: float,
+        slice_count: int,
+        ec_efficiency: float = 1.16,
+        decoy_intensities: tuple = (),
+        signal_phase_misalignment: float = 0.0,
+    ):
+        super().__init__(
+            n_parties, signal_intensity, slice_count, ec_efficiency, decoy_intensities,
+            signal_phase_misalignment,
+        )
         if not isinstance(self.n_parties, int) or self.n_parties < 2:
             raise ParameterError(f"n_parties must be an integer >= 2, got {self.n_parties}")
         if not self.signal_intensity > 0.0:
@@ -78,17 +130,14 @@ class ProtocolParams:
         return bool(self.decoy_intensities) and self.decoy_intensities[-1] == 0.0
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(Record):
     """Symmetric channel model: every party sits ``distance`` km from the
     measurement station over fiber with ``loss_rate`` dB/km."""
 
-    loss_rate: float
-    distance: float
-    detector_efficiency: float
-    dark_count: float
+    __slots__ = ("loss_rate", "distance", "detector_efficiency", "dark_count")
 
-    def __post_init__(self):
+    def __init__(self, loss_rate: float, distance: float, detector_efficiency: float, dark_count: float):
+        super().__init__(loss_rate, distance, detector_efficiency, dark_count)
         if self.loss_rate < 0.0:
             raise ParameterError(f"loss_rate must be >= 0, got {self.loss_rate}")
         if self.distance < 0.0:

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
-from .core import ChannelParams, ProtocolParams, transmittance
+from .core import ChannelParams, ProtocolParams, Record, transmittance
 from .errors import (
     DegenerateGeometryError,
     InsufficientIntensitiesError,
@@ -69,16 +68,14 @@ _EXACT_SPLIT_MIN = 2.0**-960
 _EXACT_SPLIT_MAX = 2.0**990
 
 
-@dataclass(frozen=True)
-class DecoyGains:
+class DecoyGains(Record):
     """Observed overall gains per decoy intensity (per-interior-party
     convention, descending, nonzero) plus the vacuum gain."""
 
-    intensities: tuple
-    gains: tuple
-    vacuum_gain: float
+    __slots__ = ("intensities", "gains", "vacuum_gain")
 
-    def __post_init__(self):
+    def __init__(self, intensities: tuple, gains: tuple, vacuum_gain: float):
+        super().__init__(intensities, gains, vacuum_gain)
         if len(self.intensities) != len(self.gains):
             raise ParameterError("intensities and gains must align")
         if any(x <= 0.0 for x in self.intensities):
@@ -89,14 +86,14 @@ class DecoyGains:
             raise ParameterError("gains must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class DecoyBounds:
+class DecoyBounds(Record):
     """Certified-safe estimates: yield lower bounds for the targeted even
     orders and the phase-error upper bound."""
 
-    y_lower: dict
-    n_cut: int
-    phase_error_upper: float | None = None
+    __slots__ = ("y_lower", "n_cut", "phase_error_upper")
+
+    def __init__(self, y_lower: dict, n_cut: int, phase_error_upper: float | None = None):
+        super().__init__(y_lower, n_cut, phase_error_upper)
 
 
 def n_cut_for(n_parties: int) -> int:
@@ -178,8 +175,12 @@ def _fused_dot(c, x) -> float:
 
 def _powers(ts, k: int) -> list:
     """t**k for each t, squaring by multiplication as numpy's ``ts**2``
-    does: libm's pow(t, 2) differs from t*t in the last bit now and then."""
-    return [t * t for t in ts] if k == 2 else [t**k for t in ts]
+    does: libm's pow(t, 2) differs from t*t in the last bit now and then.
+    Intensities far above any signal overflow the checked orders."""
+    try:
+        return [t * t for t in ts] if k == 2 else [t**k for t in ts]
+    except OverflowError:
+        raise DegenerateGeometryError(f"decoy intensities too large: t**{k} overflows") from None
 
 
 def _eliminate(ts, kill_orders) -> list:
@@ -213,6 +214,18 @@ def _normalized(c: list) -> list:
     return [x / scale for x in c]
 
 
+def _order_scale(t_max: float, k: int) -> float:
+    """t_max**k, the scale of the order-k sign guard.  Tiny intensities
+    underflow it to 0 within the checked orders, and a guard that cannot
+    be evaluated certifies nothing."""
+    scale = t_max**k
+    if not scale:
+        raise DegenerateGeometryError(
+            f"decoy intensities too small to check the order-{k} sign: {t_max}**{k} underflows"
+        )
+    return scale
+
+
 def _ladder_bound(ts, a_values, m: int, kill_orders, check_orders: int) -> float:
     """Lower bound on Y_m from intensities ts (descending) and their
     vacuum-subtracted scaled gains A.  Verifies the sign pattern that
@@ -232,11 +245,11 @@ def _ladder_bound(ts, a_values, m: int, kill_orders, check_orders: int) -> float
     if g_m <= 0.0:
         raise DegenerateGeometryError("elimination denominator collapsed to 0")
     # normalized comparison scale: psi_k = phi_k k! / t_max^k is O(1)
-    psi_m = g_m * math.factorial(m) / t_max**m
+    psi_m = g_m * math.factorial(m) / _order_scale(t_max, m)
     for k in range(1, check_orders + 1):
         if k == m or k in kill_orders:
             continue
-        psi_k = sum(map(operator.mul, c, _powers(ts, k))) / t_max**k
+        psi_k = sum(map(operator.mul, c, _powers(ts, k))) / _order_scale(t_max, k)
         if psi_k > 1e-9 * psi_m:
             raise DegenerateGeometryError(
                 f"order-{k} elimination coefficient has the unsafe sign"
@@ -257,9 +270,12 @@ def _ladder_bound(ts, a_values, m: int, kill_orders, check_orders: int) -> float
 def _scaled_gain_excesses(g: DecoyGains, scale: float, intensities):
     ts = [scale * x for x in intensities]
     idx = {x: i for i, x in enumerate(g.intensities)}
-    a_values = [
-        math.exp(t) * g.gains[idx[x]] - g.vacuum_gain for x, t in zip(intensities, ts)
-    ]
+    try:
+        a_values = [
+            math.exp(t) * g.gains[idx[x]] - g.vacuum_gain for x, t in zip(intensities, ts)
+        ]
+    except OverflowError:
+        raise DegenerateGeometryError(f"decoy intensities too large: e**{max(ts)} overflows") from None
     return ts, a_values
 
 

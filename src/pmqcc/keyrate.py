@@ -26,6 +26,16 @@ signal optimizer calls the two steps directly, so a sweep over the
 intensity builds no records and a sweep over M shares the intensity
 terms.
 
+The phase error E_X is the closed form of ``chain_phase_error``: by
+Poisson thinning the branch photon numbers are independent Poisson
+variables, so the odd-photon-number share of the gain factorizes over
+the branches into an O(branches) product with no truncation.  The
+enumeration oracle in ``yields`` builds its branch records from the
+same helpers (``merge_arms``, ``chain_branches``, ``parity_phase_error``).
+
+``objective_rate`` picks one of the three rates by its objective name
+(``OBJECTIVES``), for the command line and the signal optimizer.
+
 Negative raw rates clamp to 0 with a flag rather than raising, since
 optimizers routinely sweep infeasible regions.
 """
@@ -33,21 +43,21 @@ optimizers routinely sweep infeasible regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     ChannelParams,
     ProtocolParams,
+    Record,
     binary_entropy,
     intrinsic_misalignment,
     transmittance,
 )
 from .errors import InsufficientDataError, ParameterError
 from .interference import branch_gain_avg, sliced_qber_at_gain
-from .yields import chain_phase_error
 
 __all__ = [
     "RateReport",
+    "chain_phase_error",
     "intensity_terms",
     "marginal_qber",
     "qber_star",
@@ -62,9 +72,14 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+_ARM_BALANCE_RTOL = 1e-9
 
-@dataclass(frozen=True)
-class RateReport:
+# the rate objectives of ``objective_rate``, the command line and the
+# signal optimizer
+OBJECTIVES = ("pmqcc", "pmqcc-star", "reduced")
+
+
+class RateReport(Record):
     """Final rate and the intermediate quantities that produced it.
 
     ``marginal_qbers[m-2]`` is the QBER between the first and the m-th
@@ -73,12 +88,18 @@ class RateReport:
     a raw rate that came out negative and was reported as 0.
     """
 
-    rate: float
-    gain: float
-    marginal_qbers: tuple
-    phase_error: float
-    sifting_prefactor: float
-    clamped: bool = False
+    __slots__ = ("rate", "gain", "marginal_qbers", "phase_error", "sifting_prefactor", "clamped")
+
+    def __init__(
+        self,
+        rate: float,
+        gain: float,
+        marginal_qbers: tuple,
+        phase_error: float,
+        sifting_prefactor: float,
+        clamped: bool = False,
+    ):
+        super().__init__(rate, gain, marginal_qbers, phase_error, sifting_prefactor, clamped)
 
 
 def marginal_qber(branch_qber: float, pair_index: int) -> float:
@@ -119,6 +140,74 @@ def _qber_star_at_gain(
         1.0 - (1.0 - pd) * math.exp(-a * misalignment)
     )
     return wrong / gain
+
+
+def merge_arms(mu_left: float, eta_left: float, mu_right: float, eta_right: float) -> tuple:
+    """(virtual intensity, survival) of the branch fed by two source arms,
+    whose arriving intensities must balance."""
+    left, right = eta_left * mu_left, eta_right * mu_right
+    if not math.isclose(left, right, rel_tol=_ARM_BALANCE_RTOL):
+        raise ParameterError(f"arm arrival intensities must match, got {left} vs {right}")
+    mu_v = mu_left + mu_right
+    return mu_v, (left + right) / mu_v
+
+
+def chain_branches(n_parties: int, mu: float, eta: float, boundaries: tuple) -> list:
+    """(virtual intensity, survival) of each branch of a chain whose marked
+    ends are broken.
+
+    A broken end party sends the full interior intensity mu, but half of
+    its light feeds a dead branch, so its arm enters with source
+    intensity mu at effective transmittance eta/2; every other arm
+    contributes mu/2 at eta.  Arriving intensities stay balanced, so the
+    branch gain and QBER match the symmetric chain while the virtual
+    intensity (and with it the phase error) grows.
+    """
+    if n_parties < 2:
+        raise ParameterError(f"n_parties must be >= 2, got {n_parties}")
+    if len(boundaries) != 2:
+        raise ParameterError("boundaries must be a (left, right) pair of flags")
+    left_b, right_b = (bool(boundaries[0]), bool(boundaries[1]))
+    if not (left_b or right_b):
+        return [(mu, eta)] * (n_parties - 1)
+    branches = []
+    for l in range(n_parties - 1):
+        left_arm = (mu, eta / 2.0) if l == 0 and left_b else (mu / 2.0, eta)
+        right_arm = (mu, eta / 2.0) if l == n_parties - 2 and right_b else (mu / 2.0, eta)
+        branches.append(merge_arms(*left_arm, *right_arm))
+    return branches
+
+
+def parity_phase_error(branches, pd: float) -> float:
+    """Phase error E_X, the odd-photon-number share of the gain, over
+    (virtual intensity t, survival s) pairs of branches.
+
+    Branch l holds n_l ~ Poisson(t_l) photons independently of the other
+    branches, and succeeds with f_l(n) = (1-p_d)(1 - (1-2p_d)(1-s_l)^n).
+    With a_l = s_l t_l the arrival intensity,
+
+        E[f_l]          = (1-p_d) T_l,  T_l = 1 - (1-2p_d) e^{-a_l}
+        E[(-1)^n f_l]   = (1-p_d) D_l,  D_l = e^{a_l-2t_l} (expm1(-a_l) + 2p_d)
+
+    so E_X = (1 - prod_l D_l / T_l) / 2: O(branches), no truncation, and
+    no alternating sum.  Each ratio lies in [-1, 1], so long chains cannot
+    overflow; e^{a_l - 2t_l} <= 1 because a_l <= t_l.
+    """
+    ratio = 1.0
+    for t, s in branches:
+        a = t * s
+        gain = -math.expm1(-a) + 2.0 * pd * math.exp(-a)
+        if gain <= 0.0:
+            raise ParameterError("overall gain is 0; phase error undefined")
+        ratio *= math.exp(a - 2.0 * t) * (math.expm1(-a) + 2.0 * pd) / gain
+    return (1.0 - ratio) / 2.0
+
+
+def chain_phase_error(n_parties: int, mu: float, eta: float, dark_count: float, boundaries: tuple) -> float:
+    """Phase error of the chain with the given broken ends, from plain
+    floats.  It does not check the ranges of mu, eta and p_d: callers pass
+    validated parameters."""
+    return parity_phase_error(chain_branches(n_parties, mu, eta, boundaries), dark_count)
 
 
 def rate_constants(pp: ProtocolParams, sliced: bool = True) -> tuple:
@@ -285,6 +374,24 @@ def rate_reduced(pp: ProtocolParams, ch: ChannelParams, boundaries: tuple) -> Ra
     reproduces ``rate_pmqcc``.
     """
     return key_rate(pp, ch, boundaries=boundaries)
+
+
+def check_objective(objective: str) -> None:
+    if objective not in OBJECTIVES:
+        raise ParameterError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+
+
+def objective_rate(
+    objective: str, pp: ProtocolParams, ch: ChannelParams, boundaries: tuple
+) -> RateReport:
+    """Rate report of one objective; ``boundaries`` marks the broken ends
+    of the reduced chain."""
+    check_objective(objective)
+    if objective == "reduced":
+        return rate_reduced(pp, ch, boundaries)
+    if objective == "pmqcc-star":
+        return rate_pmqcc_star(pp, ch)
+    return rate_pmqcc(pp, ch)
 
 
 def scaling_exponent(points) -> float:

@@ -65,11 +65,9 @@ import functools
 import math
 import operator
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .core import ChannelParams, ProtocolParams, transmittance
+from .core import ChannelParams, ProtocolParams, Record, transmittance
 from .errors import InsufficientDataError, ParameterError
 
 if TYPE_CHECKING:  # imported at run time only by the runs that take the numpy kernel
@@ -94,8 +92,7 @@ NUMPY_CHUNKS = 2_000
 MODES = ("full-random", "forced-matching")
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Run parameters for the round-level simulator.
 
     ``reference_offsets`` are the per-adjacent-pair physical deviations
@@ -106,13 +103,17 @@ class SimConfig:
     the compensation property rather than searching for them.
     """
 
-    rounds: int
-    seed: int
-    mode: str = "forced-matching"
-    reference_offsets: tuple = ()
-    compensation_indices: tuple = ()
+    __slots__ = ("rounds", "seed", "mode", "reference_offsets", "compensation_indices")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        rounds: int,
+        seed: int,
+        mode: str = "forced-matching",
+        reference_offsets: tuple = (),
+        compensation_indices: tuple = (),
+    ):
+        super().__init__(rounds, seed, mode, reference_offsets, compensation_indices)
         if not isinstance(self.rounds, int) or self.rounds < 1:
             raise ParameterError(f"rounds must be a positive integer, got {self.rounds}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
@@ -123,21 +124,39 @@ class SimConfig:
         object.__setattr__(self, "compensation_indices", tuple(int(x) for x in self.compensation_indices))
 
 
-@dataclass
-class SimTally:
+class SimTally(Record):
     """Counts accumulated over rounds; merging is associative and
-    commutative (plain sums of aligned counters)."""
+    commutative (plain sums of aligned counters).  Unlike the other
+    records a tally is mutable, and so unhashable; each tally gets its
+    own count dicts unless the caller passes them."""
 
-    n_parties: int
-    slice_count: int
-    sent: int = 0
-    sifted: int = 0
-    success: int = 0
-    pattern_counts: dict = field(default_factory=dict)
-    pair_errors: dict = field(default_factory=dict)
-    sifting_probability: float = 1.0
-    seed: int = 0
-    mode: str = "forced-matching"
+    __slots__ = (
+        "n_parties", "slice_count", "sent", "sifted", "success", "pattern_counts", "pair_errors",
+        "sifting_probability", "seed", "mode",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        n_parties: int,
+        slice_count: int,
+        sent: int = 0,
+        sifted: int = 0,
+        success: int = 0,
+        pattern_counts: dict | None = None,
+        pair_errors: dict | None = None,
+        sifting_probability: float = 1.0,
+        seed: int = 0,
+        mode: str = "forced-matching",
+    ):
+        super().__init__(
+            n_parties, slice_count, sent, sifted, success,
+            {} if pattern_counts is None else pattern_counts,
+            {} if pair_errors is None else pair_errors,
+            sifting_probability, seed, mode,
+        )
 
     def merge(self, other: "SimTally") -> "SimTally":
         """Sum the counters of two compatible tallies; run metadata (seed,
@@ -181,19 +200,24 @@ class SimTally:
         }
 
 
-@dataclass(frozen=True)
-class EmpiricalEstimates:
+class EmpiricalEstimates(Record):
     """Point estimates with Wilson-interval half-widths (z = 1).
 
     The phase error is a counterfactual X-basis quantity with no
     empirical estimator in this simulation; it is reported as None.
     """
 
-    gain: float
-    gain_halfwidth: float
-    pair_qbers: dict
-    pair_halfwidths: dict
-    phase_error: None = None
+    __slots__ = ("gain", "gain_halfwidth", "pair_qbers", "pair_halfwidths", "phase_error")
+
+    def __init__(
+        self,
+        gain: float,
+        gain_halfwidth: float,
+        pair_qbers: dict,
+        pair_halfwidths: dict,
+        phase_error: None = None,
+    ):
+        super().__init__(gain, gain_halfwidth, pair_qbers, pair_halfwidths, phase_error)
 
 
 def _wilson(successes: int, trials: int, z: float = 1.0):
@@ -496,6 +520,10 @@ def run_rounds(
     if workers == 1 or stdlib:
         parts = [work(j) for j in jobs]
     else:
+        # imported here: a thread pool (~7 ms to import) serves only the
+        # numpy kernel at more than one worker
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, jobs))
 

@@ -21,20 +21,15 @@ rate 0 and are never returned as optima.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import ChannelParams, ProtocolParams, transmittance
+from .core import ChannelParams, ProtocolParams, Record, transmittance
 from .decoy import n_cut_for, rate_lower
 from .errors import DegenerateGeometryError, ParameterError
-from .keyrate import (
-    RateReport,
-    intensity_terms,
-    rate_constants,
-    rate_pmqcc,
-    rate_pmqcc_star,
-    rate_reduced,
-    slice_rate,
-)
+from .keyrate import check_objective, intensity_terms, objective_rate, rate_constants, slice_rate
+
+# not called here: re-exported for callers that reach the objectives'
+# rates through this module (bench/test_bench.py)
+from .keyrate import rate_pmqcc, rate_pmqcc_star, rate_reduced  # noqa: F401
 
 __all__ = ["OptimizationResult", "optimize_signal", "check_decoy_search", "optimize_decoys"]
 
@@ -131,37 +126,21 @@ def _uniform(lo: float, hi: float, u: float) -> float:
     return lo + (hi - lo) * u
 
 
-# objective name -> name of its rate function, imported above and looked
-# up in this module's namespace on every call
-OBJECTIVES = {"pmqcc": "rate_pmqcc", "pmqcc-star": "rate_pmqcc_star", "reduced": "rate_reduced"}
-
-
-def objective_rate(
-    objective: str, pp: ProtocolParams, ch: ChannelParams, boundaries: tuple
-) -> RateReport:
-    """Rate report of one objective; ``boundaries`` marks the broken ends
-    of the reduced chain.  A rebound module global (a tracer's wrapper,
-    say) takes effect because the function is looked up at call time."""
-    _check_objective(objective)
-    rate = globals()[OBJECTIVES[objective]]
-    return rate(pp, ch, boundaries) if objective == "reduced" else rate(pp, ch)
-
-
-def _check_objective(objective: str) -> None:
-    if objective not in OBJECTIVES:
-        raise ParameterError(f"objective must be one of {tuple(OBJECTIVES)}, got {objective!r}")
-
-
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(Record):
     """Best parameters found, the rate re-evaluated exactly there, and
     the number of objective evaluations.  ``flagged_zero`` marks a search
     that found no positive rate (``best_params`` is then None)."""
 
-    best_params: ProtocolParams | None
-    best_rate: float
-    evaluations: int
-    flagged_zero: bool = False
+    __slots__ = ("best_params", "best_rate", "evaluations", "flagged_zero")
+
+    def __init__(
+        self,
+        best_params: ProtocolParams | None,
+        best_rate: float,
+        evaluations: int,
+        flagged_zero: bool = False,
+    ):
+        super().__init__(best_params, best_rate, evaluations, flagged_zero)
 
 
 def _golden_refine(obj, lo: float, hi: float, tol: float):
@@ -219,7 +198,7 @@ def optimize_signal(
     misalignment from the signal-mode parameter), so only the intensity
     is searched.
     """
-    _check_objective(objective)
+    check_objective(objective)
     sliced = objective != "pmqcc-star"
     ends = boundaries if objective == "reduced" else (False, False)
     eta = transmittance(ch)

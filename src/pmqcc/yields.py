@@ -15,12 +15,10 @@ and Y_k is the probability that every branch succeeds simultaneously.
 
 ``yield_probability`` evaluates Y_k by exact enumeration over branch
 occupation compositions of k (the desk-scale oracle, with a configurable
-term cap).  ``phase_error_rate`` needs no yields at all: by Poisson
-thinning the branch photon numbers are independent Poisson variables, so
-the odd-photon-number share of the gain factorizes over branches into an
-O(branches) closed form with no truncation.  ``chain_phase_error`` is the
-same closed form on the chain of ``BranchTopology.chain``, taken from
-plain floats so that an intensity sweep builds no topology records.
+term cap).  ``phase_error_rate`` needs no yields at all: it is the
+closed form the rate pipeline runs, ``keyrate.parity_phase_error``, on a
+topology's branches.  No command imports this module; the tests and
+demos check the rate pipeline against it.
 """
 
 from __future__ import annotations
@@ -29,18 +27,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import EnumerationLimitError, ParameterError
+from .keyrate import chain_branches, merge_arms, parity_phase_error
 
 __all__ = [
     "BranchSpec",
     "BranchTopology",
     "yield_probability",
     "phase_error_rate",
-    "chain_phase_error",
 ]
 
 DEFAULT_TERM_CAP = 10_000_000
-
-_ARM_BALANCE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,7 @@ class BranchSpec:
     ) -> "BranchSpec":
         """Build a branch from its two source arms; a valid interference
         branch needs equal arriving intensities on both arms."""
-        return cls(*_merge_arms(mu_left, eta_left, mu_right, eta_right))
+        return cls(*merge_arms(mu_left, eta_left, mu_right, eta_right))
 
 
 @dataclass(frozen=True)
@@ -116,45 +112,11 @@ class BranchTopology:
         dark_count: float,
         boundaries: tuple = (False, False),
     ) -> "BranchTopology":
-        """Chain with optionally broken end points.
-
-        A boundary end party sends the full interior intensity mu but
-        half of its light feeds a dead branch, so its arm enters with
-        source intensity mu at effective transmittance eta/2; all other
-        arms contribute mu/2 at eta.  Arriving intensities stay balanced,
-        so per-branch gain and QBER match the symmetric chain while the
-        virtual intensity (and hence the phase-error rate) grows.  With
-        no broken end this is the symmetric chain.
-        """
-        branches = _chain_branches(n_parties, mu, eta, boundaries)
+        """Chain with optionally broken end points, as
+        ``keyrate.chain_branches`` builds it.  With no broken end this is
+        the symmetric chain."""
+        branches = chain_branches(n_parties, mu, eta, boundaries)
         return cls(branches=tuple(BranchSpec(t, s) for t, s in branches), dark_count=dark_count)
-
-
-def _merge_arms(mu_left: float, eta_left: float, mu_right: float, eta_right: float) -> tuple:
-    """(virtual intensity, survival) of the branch fed by two source arms,
-    whose arriving intensities must balance."""
-    left, right = eta_left * mu_left, eta_right * mu_right
-    if not math.isclose(left, right, rel_tol=_ARM_BALANCE_RTOL):
-        raise ParameterError(f"arm arrival intensities must match, got {left} vs {right}")
-    mu_v = mu_left + mu_right
-    return mu_v, (left + right) / mu_v
-
-
-def _chain_branches(n_parties: int, mu: float, eta: float, boundaries: tuple) -> list:
-    """(virtual intensity, survival) of each branch of ``BranchTopology.chain``."""
-    if n_parties < 2:
-        raise ParameterError(f"n_parties must be >= 2, got {n_parties}")
-    if len(boundaries) != 2:
-        raise ParameterError("boundaries must be a (left, right) pair of flags")
-    left_b, right_b = (bool(boundaries[0]), bool(boundaries[1]))
-    if not (left_b or right_b):
-        return [(mu, eta)] * (n_parties - 1)
-    branches = []
-    for l in range(n_parties - 1):
-        left_arm = (mu, eta / 2.0) if l == 0 and left_b else (mu / 2.0, eta)
-        right_arm = (mu, eta / 2.0) if l == n_parties - 2 and right_b else (mu / 2.0, eta)
-        branches.append(_merge_arms(*left_arm, *right_arm))
-    return branches
 
 
 def yield_probability(topology: BranchTopology, k: int, term_cap: int = DEFAULT_TERM_CAP) -> float:
@@ -213,37 +175,8 @@ def yield_probability(topology: BranchTopology, k: int, term_cap: int = DEFAULT_
 
 
 def phase_error_rate(topology: BranchTopology) -> float:
-    """Phase-error rate E_X: the odd-photon-number share of the gain.
-
-    Branch l holds n_l ~ Poisson(t_l) photons independently of the other
-    branches, and succeeds with f_l(n) = (1-p_d)(1 - (1-2p_d)(1-s_l)^n).
-    With a_l = s_l t_l the arrival intensity,
-
-        E[f_l]          = (1-p_d) T_l,  T_l = 1 - (1-2p_d) e^{-a_l}
-        E[(-1)^n f_l]   = (1-p_d) D_l,  D_l = e^{a_l-2t_l} (expm1(-a_l) + 2p_d)
-
-    so E_X = (1 - prod_l D_l / T_l) / 2: O(branches), no truncation, and
-    no alternating sum.  Each ratio lies in [-1, 1], so long chains cannot
-    overflow; e^{a_l - 2t_l} <= 1 because a_l <= t_l.
-    """
+    """Phase-error rate E_X of a topology: the odd-photon-number share of
+    the gain, by the O(branches) closed form of
+    ``keyrate.parity_phase_error``."""
     branches = [(b.virtual_intensity, b.survival) for b in topology.branches]
-    return _parity_phase_error(branches, topology.dark_count)
-
-
-def chain_phase_error(n_parties: int, mu: float, eta: float, dark_count: float, boundaries: tuple) -> float:
-    """``phase_error_rate(BranchTopology.chain(...))`` from the same floats,
-    without building the records.  Unlike the records, it does not check
-    the ranges of mu, eta and p_d: callers pass validated parameters."""
-    return _parity_phase_error(_chain_branches(n_parties, mu, eta, boundaries), dark_count)
-
-
-def _parity_phase_error(branches, pd: float) -> float:
-    """E_X of ``phase_error_rate`` over (virtual intensity, survival) pairs."""
-    ratio = 1.0
-    for t, s in branches:
-        a = t * s
-        gain = -math.expm1(-a) + 2.0 * pd * math.exp(-a)
-        if gain <= 0.0:
-            raise ParameterError("overall gain is 0; phase error undefined")
-        ratio *= math.exp(a - 2.0 * t) * (math.expm1(-a) + 2.0 * pd) / gain
-    return (1.0 - ratio) / 2.0
+    return parity_phase_error(branches, topology.dark_count)

@@ -90,6 +90,19 @@ class TestRateCommand:
         assert code == 0
         assert json.loads(out)["rate"] == pytest.approx(1.7327e-11, rel=5e-3)
 
+    def test_underflowing_decoys_exit_3(self, tmp_path, capsys):
+        # the ladder's sign guard used to divide by an underflowed t_max**k
+        # and end in a ZeroDivisionError traceback
+        cfg = write_config(tmp_path, {
+            **TABLE_CONFIG, "parties": 6, "distance_km": 10.0, "mu": 0.1,
+            "decoys": [1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 0.0],
+        })
+        code, out, err = run_cli(["rate", cfg, "--protocol", "decoy-lower"], capsys)
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "DegenerateGeometryError"
+        assert "underflows" in error["message"]
+
     @pytest.mark.parametrize("mu", [0.0857, 1e-3])
     def test_two_slices_exit_2(self, tmp_path, capsys, mu):
         # the closed-form misalignment is no probability at M = 2: this
@@ -411,6 +424,47 @@ class TestEntryPoint:
     def test_leaves_numpy_unimported(self, tmp_path, command):
         assert loaded_after(tmp_path, command, "numpy") == []
 
+    def test_import_loads_no_layer(self, tmp_path):
+        assert loaded_after(tmp_path, [], "pmqcc") == ["pmqcc"]
+
+    @pytest.mark.parametrize("protocol", ["pmqcc", "pmqcc-star", "reduced"])
+    def test_rate_loads_only_the_rate_layers(self, tmp_path, protocol):
+        assert loaded_after(tmp_path, ["rate", "--protocol", protocol], "pmqcc") == [
+            "pmqcc", "pmqcc.cli", "pmqcc.core", "pmqcc.errors", "pmqcc.interference", "pmqcc.keyrate"
+        ]
+
+    @pytest.mark.parametrize("command", [
+        ["rate", "--protocol", "pmqcc"],
+        ["rate", "--protocol", "decoy-lower"],
+        ["curve", "--l-min", "50", "--l-max", "50", "--l-step", "10"],
+        ["curve", "--protocol", "decoy-lower", "--l-min", "50", "--l-max", "50", "--l-step", "10",
+         "--optimize", "signal+decoys"],
+        ["optimize", "--target", "signal"],
+        ["optimize", "--target", "decoys"],
+        ["simulate", "--workers", "2"],
+        ["simulate-heavy", "--workers", "2"],
+    ], ids=["rate", "rate-decoy-lower", "curve", "curve-signal+decoys", "optimize-signal",
+            "optimize-decoys", "simulate", "simulate-heavy"])
+    def test_leaves_dataclasses_unimported(self, tmp_path, command):
+        assert loaded_beyond_startup(tmp_path, command, "dataclasses") == []
+
+    def test_thread_pool_only_for_the_numpy_kernel(self, tmp_path):
+        assert loaded_beyond_startup(tmp_path, ["simulate", "--workers", "2"], "concurrent") == []
+        # the probe sees the pool where the numpy kernel starts one
+        heavy = loaded_after(tmp_path, ["simulate-heavy", "--workers", "2"], "concurrent")
+        assert "concurrent.futures" in heavy
+
+
+def loaded_beyond_startup(tmp_path, command: list, package: str) -> list:
+    """``loaded_after`` less the modules that ``python -c pass`` loads
+    (through ``site``, say), which no command can be blamed for."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+        capture_output=True, text=True, check=True,
+    )
+    startup = set(proc.stdout.split())
+    return [m for m in loaded_after(tmp_path, command, package) if m not in startup]
+
 
 # the decoy-lower anchor: a decoy set the estimator accepts, 150 km
 DECOY_CONFIG = {
@@ -419,12 +473,23 @@ DECOY_CONFIG = {
 }
 
 
+# above the numpy kernel's threshold: ~83 000 expected candidates at N=4
+HEAVY_SIMULATE_CONFIG = {
+    **TestSimulateCommand.CONFIG, "parties": 4, "distance_km": 0.0, "detector_efficiency": 1.0,
+    "dark_count": 0.01, "slices": 2, "mu": 3.0, "rounds": 100_000, "mode": "full-random",
+}
+
+
 def loaded_after(tmp_path, command: list, package: str) -> list:
     """Modules of ``package`` loaded in a fresh interpreter after
     ``import pmqcc`` and, unless ``command`` is empty, after running that
-    command on a config that it accepts."""
+    command on a config that it accepts (``simulate-heavy`` is ``simulate``
+    on a config that takes the numpy kernel)."""
     if command[:1] == ["simulate"]:
         config = TestSimulateCommand.CONFIG
+    elif command[:1] == ["simulate-heavy"]:
+        command = ["simulate", *command[1:]]
+        config = HEAVY_SIMULATE_CONFIG
     elif any("decoy" in arg for arg in command):
         config = DECOY_CONFIG
     else:

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from pmqcc import (
     DegenerateGeometryError,
     InsufficientIntensitiesError,
     ParameterError,
+    PMQCCError,
     ProtocolParams,
     decoy_bounds,
     n_cut_for,
@@ -28,6 +31,9 @@ from tests.conftest import bench_channel_at
 from tests.enumeration import enumerated_yields, poisson_weight
 
 ANCHOR_DECOYS = (0.0204583, 0.0182017, 9.27216e-5)
+# seven nonzero decoys for N=6, so small that t_max**k underflows to 0
+# within the sign guard's checked orders
+TINY_DECOYS = (1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 0.0)
 
 
 def anchor_protocol():
@@ -281,6 +287,46 @@ class TestRateLower:
         # is then charged at 1/2
         assert e_x > 0.5
         assert rate_lower(pp, ch).phase_error == 0.5
+
+    def test_underflowing_decoys_raise_a_typed_error(self):
+        # the sign guard divides by t_max**k, and used to raise a bare
+        # ZeroDivisionError here
+        pp = ProtocolParams(n_parties=6, signal_intensity=0.1, slice_count=13,
+                            decoy_intensities=TINY_DECOYS)
+        with pytest.raises(DegenerateGeometryError, match="underflows"):
+            rate_lower(pp, bench_channel_at(10.0))
+
+    def test_overflowing_decoys_raise_a_typed_error(self):
+        for decoys in ((40.0, 30.0, 20.0, 0.0), (800.0, 700.0, 600.0, 0.0)):
+            pp = ProtocolParams(n_parties=3, signal_intensity=1000.0, slice_count=13,
+                                decoy_intensities=decoys)
+            with pytest.raises(DegenerateGeometryError, match="overflows"):
+                rate_lower(pp, bench_channel_at(10.0))
+
+    def test_random_decoy_sets_fail_typed_only(self):
+        # N=3-8, decoys log-uniform from 1e-16 up to the signal: every
+        # draw certifies a rate no higher than the exact one or raises a
+        # PMQCCError
+        rng = random.Random(1016)
+        outcomes = Counter()
+        for _ in range(600):
+            n = rng.randint(3, 8)
+            mu = 10.0 ** rng.uniform(-3.0, 0.0)
+            decoys = sorted(
+                {10.0 ** rng.uniform(-16.0, math.log10(mu)) for _ in range(n_cut_for(n) + 1)},
+                reverse=True,
+            )
+            pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=13,
+                                decoy_intensities=(*decoys, 0.0))
+            ch = bench_channel_at(rng.uniform(0.0, 100.0))
+            try:
+                rate = rate_lower(pp, ch).rate
+            except PMQCCError as exc:
+                outcomes[type(exc).__name__] += 1
+                continue
+            assert rate <= rate_pmqcc(pp, ch).rate
+            outcomes["positive" if rate > 0.0 else "zero"] += 1
+        assert outcomes.keys() == {"positive", "zero", "DegenerateGeometryError"}
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_never_beats_exact_rate_beyond_three_parties(self, n):

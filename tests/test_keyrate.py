@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -312,7 +311,10 @@ class TestRateKernel:
                                  ch.dark_count, transmittance(ch))
             terms = intensity_terms(n, mu, pd, eta, ends, given)
             for m in {pp.slice_count, 3, rng.randint(4, 64)}:
-                pp_m = dataclasses.replace(pp, slice_count=m)
+                pp_m = ProtocolParams(
+                    pp.n_parties, pp.signal_intensity, m, pp.ec_efficiency, pp.decoy_intensities,
+                    pp.signal_phase_misalignment,
+                )
                 prefactor, misalignment = rate_constants(pp_m, sliced)
                 split = slice_rate(terms, f, prefactor, misalignment, sliced)
                 assert split == rate_kernel(n, mu, f, pd, eta, prefactor, misalignment,

@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -313,7 +317,8 @@ class TestKernels:
         def no_pool(*args, **kwargs):
             raise AssertionError("the stdlib kernel started a thread pool")
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        # the simulator imports the pool where it starts one
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         pp, ch = protocol(m=16), channel()
         sc = SimConfig(rounds=200_000, seed=5)
         assert expected_candidates(pp, ch, sc) < montecarlo._numpy_threshold(3, 4)
@@ -380,6 +385,26 @@ class TestKernels:
         assert expected_candidates(pp, ch, sc) >= montecarlo._numpy_threshold(n, chunks)
         tally = run_rounds(pp, ch, sc, workers=workers).to_dict()
         assert {key: tally[key] for key in counts} == counts
+
+    @pytest.mark.parametrize("record,run,counts", PINNED, ids=["n3-0km-mu1", "n4-full-random-offsets"])
+    def test_numpy_kernel_tallies_hold_on_the_baseline_path(self, record, run, counts):
+        # the pins were recorded where numpy dispatches its AVX-512
+        # (X86_V4) exp, cos and sin, whose last bits differ now and then
+        # from the baseline path's
+        script = "\n".join([
+            "import json, sys",
+            "from pmqcc import ChannelParams, ProtocolParams, SimConfig, run_rounds",
+            f"n, mu, m, efficiency, pd = {record!r}",
+            "pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=m)",
+            "ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=efficiency, dark_count=pd)",
+            f"sc = SimConfig(**{run!r})",
+            "print(json.dumps([run_rounds(pp, ch, sc, workers=w).to_dict() for w in (1, 2)]))",
+        ])
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        for tally in json.loads(proc.stdout):
+            assert {key: tally[key] for key in counts} == counts
 
 
 class TestCompensation:

@@ -140,6 +140,12 @@ class TestOptimizeDecoys:
         assert not result.flagged_zero
         assert result.best_rate == rate_lower(result.best_params, ch).rate
 
+    def test_underflowing_search_scores_zero(self):
+        # every start at this signal puts the decoys where t_max**k
+        # underflows; the ladder's typed error scores each point 0
+        result = optimize_decoys(bench_channel_at(10.0), 6, 1e-11, 13, restarts=1, sweeps=2)
+        assert result.flagged_zero and result.best_rate == 0.0 and result.evaluations > 0
+
     def test_start_draws_are_the_seeded_generator_draws(self):
         for r, row in enumerate(START_DRAWS):
             assert row == tuple(np.random.default_rng(1000 + r).random(len(row)).tolist())
