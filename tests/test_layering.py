@@ -4,6 +4,8 @@ sibling's private names."""
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "pmqcc"
 
 
@@ -39,3 +41,13 @@ def test_no_module_imports_a_private_sibling_name():
     assert len(paths) > 1
     offenders = {path.name: private_sibling_imports(path.read_text(encoding="utf-8")) for path in paths}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_every_public_name_resolves_from_its_layer():
+    # ``pmqcc`` imports each name from its module on first use
+    import pmqcc
+
+    for name in pmqcc.__all__:
+        assert getattr(pmqcc, name).__module__.startswith("pmqcc.")
+    with pytest.raises(AttributeError):
+        pmqcc.not_a_name
