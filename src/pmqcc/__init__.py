@@ -21,12 +21,12 @@ _MODULE_OF = {
     ),
     **dict.fromkeys(
         ("DecoyBounds", "DecoyGains", "decoy_bounds", "n_cut_for", "phase_error_upper", "rate_lower",
-         "simulate_decoy_gains", "y2_lower_3party", "yields_lower_general"),
+         "simulate_decoy_gains", "yields_lower_general"),
         "decoy",
     ),
     **dict.fromkeys(
-        ("DegenerateGeometryError", "EnumerationLimitError", "InsufficientDataError",
-         "InsufficientIntensitiesError", "ParameterError", "PMQCCError"),
+        ("DegenerateGeometryError", "InsufficientDataError", "InsufficientIntensitiesError",
+         "ParameterError", "PMQCCError"),
         "errors",
     ),
     **dict.fromkeys(("branch_gain_avg", "branch_qber_avg"), "interference"),
@@ -40,7 +40,6 @@ _MODULE_OF = {
         "montecarlo",
     ),
     **dict.fromkeys(("OptimizationResult", "optimize_decoys", "optimize_signal"), "optimize"),
-    **dict.fromkeys(("BranchSpec", "BranchTopology", "phase_error_rate", "yield_probability"), "yields"),
 }
 _SUBMODULES = frozenset(_MODULE_OF.values()) | {"cli"}
 

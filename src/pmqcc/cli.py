@@ -26,22 +26,17 @@ from .keyrate import OBJECTIVES, RateReport, objective_rate, rate_constants
 
 __all__ = ["main"]
 
-CONFIG_KEYS = {
-    "parties",
+INT_KEYS = ("parties", "slices", "seed", "rounds")
+FLOAT_KEYS = (
     "distance_km",
     "alpha_db_per_km",
     "detector_efficiency",
     "dark_count",
     "f",
-    "slices",
     "mu",
-    "decoys",
     "signal_phase_misalignment",
-    "boundaries",
-    "seed",
-    "rounds",
-    "mode",
-}
+)
+CONFIG_KEYS = {*INT_KEYS, *FLOAT_KEYS, "decoys", "boundaries", "mode"}
 
 PROTOCOLS = (*OBJECTIVES, "decoy-lower")
 
@@ -94,7 +89,46 @@ def load_config(path: str) -> dict:
     unknown = set(raw) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    # every command checks the types of every number in the file, also of
+    # keys it does not read (curve takes its distances from the command line)
+    for key in INT_KEYS:
+        if key in raw:
+            _int(raw, key)
+    for key in FLOAT_KEYS:
+        if key in raw:
+            _float(raw, key)
+    _decoys(raw)
     return raw
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _float(cfg: dict, key: str, default=None) -> float:
+    """The config's ``key`` as a float; a value that is not a JSON number
+    fails as a ``ConfigError`` naming the key."""
+    value = cfg.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _int(cfg: dict, key: str) -> int:
+    """The config's ``key`` as an int.  An integral number such as 3, 3.0
+    or 1e6 passes; 3.7 fails as a ``ConfigError`` naming the key."""
+    value = cfg[key]
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _decoys(cfg: dict) -> tuple:
+    """The config's decoy intensities, a list of numbers, as floats."""
+    decoys = cfg.get("decoys", ())
+    if not isinstance(decoys, (list, tuple)) or not all(map(_is_number, decoys)):
+        raise ConfigError(f"decoys must be a list of numbers, got {decoys!r}")
+    return tuple(map(float, decoys))
 
 
 def _require(cfg: dict, keys) -> None:
@@ -106,22 +140,22 @@ def _require(cfg: dict, keys) -> None:
 def build_channel(cfg: dict) -> ChannelParams:
     _require(cfg, ["distance_km", "alpha_db_per_km", "detector_efficiency", "dark_count"])
     return ChannelParams(
-        loss_rate=float(cfg["alpha_db_per_km"]),
-        distance=float(cfg["distance_km"]),
-        detector_efficiency=float(cfg["detector_efficiency"]),
-        dark_count=float(cfg["dark_count"]),
+        loss_rate=_float(cfg, "alpha_db_per_km"),
+        distance=_float(cfg, "distance_km"),
+        detector_efficiency=_float(cfg, "detector_efficiency"),
+        dark_count=_float(cfg, "dark_count"),
     )
 
 
 def build_protocol(cfg: dict) -> ProtocolParams:
     _require(cfg, ["parties", "mu", "slices", "f"])
     return ProtocolParams(
-        n_parties=int(cfg["parties"]),
-        signal_intensity=float(cfg["mu"]),
-        slice_count=int(cfg["slices"]),
-        ec_efficiency=float(cfg["f"]),
-        decoy_intensities=tuple(float(x) for x in cfg.get("decoys", ())),
-        signal_phase_misalignment=float(cfg.get("signal_phase_misalignment", 0.0)),
+        n_parties=_int(cfg, "parties"),
+        signal_intensity=_float(cfg, "mu"),
+        slice_count=_int(cfg, "slices"),
+        ec_efficiency=_float(cfg, "f"),
+        decoy_intensities=_decoys(cfg),
+        signal_phase_misalignment=_float(cfg, "signal_phase_misalignment", 0.0),
     )
 
 
@@ -135,8 +169,8 @@ def parse_boundaries(cfg: dict) -> tuple:
 def _signal_options(cfg: dict) -> dict:
     """Keyword options of ``optimize_signal`` taken from the config."""
     return {
-        "ec_efficiency": float(cfg["f"]),
-        "signal_phase_misalignment": float(cfg.get("signal_phase_misalignment", 0.0)),
+        "ec_efficiency": _float(cfg, "f"),
+        "signal_phase_misalignment": _float(cfg, "signal_phase_misalignment", 0.0),
         "boundaries": parse_boundaries(cfg),
     }
 
@@ -192,7 +226,7 @@ def _curve_row(length: float, protocol: str, cfg: dict, optimize: str, pp, optio
             from .optimize import optimize_decoys, optimize_signal
 
             objective = protocol if protocol != "decoy-lower" else "pmqcc"
-            result = optimize_signal(ch, int(cfg["parties"]), objective, **options)
+            result = optimize_signal(ch, _int(cfg, "parties"), objective, **options)
             if result.flagged_zero:
                 return _zero_row(length, 0, 0, "infeasible")
             pp = result.best_params
@@ -203,7 +237,7 @@ def _curve_row(length: float, protocol: str, cfg: dict, optimize: str, pp, optio
                     pp.signal_intensity,
                     pp.slice_count,
                     pp.ec_efficiency,
-                    tuple(float(x) for x in cfg.get("decoys", ())),
+                    _decoys(cfg),
                     pp.signal_phase_misalignment,
                 )
             if optimize == "signal+decoys":
@@ -231,6 +265,8 @@ def _curve_row(length: float, protocol: str, cfg: dict, optimize: str, pp, optio
 def cmd_curve(args) -> int:
     cfg = load_config(args.config)
     _require(cfg, ["parties", "alpha_db_per_km", "detector_efficiency", "dark_count", "f"])
+    if not all(map(math.isfinite, (args.l_min, args.l_max, args.l_step))):
+        raise ConfigError("l-min, l-max and l-step must be finite")
     if args.l_min > args.l_max or args.l_step <= 0:
         raise ConfigError("need l-min <= l-max and a positive l-step")
     if args.optimize == "signal+decoys" and args.protocol != "decoy-lower":
@@ -282,8 +318,8 @@ def cmd_simulate(args) -> int:
     pp = build_protocol(cfg)
     ch = build_channel(cfg)
     sc = SimConfig(
-        rounds=int(cfg["rounds"]),
-        seed=int(cfg["seed"]),
+        rounds=_int(cfg, "rounds"),
+        seed=_int(cfg, "seed"),
         mode=cfg.get("mode", "forced-matching"),
     )
     tally = run_rounds(pp, ch, sc, workers=args.workers)
@@ -321,15 +357,15 @@ def cmd_optimize(args) -> int:
     _require(cfg, ["parties", "f"])
     ch = build_channel(cfg)
     if args.target == "signal":
-        result = optimize_signal(ch, int(cfg["parties"]), args.protocol, **_signal_options(cfg))
+        result = optimize_signal(ch, _int(cfg, "parties"), args.protocol, **_signal_options(cfg))
     else:
         _require(cfg, ["mu", "slices"])
         result = optimize_decoys(
             ch,
-            int(cfg["parties"]),
-            float(cfg["mu"]),
-            int(cfg["slices"]),
-            ec_efficiency=float(cfg["f"]),
+            _int(cfg, "parties"),
+            _float(cfg, "mu"),
+            _int(cfg, "slices"),
+            ec_efficiency=_float(cfg, "f"),
         )
     payload = {
         "target": args.target,

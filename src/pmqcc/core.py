@@ -138,9 +138,9 @@ class ChannelParams(Record):
 
     def __init__(self, loss_rate: float, distance: float, detector_efficiency: float, dark_count: float):
         super().__init__(loss_rate, distance, detector_efficiency, dark_count)
-        if self.loss_rate < 0.0:
+        if not self.loss_rate >= 0.0:
             raise ParameterError(f"loss_rate must be >= 0, got {self.loss_rate}")
-        if self.distance < 0.0:
+        if not self.distance >= 0.0:
             raise ParameterError(f"distance must be >= 0, got {self.distance}")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ParameterError(

@@ -16,9 +16,9 @@ sign pattern is asserted at runtime: a violation (or an ill-conditioned
 combination) raises ``DegenerateGeometryError`` instead of silently
 returning an unsafe bound.
 
-For three nonzero decoys the m=2 rung reduces to a closed form, kept
-separately as ``y2_lower_3party`` and pinned against the general ladder
-by the test suite.
+For three nonzero decoys the m=2 rung reduces to a closed form; the
+test suite keeps that closed form as an oracle and pins the ladder
+against it.
 
 The ladder runs on plain floats.  Its dot products round once per term,
 as a fused multiply-add does (``_fused_dot``), which is how numpy's BLAS
@@ -45,7 +45,6 @@ __all__ = [
     "DecoyBounds",
     "n_cut_for",
     "simulate_decoy_gains",
-    "y2_lower_3party",
     "yields_lower_general",
     "phase_error_upper",
     "check_decoy_set",
@@ -279,29 +278,6 @@ def _scaled_gain_excesses(g: DecoyGains, scale: float, intensities):
     return ts, a_values
 
 
-def y2_lower_3party(g: DecoyGains) -> float:
-    """Closed-form Y_2 lower bound from exactly three nonzero decoys
-    plus vacuum (three-party network, virtual intensities 2x)."""
-    if len(g.intensities) != 3:
-        raise InsufficientIntensitiesError(
-            f"the closed form needs exactly 3 nonzero decoys, got {len(g.intensities)}"
-        )
-    nu, om, ta = g.intensities
-    tn, to, tt = 2.0 * nu, 2.0 * om, 2.0 * ta
-    _check_separation([tn, to, tt])
-    q0 = g.vacuum_gain
-    a_nu = math.exp(tn) * g.gains[0] - q0
-    a_om = math.exp(to) * g.gains[1] - q0
-    a_ta = math.exp(tt) * g.gains[2] - q0
-    c_no3 = to * tn**3 - tn * to**3
-    c_ot3 = tt * to**3 - to * tt**3
-    num = c_no3 * (tt * a_om - to * a_ta) - c_ot3 * (to * a_nu - tn * a_om)
-    den = c_no3 * (tt * to**2 - to * tt**2) - c_ot3 * (to * tn**2 - tn * to**2)
-    if den <= 0.0:
-        raise DegenerateGeometryError("closed-form denominator is not positive")
-    return float(min(max(2.0 * num / den, 0.0), 1.0))
-
-
 def yields_lower_general(
     g: DecoyGains, total_intensity_scale: float, n_cut: int
 ) -> DecoyBounds:
@@ -309,7 +285,7 @@ def yields_lower_general(
 
     The Y_m rung eliminates orders {1..m-1, m+1} using the m+1 smallest
     nonzero intensities (all three of them in the three-party case,
-    where the rung reproduces the closed form exactly).
+    where the rung reproduces the three-party closed form).
     """
     if n_cut < 2 or n_cut % 2 != 0:
         raise ParameterError(f"n_cut must be a positive even integer, got {n_cut}")

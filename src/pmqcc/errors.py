@@ -26,7 +26,3 @@ class InsufficientIntensitiesError(PMQCCError, ValueError):
 
 class InsufficientDataError(PMQCCError, RuntimeError):
     """A tally holds too few events to support the requested estimate."""
-
-
-class EnumerationLimitError(PMQCCError, RuntimeError):
-    """A combinatorial enumeration would exceed the configured term cap."""

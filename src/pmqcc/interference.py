@@ -23,7 +23,7 @@ import math
 from .core import intrinsic_misalignment
 from .errors import ParameterError
 
-__all__ = ["branch_gain_avg", "branch_qber_avg", "sliced_qber"]
+__all__ = ["branch_gain_avg", "branch_qber_avg"]
 
 
 def branch_gain_avg(arrival_intensity: float, dark_count: float) -> float:
@@ -39,12 +39,7 @@ def branch_gain_avg(arrival_intensity: float, dark_count: float) -> float:
 def branch_qber_avg(arrival_intensity: float, dark_count: float, slice_count: int) -> float:
     """Slice-averaged branch QBER closed form,
     E = (p_d + a e_delta(M)) e^-a / Q."""
-    return sliced_qber(arrival_intensity, dark_count, intrinsic_misalignment(slice_count))
-
-
-def sliced_qber(arrival_intensity: float, dark_count: float, misalignment: float) -> float:
-    """``branch_qber_avg`` at a given slice misalignment e_delta, so that a
-    caller sweeping the intensity at fixed M evaluates e_delta(M) once."""
+    misalignment = intrinsic_misalignment(slice_count)
     return sliced_qber_at_gain(
         branch_gain_avg(arrival_intensity, dark_count),
         math.exp(-arrival_intensity),
@@ -57,9 +52,10 @@ def sliced_qber(arrival_intensity: float, dark_count: float, misalignment: float
 def sliced_qber_at_gain(
     gain: float, attenuation: float, arrival_intensity: float, dark_count: float, misalignment: float
 ) -> float:
-    """``sliced_qber`` for a caller that holds the branch gain Q and the
-    attenuation e^-a already (the rate kernel), so that a sweep over M at
-    fixed intensity computes neither again."""
+    """``branch_qber_avg`` at slice misalignment e_delta, for a caller that
+    holds the branch gain Q and the attenuation e^-a already (the rate
+    kernel), so that a sweep over M at fixed intensity computes neither
+    again."""
     if gain <= 0.0:
         raise ParameterError("branch gain underflowed to 0; no QBER is defined")
     return (dark_count + arrival_intensity * misalignment) * attenuation / gain

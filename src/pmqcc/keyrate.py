@@ -29,9 +29,11 @@ terms.
 The phase error E_X is the closed form of ``chain_phase_error``: by
 Poisson thinning the branch photon numbers are independent Poisson
 variables, so the odd-photon-number share of the gain factorizes over
-the branches into an O(branches) product with no truncation.  The
-enumeration oracle in ``yields`` builds its branch records from the
-same helpers (``merge_arms``, ``chain_branches``, ``parity_phase_error``).
+the branches into an O(branches) product with no truncation.  A chain
+is its branches, the (virtual intensity, survival) pairs that
+``chain_branches`` builds (with ``merge_arms`` for a broken end); the
+photon-number enumeration that pins the closed form, in the test suite,
+takes the same pairs.
 
 ``objective_rate`` picks one of the three rates by its objective name
 (``OBJECTIVES``), for the command line and the signal optimizer.

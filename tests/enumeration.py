@@ -1,13 +1,19 @@
 """Enumeration reference for the closed-form gain and phase error.
 
-Every sum here has nonnegative terms only, so no sum can cancel digits
-away; the functions are slow and exist to pin the product code.
+A chain is given by its branches, the (virtual intensity t, survival s)
+pairs that ``pmqcc.keyrate.chain_branches`` builds, and the dark count
+p_d shared by every branch.  Every sum here has nonnegative terms only,
+so no sum can cancel digits away; the functions are slow and exist to
+pin the product code.
 
+* ``yield_probability`` is Y_k, the probability that every branch
+  succeeds when the k photons of the combined virtual source land in
+  branch l with probability t_l / sum(t), by exact enumeration over the
+  branch occupation compositions of k (with a term cap).
 * ``enumerated_yields`` / ``enumerated_gain`` / ``enumerated_phase_error``
-  mix the composition-enumerated yields ``yield_probability(topology, k)``
-  with Poisson weights of the total virtual intensity, up to the cutoff
-  ``truncation_order``.  The cost grows like C(K + B, B) in the branch
-  count B, so these serve up to ~4 branches.
+  mix those yields with Poisson weights of the total virtual intensity,
+  up to the cutoff ``truncation_order``.  The cost grows like C(K + B, B)
+  in the branch count B, so these serve up to ~4 branches.
 * ``branchwise_phase_error`` uses Poisson thinning instead: branch l holds
   an independent Poisson(t_l) photon number, so the even- and odd-parity
   success masses of each branch are sums over n alone, and the chain's
@@ -21,7 +27,12 @@ import math
 from dataclasses import dataclass
 
 from pmqcc import ParameterError
-from pmqcc.yields import BranchTopology, yield_probability
+
+TERM_CAP = 10_000_000
+
+
+class EnumerationLimitError(RuntimeError):
+    """A composition enumeration would exceed the term cap."""
 
 
 @dataclass(frozen=True)
@@ -66,45 +77,100 @@ def truncation_order(total_intensity: float) -> int:
     return int(math.ceil(t + 12.0 * math.sqrt(t) + 30.0))
 
 
-def enumerated_yields(topology: BranchTopology, k_max: int | None = None) -> list:
+def total_intensity(branches) -> float:
+    """Mean photon number of the chain's combined virtual source."""
+    return sum(t for t, _ in branches)
+
+
+def success_factor(survival: float, pd: float, n: int) -> float:
+    """Probability that a branch holding n photons of per-photon survival
+    s registers exactly one click, (1-p_d)(1 - (1-2p_d)(1-s)^n), formed
+    as (1-p_d)(1 - (1-s)^n + 2p_d (1-s)^n) so that nothing cancels at
+    small s."""
+    s = survival
+    # 1 - (1-s)^n; at s = 1 every photon arrives
+    hit = -math.expm1(n * math.log1p(-s)) if s < 1.0 else float(n > 0)
+    return (1.0 - pd) * (hit + 2.0 * pd * (1.0 - s) ** n)
+
+
+def yield_probability(branches, pd: float, k: int, term_cap: int = TERM_CAP) -> float:
+    """Y_k by exact enumeration over compositions (n_1, .., n_B) of k.
+
+    The success factors are tabulated per branch and photon count; the
+    composition count C(k+B-1, B-1) is checked against ``term_cap``
+    before enumerating.
+    """
+    if not isinstance(k, int) or k < 0:
+        raise ParameterError(f"k must be a nonnegative integer, got {k}")
+    nb = len(branches)
+    n_terms = math.comb(k + nb - 1, nb - 1)
+    if n_terms > term_cap:
+        raise EnumerationLimitError(
+            f"{n_terms} compositions of k={k} over {nb} branches exceed the cap {term_cap}"
+        )
+    total_v = total_intensity(branches)
+    log_ws = [math.log(t / total_v) for t, _ in branches]
+    factors = [[success_factor(s, pd, n) for n in range(k + 1)] for _, s in branches]
+    log_fact = [math.lgamma(n + 1) for n in range(k + 1)]
+
+    total = 0.0
+
+    def recurse(level: int, remaining: int, log_w_acc: float, f_acc: float):
+        nonlocal total
+        if level == nb - 1:
+            n = remaining
+            logp = log_fact[k] - log_fact[n] + n * log_ws[level] + log_w_acc
+            total += math.exp(logp) * f_acc * factors[level][n]
+            return
+        for n in range(remaining + 1):
+            recurse(
+                level + 1,
+                remaining - n,
+                log_w_acc + n * log_ws[level] - log_fact[n],
+                f_acc * factors[level][n],
+            )
+
+    if nb == 1:
+        return factors[0][k]
+    recurse(0, k, 0.0, 1.0)
+    return min(max(total, 0.0), 1.0)
+
+
+def enumerated_yields(branches, pd: float, k_max: int | None = None) -> list:
     """Y_0 .. Y_K by composition enumeration, K = truncation_order(t) by default."""
     if k_max is None:
-        k_max = truncation_order(topology.total_virtual_intensity)
-    return [yield_probability(topology, k) for k in range(k_max + 1)]
+        k_max = truncation_order(total_intensity(branches))
+    return [yield_probability(branches, pd, k) for k in range(k_max + 1)]
 
 
-def _parity_masses(topology: BranchTopology, yields) -> tuple:
-    t = topology.total_virtual_intensity
+def _parity_masses(branches, yields) -> tuple:
+    t = total_intensity(branches)
     even = sum(poisson_weight(t, k) * y for k, y in enumerate(yields) if k % 2 == 0)
     odd = sum(poisson_weight(t, k) * y for k, y in enumerate(yields) if k % 2 == 1)
     return even, odd
 
 
-def enumerated_gain(topology: BranchTopology, k_max: int | None = None) -> float:
+def enumerated_gain(branches, pd: float, k_max: int | None = None) -> float:
     """Overall gain sum_k P_t(k) Y_k over the enumerated yields."""
-    return sum(_parity_masses(topology, enumerated_yields(topology, k_max)))
+    return sum(_parity_masses(branches, enumerated_yields(branches, pd, k_max)))
 
 
-def enumerated_phase_error(topology: BranchTopology, k_max: int | None = None) -> float:
+def enumerated_phase_error(branches, pd: float, k_max: int | None = None) -> float:
     """E_X = sum_{k odd} P_t(k) Y_k / sum_k P_t(k) Y_k over the enumerated yields."""
-    even, odd = _parity_masses(topology, enumerated_yields(topology, k_max))
+    even, odd = _parity_masses(branches, enumerated_yields(branches, pd, k_max))
     return odd / (even + odd)
 
 
-def branchwise_phase_error(topology: BranchTopology) -> float:
+def branchwise_phase_error(branches, pd: float) -> float:
     """E_X from per-branch even/odd success masses, each a sum over the
     branch's own Poisson photon number n <= truncation_order(t_l).  The
     running masses are renormalized after each branch so that long chains
     do not underflow."""
-    pd = topology.dark_count
     even, odd = 1.0, 0.0
-    for b in topology.branches:
-        s, masses = b.survival, [0.0, 0.0]
-        for n in range(truncation_order(b.virtual_intensity) + 1):
-            # 1 - (1-s)^n, free of cancellation at small s
-            hit = -math.expm1(n * math.log1p(-s)) if s < 1.0 else float(n > 0)
-            success = (1.0 - pd) * (hit + 2.0 * pd * (1.0 - s) ** n)
-            masses[n % 2] += poisson_weight(b.virtual_intensity, n) * success
+    for t, s in branches:
+        masses = [0.0, 0.0]
+        for n in range(truncation_order(t) + 1):
+            masses[n % 2] += poisson_weight(t, n) * success_factor(s, pd, n)
         e_l, o_l = masses
         even, odd = even * e_l + odd * o_l, even * o_l + odd * e_l
         even, odd = even / (even + odd), odd / (even + odd)

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from pmqcc import (
-    BranchTopology,
     ChannelParams,
     DecoyGains,
     DegenerateGeometryError,
@@ -30,7 +29,6 @@ from pmqcc import (
     estimate,
     n_cut_for,
     optimize_signal,
-    phase_error_rate,
     phase_error_upper,
     rate_lower,
     rate_pmqcc,
@@ -38,12 +36,12 @@ from pmqcc import (
     run_rounds,
     scaling_exponent,
     tally_expectation,
-    y2_lower_3party,
-    yield_probability,
     yields_lower_general,
 )
+from pmqcc.keyrate import chain_branches, parity_phase_error
 from tests.conftest import bench_channel_at
-from tests.enumeration import enumerated_gain
+from tests.enumeration import enumerated_gain, yield_probability
+from tests.three_party_ladder import y2_lower_3party
 
 # benchmark channel: 0.2 dB/km, eta_d = 0.65, p_d = 7.2e-8, f = 1.16
 TABLE_I = [
@@ -148,8 +146,8 @@ def test_c05_oracle_gain_equivalence():
         for eta in (0.0065, 0.065, 0.5):
             for pd in (0.0, 1e-7):
                 for n in (2, 3, 4):
-                    topo = BranchTopology.symmetric(n, mu, eta, pd)
-                    oracle = enumerated_gain(topo)
+                    branches = chain_branches(n, mu, eta, (False, False))
+                    oracle = enumerated_gain(branches, pd)
                     analytic = branch_gain_avg(eta * mu, pd) ** (n - 1)
                     worst = max(worst, abs(oracle / analytic - 1.0))
     elapsed = time.perf_counter() - start
@@ -178,10 +176,10 @@ def test_c06_decoy_safety_randomized():
         q_mu = branch_gain_avg(eta * mu, pd) ** 2
         e_x_up = phase_error_upper({2: y2_low}, mu, q_mu, gains.vacuum_gain, 3)
 
-        topo = BranchTopology.symmetric(3, mu, eta, pd)
-        if y2_low > yield_probability(topo, 2) * (1.0 + 1e-9):
+        branches = chain_branches(3, mu, eta, (False, False))
+        if y2_low > yield_probability(branches, pd, 2) * (1.0 + 1e-9):
             violations += 1
-        if e_x_up < phase_error_rate(topo) * (1.0 - 1e-9):
+        if e_x_up < parity_phase_error(branches, pd) * (1.0 - 1e-9):
             violations += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
@@ -217,11 +215,11 @@ def test_c06_decoy_safety_randomized_general_ladder(n_parties):
         q_mu = branch_gain_avg(eta * mu, pd) ** (n_parties - 1)
         e_x_up = phase_error_upper(y_low, mu, q_mu, gains.vacuum_gain, n_parties)
 
-        topo = BranchTopology.symmetric(n_parties, mu, eta, pd)
+        branches = chain_branches(n_parties, mu, eta, (False, False))
         for m, bound in y_low.items():
-            if bound > yield_probability(topo, m) * (1.0 + 1e-9):
+            if bound > yield_probability(branches, pd, m) * (1.0 + 1e-9):
                 violations += 1
-        if e_x_up < phase_error_rate(topo) * (1.0 - 1e-9):
+        if e_x_up < parity_phase_error(branches, pd) * (1.0 - 1e-9):
             violations += 1
     elapsed = time.perf_counter() - start
     assert checked >= 150, f"only {checked} of 200 draws passed the ladder's own checks"

@@ -68,6 +68,32 @@ class TestRateCommand:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("change,key", [
+        pytest.param({"parties": 3.7}, "parties", id="fractional-parties"),
+        pytest.param({"slices": 13.9}, "slices", id="fractional-slices"),
+        pytest.param({"parties": "x"}, "parties", id="string-parties"),
+        pytest.param({"decoys": 0.1}, "decoys", id="decoys-not-a-list"),
+        pytest.param({"distance_km": "ten"}, "distance_km", id="string-distance"),
+        # rate reads no seed, but every command checks the whole file
+        pytest.param({"seed": 1.5}, "seed", id="fractional-seed"),
+    ])
+    def test_config_type_error_names_the_key(self, tmp_path, capsys, change, key):
+        cfg = write_config(tmp_path, {**TABLE_CONFIG, **change})
+        code, out, err = run_cli(["rate", cfg], capsys)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"{key} must be")
+
+    def test_integral_floats_count_as_integers(self, tmp_path, capsys):
+        # 3.0 and 13.0 are the integers 3 and 13; only the echoed config differs
+        exact = run_cli(["rate", write_config(tmp_path, TABLE_CONFIG)], capsys)
+        integral = run_cli(["rate", write_config(tmp_path, {**TABLE_CONFIG, "parties": 3.0,
+                                                             "slices": 13.0})], capsys)
+        assert integral[0] == exact[0] == 0
+        drop_config = lambda out: {k: v for k, v in json.loads(out).items() if k != "config"}
+        assert drop_config(integral[1]) == drop_config(exact[1])
+
     def test_decoy_lower_needs_four_intensities(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {**TABLE_CONFIG, "decoys": [0.0204583, 0.0182017, 9.27216e-5]}
@@ -156,6 +182,15 @@ class TestCurveCommand:
             ["curve", cfg, "--l-min", "80", "--l-max", "50", "--l-step", "10"], capsys
         )
         assert code == 2
+        # non-finite bounds: an infinite l-max never ended the row loop, a NaN
+        # l-step printed one row and a NaN l-min only the header, with exit 0
+        for l_min, l_max, l_step in (("0", "inf", "10"), ("0", "50", "nan"), ("nan", "50", "10"),
+                                     ("-inf", "50", "10"), ("0", "50", "inf")):
+            code, out, err = run_cli(
+                ["curve", cfg, f"--l-min={l_min}", f"--l-max={l_max}", f"--l-step={l_step}"], capsys
+            )
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"]["type"] == "ConfigError"
 
     @pytest.mark.parametrize("optimize,change,protocol", [
         pytest.param("none", {"mu": -0.1}, "pmqcc", id="negative-mu"),
@@ -177,6 +212,17 @@ class TestCurveCommand:
                      id="signal-f-below-1-and-bad-boundaries"),
         pytest.param("signal", {"detector_efficiency": 1.5, "boundaries": "right"}, "pmqcc",
                      id="signal-bad-detector-and-bad-boundaries"),
+        # values of the wrong type: a fractional integer used to be truncated
+        # (N=3, M=13), the others ended in a traceback and exit 1
+        pytest.param("none", {"parties": 3.7}, "pmqcc", id="fractional-parties"),
+        pytest.param("signal", {"parties": 3.7}, "pmqcc", id="signal-fractional-parties"),
+        pytest.param("none", {"slices": 13.9}, "pmqcc", id="fractional-slices"),
+        pytest.param("none", {"parties": "x"}, "pmqcc", id="string-parties"),
+        pytest.param("none", {"decoys": 0.1}, "pmqcc", id="decoys-not-a-list"),
+        pytest.param("signal", {"decoys": [0.02, "0.01", 0.0]}, "decoy-lower",
+                     id="signal-decoys-string-entry"),
+        pytest.param("none", {"distance_km": "ten"}, "pmqcc", id="string-distance"),
+        pytest.param("none", {"mu": True}, "pmqcc", id="boolean-mu"),
     ])
     def test_config_that_rate_rejects_exits_2(self, tmp_path, capsys, optimize, change, protocol):
         # this used to exit 0 with every row flagged error:ParameterError

@@ -176,3 +176,8 @@ class TestParams:
             ChannelParams(0.2, 50.0, 0.0, 0.0)
         with pytest.raises(ParameterError):
             ChannelParams(0.2, 50.0, 0.65, 1.0)
+        # NaN fails every comparison, so the range checks must not pass it
+        with pytest.raises(ParameterError, match="loss_rate"):
+            ChannelParams(math.nan, 50.0, 0.65, 0.0)
+        with pytest.raises(ParameterError, match="distance"):
+            ChannelParams(0.2, math.nan, 0.65, 0.0)

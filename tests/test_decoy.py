@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from pmqcc import (
-    BranchTopology,
     ChannelParams,
     DecoyGains,
     DegenerateGeometryError,
@@ -16,19 +15,18 @@ from pmqcc import (
     ProtocolParams,
     decoy_bounds,
     n_cut_for,
-    phase_error_rate,
     phase_error_upper,
     rate_lower,
     rate_pmqcc,
     simulate_decoy_gains,
     transmittance,
-    y2_lower_3party,
-    yield_probability,
     yields_lower_general,
 )
 from pmqcc.decoy import _fused_dot
+from pmqcc.keyrate import chain_branches, parity_phase_error
 from tests.conftest import bench_channel_at
-from tests.enumeration import enumerated_yields, poisson_weight
+from tests.enumeration import enumerated_yields, poisson_weight, yield_probability
+from tests.three_party_ladder import y2_lower_3party
 
 ANCHOR_DECOYS = (0.0204583, 0.0182017, 9.27216e-5)
 # seven nonzero decoys for N=6, so small that t_max**k underflows to 0
@@ -214,11 +212,11 @@ class TestPhaseErrorUpper:
     def test_infinite_decoy_surrogate(self):
         # feeding the true even yields as bounds leaves exactly the dropped
         # even tail as the gap above the true phase-error rate
-        topo = BranchTopology.symmetric(3, 0.104815, 6.5e-4, 7.2e-8)
-        yields = enumerated_yields(topo)
+        branches = chain_branches(3, 0.104815, 6.5e-4, (False, False))
+        yields = enumerated_yields(branches, 7.2e-8)
         t = 2.0 * 0.104815
         q_oracle = sum(poisson_weight(t, k) * y for k, y in enumerate(yields))
-        e_x = phase_error_rate(topo)
+        e_x = parity_phase_error(branches, 7.2e-8)
         y_true = {2: yields[2]}
         e_x_u = phase_error_upper(y_true, 0.104815, q_oracle, yields[0], 3)
         assert e_x_u >= e_x
@@ -277,10 +275,10 @@ class TestRateLower:
         ch = bench_channel_at(50.0)
         bounds = decoy_bounds(pp, ch)
         assert set(bounds.y_lower) == {2, 4}
-        topo = BranchTopology.symmetric(4, 0.1, transmittance(ch), ch.dark_count)
-        e_x = phase_error_rate(topo)
-        assert bounds.y_lower[2] <= yield_probability(topo, 2) * (1.0 + 1e-12)
-        assert bounds.y_lower[4] <= yield_probability(topo, 4) * (1.0 + 1e-12)
+        branches = chain_branches(4, 0.1, transmittance(ch), (False, False))
+        e_x = parity_phase_error(branches, ch.dark_count)
+        assert bounds.y_lower[2] <= yield_probability(branches, ch.dark_count, 2) * (1.0 + 1e-12)
+        assert bounds.y_lower[4] <= yield_probability(branches, ch.dark_count, 4) * (1.0 + 1e-12)
         assert bounds.phase_error_upper >= e_x
         # with three branches the odd orders dominate the gain, pushing the
         # true phase error above 1/2 where H is decreasing; the privacy term

@@ -1,4 +1,5 @@
-"""Every demo runs to completion against the package in ``src``."""
+"""Every demo runs to completion against the package in ``src`` and
+prints the stdout recorded in ``tests/golden/demo-<name>.txt``."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN_DIR = Path(__file__).with_name("golden")
 
 
 def test_all_six_demos_found():
@@ -20,3 +22,4 @@ def test_demo_exits_0(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / f"demo-{demo.stem}.txt").read_text(encoding="utf-8")

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pmqcc import (
-    BranchTopology,
     ChannelParams,
     InsufficientDataError,
     ParameterError,
@@ -20,10 +19,17 @@ from pmqcc import (
     rate_reduced,
     scaling_exponent,
     binary_entropy,
-    phase_error_rate,
     transmittance,
 )
-from pmqcc.keyrate import intensity_terms, key_rate, rate_constants, rate_kernel, slice_rate
+from pmqcc.keyrate import (
+    chain_branches,
+    intensity_terms,
+    key_rate,
+    parity_phase_error,
+    rate_constants,
+    rate_kernel,
+    slice_rate,
+)
 from pmqcc.montecarlo import _branch_probabilities
 from pmqcc.optimize import MU_BOUNDS
 from tests.conftest import bench_channel_at
@@ -124,11 +130,12 @@ class TestRatePMQCC:
 
     def test_gain_consistent_with_yield_oracle(self, bench_channel, bench_protocol):
         report = rate_pmqcc(bench_protocol, bench_channel)
-        topo = BranchTopology.symmetric(
-            3, bench_protocol.signal_intensity, transmittance(bench_channel),
-            bench_channel.dark_count,
+        branches = chain_branches(
+            3, bench_protocol.signal_intensity, transmittance(bench_channel), (False, False)
         )
-        assert report.gain == pytest.approx(enumerated_gain(topo), rel=5e-3)
+        assert report.gain == pytest.approx(
+            enumerated_gain(branches, bench_channel.dark_count), rel=5e-3
+        )
 
     def test_dark_count_floor(self):
         # eta underflows to 0: only dark counts click, and the phase error is
@@ -255,8 +262,8 @@ def reference_rate(pp, ch, sliced, boundaries, phase_error=None) -> float:
         branch_e = qber_star(arrival, ch.dark_count, pp.signal_phase_misalignment)
     marginals = [marginal_qber(branch_e, m) for m in range(2, n + 1)]
     if phase_error is None:
-        topo = BranchTopology.chain(n, pp.signal_intensity, eta, ch.dark_count, boundaries)
-        phase_error = phase_error_rate(topo)
+        branches = chain_branches(n, pp.signal_intensity, eta, boundaries)
+        phase_error = parity_phase_error(branches, ch.dark_count)
     leak = pp.ec_efficiency * max(binary_entropy(e) for e in marginals)
     return max(prefactor * gain * (1.0 - (leak + binary_entropy(phase_error))), 0.0)
 
