@@ -42,6 +42,10 @@ PROTOCOLS = (*OBJECTIVES, "decoy-lower")
 
 CSV_HEADER = "L_km,rate,gain,qber_max,phase_error,mu,M,flag"
 
+# the most rows a curve may have; a wider range fails before any row is
+# computed rather than running until it is killed
+MAX_CURVE_ROWS = 100_000
+
 
 def _fmt(x) -> str:
     """12-significant-digit scientific notation (a valid JSON number)."""
@@ -269,6 +273,14 @@ def cmd_curve(args) -> int:
         raise ConfigError("l-min, l-max and l-step must be finite")
     if args.l_min > args.l_max or args.l_step <= 0:
         raise ConfigError("need l-min <= l-max and a positive l-step")
+    lengths, length = [], args.l_min
+    while length <= args.l_max + 1e-9:
+        if len(lengths) == MAX_CURVE_ROWS:
+            raise ConfigError(f"the distance range needs more than {MAX_CURVE_ROWS} rows")
+        if length + args.l_step == length:
+            raise ConfigError(f"an l-step of {args.l_step} leaves the distance {length} unchanged")
+        lengths.append(length)
+        length += args.l_step
     if args.optimize == "signal+decoys" and args.protocol != "decoy-lower":
         raise ConfigError("--optimize signal+decoys needs --protocol decoy-lower")
     # parameters that hold at every distance are checked here, once, so that
@@ -300,12 +312,8 @@ def cmd_curve(args) -> int:
         if args.optimize == "signal+decoys":
             check_decoy_search(fixed.n_parties)
         options = _signal_options(cfg)
-    lines = [CSV_HEADER]
-    length = args.l_min
-    while length <= args.l_max + 1e-9:
-        lines.append(_curve_row(length, args.protocol, cfg, args.optimize, pp, options))
-        length += args.l_step
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = (_curve_row(length, args.protocol, cfg, args.optimize, pp, options) for length in lengths)
+    _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0
 
 

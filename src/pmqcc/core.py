@@ -138,10 +138,12 @@ class ChannelParams(Record):
 
     def __init__(self, loss_rate: float, distance: float, detector_efficiency: float, dark_count: float):
         super().__init__(loss_rate, distance, detector_efficiency, dark_count)
-        if not self.loss_rate >= 0.0:
-            raise ParameterError(f"loss_rate must be >= 0, got {self.loss_rate}")
-        if not self.distance >= 0.0:
-            raise ParameterError(f"distance must be >= 0, got {self.distance}")
+        for name in ("loss_rate", "distance"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ParameterError(f"{name} must be >= 0, got {value}")
+            if value == math.inf:
+                raise ParameterError(f"{name} must be finite, got {value}")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ParameterError(
                 f"detector_efficiency must lie in (0, 1], got {self.detector_efficiency}"

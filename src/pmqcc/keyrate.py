@@ -12,21 +12,17 @@ assembly:
   leaves per-branch gain/QBER unchanged but inflates the virtual-source
   intensity and with it the phase-error rate.
 
-The assembly has two layers.  ``rate_kernel`` takes plain floats and the
-distance-free constants of ``rate_constants`` and returns the raw rate
-and its parts.  ``key_rate`` takes the validated parameter records,
-calls the kernel and reports the result.
-
-The kernel is two steps.  ``intensity_terms`` computes what depends on
-the signal intensity alone: the branch gain, Q^(N-1), the O(N) phase
+The assembly is two steps.  ``intensity_terms`` computes what depends
+on the signal intensity alone: the branch gain, Q^(N-1), the O(N) phase
 error and its entropy.  ``slice_rate`` adds what depends on the slice
-count M through the prefactor and the misalignment: the branch QBER,
-the marginals, the leak and R; it is the only place R is formed.  The
-signal optimizer calls the two steps directly, so a sweep over the
-intensity builds no records and a sweep over M shares the intensity
-terms.
+count M through the distance-free constants of ``rate_constants`` (the
+prefactor and the misalignment): the branch QBER, the marginals, the
+leak and R; it is the only place R is formed.  ``key_rate`` takes the
+validated parameter records and runs the two steps; the signal optimizer
+calls them directly, so a sweep over the intensity builds no records and
+a sweep over M shares the intensity terms.
 
-The phase error E_X is the closed form of ``chain_phase_error``: by
+The phase error E_X is the closed form of ``parity_phase_error``: by
 Poisson thinning the branch photon numbers are independent Poisson
 variables, so the odd-photon-number share of the gain factorizes over
 the branches into an O(branches) product with no truncation.  A chain
@@ -59,12 +55,10 @@ from .interference import branch_gain_avg, sliced_qber_at_gain
 
 __all__ = [
     "RateReport",
-    "chain_phase_error",
     "intensity_terms",
     "marginal_qber",
     "qber_star",
     "rate_constants",
-    "rate_kernel",
     "rate_pmqcc",
     "rate_pmqcc_star",
     "rate_reduced",
@@ -131,7 +125,7 @@ def qber_star(arrival_intensity: float, dark_count: float, misalignment: float) 
 def _qber_star_at_gain(
     gain: float, arrival_intensity: float, dark_count: float, misalignment: float
 ) -> float:
-    """``qber_star`` given the branch gain Q, which the rate kernel holds."""
+    """``qber_star`` given the branch gain Q, which ``slice_rate`` holds."""
     if not 0.0 <= misalignment <= 0.5:
         raise ParameterError(f"misalignment must lie in [0, 0.5], got {misalignment}")
     if gain <= 0.0:
@@ -205,13 +199,6 @@ def parity_phase_error(branches, pd: float) -> float:
     return (1.0 - ratio) / 2.0
 
 
-def chain_phase_error(n_parties: int, mu: float, eta: float, dark_count: float, boundaries: tuple) -> float:
-    """Phase error of the chain with the given broken ends, from plain
-    floats.  It does not check the ranges of mu, eta and p_d: callers pass
-    validated parameters."""
-    return parity_phase_error(chain_branches(n_parties, mu, eta, boundaries), dark_count)
-
-
 def rate_constants(pp: ProtocolParams, sliced: bool = True) -> tuple:
     """The distance-free constants of a rate: the sifting prefactor and the
     branch misalignment.  Sliced, these are (2/M)^(N-1) and e_delta(M),
@@ -246,7 +233,7 @@ def intensity_terms(
     if phase_error is None:
         # eta = 0 is the dark-count floor: survival-0 branches leave the
         # parity mass of the virtual source
-        phase_error = chain_phase_error(n, mu, eta, pd, boundaries)
+        phase_error = parity_phase_error(chain_branches(n, mu, eta, boundaries), pd)
     return (
         n, pd, arrival, branch_gain, math.exp(-arrival), branch_gain ** (n - 1),
         phase_error, binary_entropy(phase_error),
@@ -291,30 +278,6 @@ def slice_rate(terms: tuple, f: float, prefactor: float, misalignment: float, sl
     return raw, gain, tuple(marginals), phase_error
 
 
-def rate_kernel(
-    n: int,
-    mu: float,
-    f: float,
-    pd: float,
-    eta: float,
-    prefactor: float,
-    misalignment: float,
-    sliced: bool,
-    boundaries: tuple,
-    phase_error: float | None = None,
-) -> tuple:
-    """(raw rate, gain, marginal QBERs, E_X) from plain floats:
-    ``slice_rate`` on the ``intensity_terms``.
-
-    ``prefactor`` and ``misalignment`` come from ``rate_constants``.  The
-    other inputs are those of validated ``ProtocolParams`` and
-    ``ChannelParams``: party count, signal intensity, error-correction
-    efficiency, dark count and transmittance.
-    """
-    terms = intensity_terms(n, mu, pd, eta, boundaries, phase_error)
-    return slice_rate(terms, f, prefactor, misalignment, sliced)
-
-
 def key_rate(
     pp: ProtocolParams,
     ch: ChannelParams,
@@ -323,7 +286,8 @@ def key_rate(
     boundaries: tuple = (False, False),
     phase_error: float | None = None,
 ) -> RateReport:
-    """The rate report of ``rate_kernel`` for every protocol variant.
+    """The rate report of every protocol variant: ``slice_rate`` on the
+    ``intensity_terms`` of the validated records.
 
     ``sliced`` selects the phase-sliced prefactor (2/M)^(N-1) and the
     slice-misalignment branch QBER; otherwise the prefactor is 1 and the
@@ -332,18 +296,10 @@ def key_rate(
     supplies one (the decoy-certified bound).
     """
     prefactor, misalignment = rate_constants(pp, sliced)
-    raw, gain, marginals, phase_error = rate_kernel(
-        pp.n_parties,
-        pp.signal_intensity,
-        pp.ec_efficiency,
-        ch.dark_count,
-        transmittance(ch),
-        prefactor,
-        misalignment,
-        sliced,
-        boundaries,
-        phase_error,
+    terms = intensity_terms(
+        pp.n_parties, pp.signal_intensity, ch.dark_count, transmittance(ch), boundaries, phase_error
     )
+    raw, gain, marginals, phase_error = slice_rate(terms, pp.ec_efficiency, prefactor, misalignment, sliced)
     return RateReport(
         rate=max(raw, 0.0),
         gain=gain,

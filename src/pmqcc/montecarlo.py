@@ -3,24 +3,11 @@ measurement station: random phases, bits and slice indices, detector
 click sampling from the coherent-state model, slice-based sifting with
 reference-deviation compensation, and bit-flip cooperation.
 
-Determinism contract: a run is partitioned into fixed-size chunks whose
-RNG streams derive from (seed, chunk index) alone, so identical
-(seed, rounds, config) produce identical tallies for any worker count.
-Which kernel draws the chunks is fixed by the config too: a run whose
-expected candidate count E[K] = rounds (2/M)^(N-1) c^(N-1) (the sifting
-factor under ``mode="full-random"`` only; c and K below) is below
-``_numpy_threshold(N, chunks)`` takes the stdlib kernel, whose chunk
-stream is ``random.Random((chunk << 64) | seed)``, and never imports
-numpy; the others take the numpy kernel on
-``default_rng(SeedSequence(seed, spawn_key=(chunk,)))``.  The two draw
-the same model from different streams, so their tallies differ in value
-but not in distribution.
-
 Sampling model: exact thinning, so that random draws go to the rounds
 that can succeed.  A round succeeds only when every one of the N-1
 branches gets exactly one click.  A branch's one-click probability
 p_one(phi) is at most c = (1-p_d)(1 - e^-a + 2 p_d e^-a), its value at
-phi = 0, so each chunk draws
+phi = 0, so each chunk of ``CHUNK_SIZE`` rounds draws
 
 1. the sifted count: all rounds under ``mode="forced-matching"``,
    Binomial(rounds, (2/M)^(N-1)) under ``mode="full-random"``;
@@ -39,16 +26,20 @@ device, and a chunk costs O(K N) draws rather than O(rounds N).
 Rounds where some branch has zero or two clicks are discarded, not
 errors.
 
-The numpy kernel draws step 3 as arrays over all K candidates.  The
-stdlib kernel draws one candidate at a time (bits and offsets from one
-``getrandbits``, positions and acceptance uniforms from ``random()``)
-and drops it at its first branch that fails, with exact binomial counts
-from ``_binomial``.  Its fixed cost is far below numpy's import and
-per-chunk call overhead, but each candidate branch costs about a
-microsecond of Python, so heavy runs stay on numpy.  It holds the
-interpreter lock throughout, so it runs its chunks on one thread
-whatever ``workers`` asks for; only the numpy kernel, which releases
-the lock inside its array calls, spreads them over a thread pool.
+Both kernels run each chunk through ``_run_chunk``, which draws steps
+1-2 and returns the chunk's successes counted per L/R pattern and per
+wrong-port pattern; ``run_rounds`` sums the chunks into the run's one
+tally.  The kernels differ only in their candidate draws (step 3) and
+streams.  A run whose E[K] = rounds (2/M)^(N-1) c^(N-1) (the sifting
+factor under ``mode="full-random"`` only) is below
+``_numpy_threshold(N, chunks)`` takes the stdlib kernel, which never
+imports numpy: on ``random.Random((chunk << 64) | seed)`` it draws one
+candidate at a time and drops it at its first failing branch.  The
+others take the numpy kernel, which draws all K candidates as arrays on
+``default_rng(SeedSequence(seed, spawn_key=(chunk,)))``.  A chunk's
+stream depends on (seed, chunk index) alone, so no tally depends on the
+worker count.  Only the numpy kernel, which releases the interpreter
+lock inside its array calls, spreads chunks over a thread pool.
 
 ``tally_expectation`` is the exact expectation of the tallies under the
 same click model: a transfer-matrix chain over the parties' in-slice
@@ -316,39 +307,46 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def _run_chunk_stdlib(
-    rng: random.Random,
+def _run_chunk(
+    rng,
+    binomial,
+    draw,
     n_rounds: int,
-    n_parties: int,
-    slice_count: int,
+    sifting: float | None,
+    bound: float,
+    n: int,
+    *setting,
+) -> tuple:
+    """One chunk of ``n_rounds`` rounds: (sifted, successes per L/R
+    pattern id, successes per wrong-port id).  ``binomial(rng, trials, p)``
+    draws the sifted count, Binomial(n_rounds, sifting) or every round
+    when ``sifting`` is None, and the candidate count K, and
+    ``draw(rng, K, n, bound, *setting)`` the K candidates."""
+    n_sift = n_rounds if sifting is None else binomial(rng, n_rounds, sifting)
+    n_cand = binomial(rng, n_sift, bound ** (n - 1))
+    return n_sift, *draw(rng, n_cand, n, bound, *setting)
+
+
+def _draw_stdlib(
+    rng: random.Random,
+    n_cand: int,
+    n: int,
+    bound: float,
+    m: int,
     arrival: float,
     dark_count: float,
-    mode: str,
     deviations: tuple,
     comp: tuple,
-) -> SimTally:
-    """``_run_chunk`` on the standard library: the same counts, bound and
-    click rule, with each candidate drawn alone and dropped at its first
-    branch that does not click exactly once."""
-    n, m = n_parties, slice_count
-    if mode == "forced-matching":
-        n_sift = n_rounds
-    else:
-        n_sift = _binomial(rng, n_rounds, (2.0 / m) ** (n - 1))
-    tally = SimTally(n_parties=n, slice_count=m, sent=n_rounds, sifted=n_sift, mode=mode)
-    tally.pair_errors = {p: 0 for p in range(2, n + 1)}
-
-    bound = _candidate_bound(arrival, dark_count)
-    n_cand = _binomial(rng, n_sift, bound ** (n - 1))
-    if n_cand == 0:
-        return tally
-
+) -> tuple:
+    """The candidates one at a time, each dropped at its first branch
+    that does not click exactly once."""
     log_nodark = math.log1p(-dark_count)
     slice_phase = 2.0 * math.pi / m
     # bit 2q of a candidate's draws is party q's bit and bit 2l + 1 branch
     # l's half-slice offset, so branch l reads the three bits
-    # key = b_l + 2 h_l + 4 b_{l+1} and looks up its whole-slice steps and
-    # its phase shift pi (b_{l+1} - b_l) plus the reference deviation
+    # key = b_l + 2 h_l + 4 b_{l+1} and looks up its whole-slice steps, its
+    # phase shift pi (b_{l+1} - b_l) plus the reference deviation, and
+    # whether b_l + h_l + b_{l+1} is odd, which makes an L click the wrong port
     branches = tuple(
         (
             tuple(shift + ((key >> 1) & 1) * (m // 2) for key in range(8)),
@@ -357,9 +355,6 @@ def _run_chunk_stdlib(
         )
         for l, (shift, deviation) in enumerate(zip(comp, deviations))
     )
-    # bit-flip cooperation: party p disagrees with party 1 exactly when
-    # the first p - 1 branches hold an odd number of wrong-port clicks, an
-    # R click where b_l + h_l + b_{l+1} is even or an L click where it is odd
     swapped = tuple(bin(key).count("1") & 1 for key in range(8))
     counts = [0] * 2 ** (n - 1)
     wrong_counts = [0] * 2 ** (n - 1)
@@ -386,50 +381,25 @@ def _run_chunk_stdlib(
         else:
             counts[pattern] += 1
             wrong_counts[wrong] += 1
-
-    tally.success = sum(counts)
-    tally.pattern_counts = {
-        "".join("R" if (i >> l) & 1 else "L" for l in range(n - 1)): c
-        for i, c in enumerate(counts)
-        if c > 0
-    }
-    for wrong, c in enumerate(wrong_counts):
-        parity = 0
-        for p in range(2, n + 1):
-            parity ^= (wrong >> (p - 2)) & 1
-            tally.pair_errors[p] += parity * c
-    return tally
+    return counts, wrong_counts
 
 
-def _run_chunk(
+def _draw_numpy(
     rng: np.random.Generator,
-    n_rounds: int,
-    n_parties: int,
-    slice_count: int,
+    n_cand: int,
+    n: int,
+    bound: float,
+    m: int,
     arrival: float,
     dark_count: float,
-    mode: str,
     deviations: np.ndarray,
     comp: np.ndarray,
-) -> SimTally:
+) -> tuple:
+    """The candidates as arrays.  Slice p+1 sits comp_p or comp_p + M/2
+    slices after slice p; the absolute slice index shifts each phase
+    difference by whole turns only, so it is not drawn."""
     import numpy as np
 
-    n, m = n_parties, slice_count
-    if mode == "forced-matching":
-        n_sift = n_rounds
-    else:
-        n_sift = int(rng.binomial(n_rounds, (2.0 / m) ** (n - 1)))
-    tally = SimTally(n_parties=n, slice_count=m, sent=n_rounds, sifted=n_sift, mode=mode)
-    tally.pair_errors = {p: 0 for p in range(2, n + 1)}
-
-    bound = _candidate_bound(arrival, dark_count)
-    n_cand = int(rng.binomial(n_sift, bound ** (n - 1)))
-    if n_cand == 0:
-        return tally
-
-    # round detail for the candidates only.  Slice p+1 sits comp_p or
-    # comp_p + M/2 slices after slice p; the absolute slice index shifts
-    # each phase difference by whole turns only, so it is not drawn.
     half_offset = rng.integers(0, 2, (n - 1, n_cand))
     bits = rng.integers(0, 2, (n, n_cand))
     in_slice = rng.random((n, n_cand))
@@ -445,30 +415,13 @@ def _run_chunk(
     # probability P(R | one click)
     scaled = rng.random((n - 1, n_cand)) * bound
     success = np.all(scaled < p_one, axis=0)
-    tally.success = int(success.sum())
-    if tally.success == 0:
-        return tally
-
+    # branch l contributes bit 2^l to a success's pattern id when it
+    # clicked R, and to its wrong-port id when R-click + b_l + h_l + b_{l+1}
+    # is odd
     r_click = (scaled < p_right)[:, success]
-    # pattern ids: branch l contributes bit 2^l when its right detector fired
-    ids = np.zeros(r_click.shape[1], dtype=np.int64)
-    for l in range(n - 1):
-        ids |= r_click[l].astype(np.int64) << l
-    counts = np.bincount(ids, minlength=2 ** (n - 1))
-    tally.pattern_counts = {
-        "".join("R" if (i >> l) & 1 else "L" for l in range(n - 1)): int(c)
-        for i, c in enumerate(counts)
-        if c > 0
-    }
-
-    # bit-flip cooperation: party p flips for every R branch and every
-    # half-slice offset between it and party 1
-    bits_s = bits[:, success]
-    flips = np.cumsum(r_click + half_offset[:, success], axis=0) % 2
-    for p in range(2, n + 1):
-        corrected = (bits_s[p - 1] + flips[p - 2]) % 2
-        tally.pair_errors[p] = int(np.sum(corrected != bits_s[0]))
-    return tally
+    wrong = r_click ^ ((bits[1:] + half_offset + bits[:-1]) % 2)[:, success]
+    weights = 1 << np.arange(n - 1)
+    return tuple(np.bincount(weights @ x, minlength=2 ** (n - 1)).tolist() for x in (r_click, wrong))
 
 
 def run_rounds(
@@ -491,50 +444,67 @@ def run_rounds(
         raise ParameterError("reference_offsets and compensation_indices need one entry per adjacent pair")
 
     arrival = transmittance(ch) * pp.signal_intensity
-    sizes = [CHUNK_SIZE] * (sc.rounds // CHUNK_SIZE)
-    if sc.rounds % CHUNK_SIZE:
-        sizes.append(sc.rounds % CHUNK_SIZE)
-
-    sifting = (2.0 / m) ** (n - 1) if sc.mode == "full-random" else 1.0
-    candidates = sc.rounds * sifting * _candidate_bound(arrival, ch.dark_count) ** (n - 1)
-    stdlib = candidates < _numpy_threshold(n, len(sizes))
+    bound = _candidate_bound(arrival, ch.dark_count)
+    chunks = -(-sc.rounds // CHUNK_SIZE)
+    sifting = (2.0 / m) ** (n - 1) if sc.mode == "full-random" else None
+    stdlib = sc.rounds * (sifting or 1.0) * bound ** (n - 1) < _numpy_threshold(n, chunks)
     if stdlib:
+        binomial, draw = _binomial, _draw_stdlib
 
-        def work(idx_size):
-            idx, size = idx_size
-            rng = random.Random((idx << 64) | sc.seed)
-            return _run_chunk_stdlib(rng, size, n, m, arrival, ch.dark_count, sc.mode, deviations, comp)
+        def stream(idx):
+            return random.Random((idx << 64) | sc.seed)
 
     else:
         import numpy as np
 
+        binomial, draw = np.random.Generator.binomial, _draw_numpy
         deviations = np.asarray(deviations, dtype=float)
         comp = np.asarray(comp, dtype=np.int64)
 
-        def work(idx_size):
-            idx, size = idx_size
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=sc.seed, spawn_key=(idx,)))
-            return _run_chunk(rng, size, n, m, arrival, ch.dark_count, sc.mode, deviations, comp)
+        def stream(idx):
+            return np.random.default_rng(np.random.SeedSequence(entropy=sc.seed, spawn_key=(idx,)))
 
-    jobs = list(enumerate(sizes))
+    setting = (m, arrival, ch.dark_count, deviations, comp)
+
+    def work(idx):
+        size = min(CHUNK_SIZE, sc.rounds - idx * CHUNK_SIZE)
+        return _run_chunk(stream(idx), binomial, draw, size, sifting, bound, n, *setting)
+
     if workers == 1 or stdlib:
-        parts = [work(j) for j in jobs]
+        parts = [work(idx) for idx in range(chunks)]
     else:
         # imported here: a thread pool (~7 ms to import) serves only the
         # numpy kernel at more than one worker
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, jobs))
+            parts = list(pool.map(work, range(chunks)))
 
-    total = parts[0]
-    for part in parts[1:]:
-        total = total.merge(part)
-    total.seed = sc.seed
-    total.sifting_probability = (
-        (2.0 / m) ** (n - 1) if sc.mode == "forced-matching" else 1.0
+    sifted, counts, wrong_counts = zip(*parts)
+    counts = [sum(c) for c in zip(*counts)]
+    wrong_counts = [sum(c) for c in zip(*wrong_counts)]
+    # bit-flip cooperation: party p disagrees with party 1 exactly when
+    # the first p - 1 branches hold an odd number of wrong-port clicks
+    pair_errors = {
+        p: sum(c for wrong, c in enumerate(wrong_counts) if bin(wrong % 2 ** (p - 1)).count("1") % 2)
+        for p in range(2, n + 1)
+    }
+    return SimTally(
+        n_parties=n,
+        slice_count=m,
+        sent=sc.rounds,
+        sifted=sum(sifted),
+        success=sum(counts),
+        pattern_counts={
+            "".join("R" if (i >> l) & 1 else "L" for l in range(n - 1)): c
+            for i, c in enumerate(counts)
+            if c > 0
+        },
+        pair_errors=pair_errors,
+        sifting_probability=(2.0 / m) ** (n - 1) if sc.mode == "forced-matching" else 1.0,
+        seed=sc.seed,
+        mode=sc.mode,
     )
-    return total
 
 
 def estimate(tally: SimTally) -> EmpiricalEstimates:

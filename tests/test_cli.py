@@ -62,6 +62,14 @@ class TestRateCommand:
         assert code == 2
         assert "bogus_knob" in json.loads(err)["error"]["message"]
 
+    def test_infinite_channel_value_exits_2(self, tmp_path, capsys):
+        # an infinite loss at 0 km made eta NaN, which surfaced as a NaN
+        # passed to binary_entropy
+        cfg = write_config(tmp_path, {**TABLE_CONFIG, "alpha_db_per_km": float("inf"), "distance_km": 0})
+        code, out, err = run_cli(["rate", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "loss_rate must be finite, got inf"
+
     def test_invalid_value_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TABLE_CONFIG, "dark_count": 1.5})
         code, _, err = run_cli(["rate", cfg], capsys)
@@ -191,6 +199,22 @@ class TestCurveCommand:
             )
             assert (code, out) == (2, "")
             assert json.loads(err)["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("l_min,l_max,l_step,message", [
+        ("0", "1e300", "1e280", "the distance range needs more than 100000 rows"),
+        ("1e300", "1e300", "1", "an l-step of 1.0 leaves the distance 1e+300 unchanged"),
+    ])
+    def test_unbounded_row_count_exits_2(self, tmp_path, l_min, l_max, l_step, message):
+        # both ran until they were killed: too many rows, and a step too
+        # small to move the distance
+        cfg = write_config(tmp_path, TABLE_CONFIG)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmqcc.cli", "curve", cfg,
+             f"--l-min={l_min}", f"--l-max={l_max}", f"--l-step={l_step}"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert json.loads(proc.stderr)["error"] == {"type": "ConfigError", "message": message}
 
     @pytest.mark.parametrize("optimize,change,protocol", [
         pytest.param("none", {"mu": -0.1}, "pmqcc", id="negative-mu"),

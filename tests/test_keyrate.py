@@ -27,7 +27,6 @@ from pmqcc.keyrate import (
     key_rate,
     parity_phase_error,
     rate_constants,
-    rate_kernel,
     slice_rate,
 )
 from pmqcc.montecarlo import _branch_probabilities
@@ -297,9 +296,11 @@ class TestRateKernel:
         for _ in range(400):
             pp, ch, sliced, ends, given = self.draw(rng)
             prefactor, misalignment = rate_constants(pp, sliced)
-            raw, gain, marginals, phase_error = rate_kernel(
-                pp.n_parties, pp.signal_intensity, pp.ec_efficiency, ch.dark_count,
-                transmittance(ch), prefactor, misalignment, sliced, ends, given,
+            terms = intensity_terms(
+                pp.n_parties, pp.signal_intensity, ch.dark_count, transmittance(ch), ends, given
+            )
+            raw, gain, marginals, phase_error = slice_rate(
+                terms, pp.ec_efficiency, prefactor, misalignment, sliced
             )
             report = key_rate(pp, ch, sliced=sliced, boundaries=ends, phase_error=given)
             assert max(raw, 0.0) == report.rate == reference_rate(pp, ch, sliced, ends, given)
@@ -324,8 +325,9 @@ class TestRateKernel:
                 )
                 prefactor, misalignment = rate_constants(pp_m, sliced)
                 split = slice_rate(terms, f, prefactor, misalignment, sliced)
-                assert split == rate_kernel(n, mu, f, pd, eta, prefactor, misalignment,
-                                            sliced, ends, given)
+                report = key_rate(pp_m, ch, sliced=sliced, boundaries=ends, phase_error=given)
+                assert (max(split[0], 0.0), *split[1:]) == (
+                    report.rate, report.gain, report.marginal_qbers, report.phase_error)
                 assert max(split[0], 0.0) == reference_rate(pp_m, ch, sliced, ends, given)
                 arrival = eta * mu
                 if sliced:
@@ -345,7 +347,9 @@ class TestRateKernel:
         for sliced, constants in ((True, ((2.0 / 13) ** (n - 1), 0.01)), (False, (1.0, 0.02))):
             split = slice_rate(terms, 1.16, *constants, sliced)
             assert split == (0.0, 0.0, (0.0,) * (n - 1), 0.0)
-            assert split == rate_kernel(n, 0.1, 1.16, 0.0, eta, *constants, sliced, (False, True), given)
+            pp = ProtocolParams(n, 0.1, 13, signal_phase_misalignment=0.02)
+            report = key_rate(pp, ch, sliced=sliced, boundaries=(False, True), phase_error=given)
+            assert split == (report.rate, report.gain, report.marginal_qbers, report.phase_error)
 
     def test_slice_step_checks_the_branch_qber(self):
         terms = intensity_terms(3, 0.1, 7.2e-8, 0.1, (False, False))
@@ -362,7 +366,8 @@ class TestRateKernel:
 
         def kernel(sliced, ends):
             prefactor, misalignment = rate_constants(pp, sliced)
-            raw = rate_kernel(4, 0.1, pp.ec_efficiency, pd, eta, prefactor, misalignment, sliced, ends)[0]
+            terms = intensity_terms(4, 0.1, pd, eta, ends)
+            raw = slice_rate(terms, pp.ec_efficiency, prefactor, misalignment, sliced)[0]
             return max(raw, 0.0)
 
         assert rate_pmqcc(pp, bench_channel).rate == kernel(True, (False, False))

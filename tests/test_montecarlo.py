@@ -406,6 +406,49 @@ class TestKernels:
         for tally in json.loads(proc.stdout):
             assert {key: tally[key] for key in counts} == counts
 
+    # tallies of runs below the crossover, recorded from the stdlib kernel
+    # while it still had its own chunk function
+    PINNED_STDLIB = [
+        (
+            (3, 0.5, 16, 0.65, 7.2e-8),
+            {"rounds": 200_000, "seed": 31},
+            {"sent": 200_000, "sifted": 200_000, "success": 15_565,
+             "pattern_counts": {"LL": 3879, "LR": 3846, "RL": 3947, "RR": 3893},
+             "pair_errors": {"2": 83, "3": 168}},
+        ),
+        (
+            (4, 3.0, 4, 1.0, 0.01),
+            {"rounds": 150_000, "seed": 31, "mode": "full-random"},
+            {"sent": 150_000, "sifted": 19_007, "success": 8097,
+             "pattern_counts": {"LLL": 1019, "LLR": 949, "LRL": 1038, "LRR": 1052,
+                                "RLL": 1012, "RLR": 982, "RRL": 1037, "RRR": 1008},
+             "pair_errors": {"2": 178, "3": 378, "4": 567}},
+        ),
+        (
+            (4, 1.0, 8, 0.65, 7.2e-8),
+            {"rounds": 100_000, "seed": 31,
+             "reference_offsets": (0.1, 0.0, -0.2), "compensation_indices": (1, 0, 1)},
+            {"sent": 100_000, "sifted": 100_000, "success": 9334,
+             "pattern_counts": {"LLL": 1138, "LLR": 1175, "LRL": 1179, "LRR": 1249,
+                                "RLL": 1155, "RLR": 1143, "RRL": 1127, "RRR": 1168},
+             "pair_errors": {"2": 1637, "3": 1751, "4": 2291}},
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "record,run,counts", PINNED_STDLIB, ids=["n3-0km-mu0.5", "n4-full-random", "n4-offsets"]
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stdlib_kernel_tallies_are_pinned(self, record, run, counts, workers):
+        n, mu, m, efficiency, pd = record
+        pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=m)
+        ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=efficiency, dark_count=pd)
+        sc = SimConfig(**run)
+        chunks = -(-sc.rounds // montecarlo.CHUNK_SIZE)
+        assert expected_candidates(pp, ch, sc) < montecarlo._numpy_threshold(n, chunks)
+        tally = run_rounds(pp, ch, sc, workers=workers).to_dict()
+        assert {key: tally[key] for key in counts} == counts
+
 
 class TestCompensation:
     def test_compensated_offsets_match_baseline(self):

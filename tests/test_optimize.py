@@ -83,17 +83,17 @@ class TestOptimizeSignal:
         # the intensity terms are shared by every M: each mu pays for its
         # O(N) phase error once, not once per (mu, M) evaluation
         seen = []
-        phase_error = pmqcc.keyrate.chain_phase_error
+        phase_error = pmqcc.keyrate.parity_phase_error
 
-        def counting(n, mu, *rest):
-            seen.append(mu)
-            return phase_error(n, mu, *rest)
+        def counting(branches, pd):
+            seen.append(branches[0][0])  # mu, on the unbroken chain
+            return phase_error(branches, pd)
 
-        monkeypatch.setattr(pmqcc.keyrate, "chain_phase_error", counting)
+        monkeypatch.setattr(pmqcc.keyrate, "parity_phase_error", counting)
         result = optimize_signal(bench_channel_at(50.0), 3)
         search, reevaluation = seen[:-1], seen[-1]
         assert reevaluation == result.best_params.signal_intensity
-        assert len(search) == len(set(search))
+        assert len(search) == len(set(search)) == 701
         assert set(COARSE_GRID) <= set(search)
         assert result.evaluations == 3471 > 4 * len(search)
 

@@ -167,6 +167,9 @@ def test_conversions():
     (SimConfig, (10, 2**64), "seed must be a 64-bit nonnegative integer"),
     (SimConfig, (10, 1, "bogus"),
      "mode must be one of ('full-random', 'forced-matching'), got 'bogus'"),
+    (ChannelParams, (float("nan"), 50.0, 0.65, 0.0), "loss_rate must be >= 0, got nan"),
+    (ChannelParams, (float("inf"), 0.0, 0.65, 0.0), "loss_rate must be finite, got inf"),
+    (ChannelParams, (0.2, float("inf"), 0.65, 0.0), "distance must be finite, got inf"),
 ])
 def test_validation_errors(cls, args, message):
     with pytest.raises(ParameterError) as info:
