@@ -104,10 +104,14 @@ class ProtocolParams(Record):
             raise ParameterError(f"n_parties must be an integer >= 2, got {self.n_parties}")
         if not self.signal_intensity > 0.0:
             raise ParameterError(f"signal_intensity must be > 0, got {self.signal_intensity}")
+        if self.signal_intensity == math.inf:
+            raise ParameterError(f"signal_intensity must be finite, got {self.signal_intensity}")
         if not isinstance(self.slice_count, int) or self.slice_count < 2:
             raise ParameterError(f"slice_count must be an integer >= 2, got {self.slice_count}")
         if not self.ec_efficiency >= 1.0:
             raise ParameterError(f"ec_efficiency must be >= 1, got {self.ec_efficiency}")
+        if self.ec_efficiency == math.inf:
+            raise ParameterError(f"ec_efficiency must be finite, got {self.ec_efficiency}")
         if not 0.0 <= self.signal_phase_misalignment <= 0.5:
             raise ParameterError(
                 f"signal_phase_misalignment must lie in [0, 0.5], got {self.signal_phase_misalignment}"
@@ -118,6 +122,8 @@ class ProtocolParams(Record):
             trailing_vacuum = i == len(decoys) - 1 and x == 0.0
             if x < 0.0 or (x == 0.0 and not trailing_vacuum):
                 raise ParameterError("decoy intensities must be positive (trailing 0 allowed)")
+            if not math.isfinite(x):
+                raise ParameterError(f"decoy intensities must be finite, got {decoys}")
         if any(a <= b for a, b in zip(decoys, decoys[1:])):
             raise ParameterError(f"decoy intensities must be strictly decreasing, got {decoys}")
 

@@ -34,8 +34,15 @@ streams.  A run whose E[K] = rounds (2/M)^(N-1) c^(N-1) (the sifting
 factor under ``mode="full-random"`` only) is below
 ``_numpy_threshold(N, chunks)`` takes the stdlib kernel, which never
 imports numpy: on ``random.Random((chunk << 64) | seed)`` it draws one
-candidate at a time and drops it at its first failing branch.  The
-others take the numpy kernel, which draws all K candidates as arrays on
+candidate at a time and drops it at its first failing branch.  It
+squeezes each branch's decision: the click probabilities depend on the
+phase only through x = cos^2(phi/2), a per-run table brackets both on
+each of ``BRACKET_CELLS`` cells of x, and the exact
+``_branch_probability`` runs only when the branch's uniform falls inside
+a bracket (~0.1 % of branches at N=3, 10 km), so a branch costs one
+``cos`` and one lookup, and every decision, and so every tally, is the
+one the exact probabilities give.  The others take the numpy kernel,
+which draws all K candidates as arrays on
 ``default_rng(SeedSequence(seed, spawn_key=(chunk,)))``.  A chunk's
 stream depends on (seed, chunk index) alone, so no tally depends on the
 worker count.  Only the numpy kernel, which releases the interpreter
@@ -76,9 +83,15 @@ CHUNK_SIZE = 1 << 16
 # more per candidate branch.  So the crossover grows with the chunk
 # count and falls as 1/(N-1): NUMPY_CANDIDATES is its E[K] at N=3 with
 # few chunks, and NUMPY_CHUNKS the chunk count whose extra numpy call
-# overhead matches the import.
+# overhead matches the import.  The fit predates the stdlib kernel's
+# bracket squeeze, which cut its cost to ~0.85 us per candidate branch
+# and moved the crossover at N=3 with few chunks to ~110k (ROADMAP item 6).
 NUMPY_CANDIDATES = 72_000
 NUMPY_CHUNKS = 2_000
+
+# cells of the stdlib kernel's bracket table; even, so that x = 1/2 is a
+# cell edge, and a power of 2, so that the edges i / K are exact
+BRACKET_CELLS = 1024
 
 MODES = ("full-random", "forced-matching")
 
@@ -238,11 +251,51 @@ def _branch_probability(arrival: float, log_nodark: float, phase_delta: float) -
     log(1 - p_d): the same expm1 forms, equal up to a few ulps."""
     cos_half = math.cos(phase_delta / 2.0)
     sin_half = math.sin(phase_delta / 2.0)
-    left_exponent = log_nodark - arrival * (cos_half * cos_half)
-    right_exponent = log_nodark - arrival * (sin_half * sin_half)
+    return _click_probabilities(arrival, log_nodark, cos_half * cos_half, sin_half * sin_half)
+
+
+def _click_probabilities(arrival: float, log_nodark: float, cos_sq: float, sin_sq: float) -> tuple:
+    """P(exactly one click) and P(only R clicks) of a branch whose L port
+    receives ``arrival * cos_sq`` photons on average and its R port
+    ``arrival * sin_sq``."""
+    left_exponent = log_nodark - arrival * cos_sq
+    right_exponent = log_nodark - arrival * sin_sq
     right_only = math.exp(left_exponent) * -math.expm1(right_exponent)
     left_only = math.exp(right_exponent) * -math.expm1(left_exponent)
     return left_only + right_only, right_only
+
+
+def _bracket_table(arrival: float, log_nodark: float) -> list:
+    """Brackets of a branch's click probabilities on the ``BRACKET_CELLS``
+    cells of x = cos^2(phi/2): entry i holds (low, high) bounds on p_one
+    and then on p_right for x in [i/K, (i+1)/K], and entry K repeats
+    entry K-1, so that int(x K) indexes every x in [0, 1].
+
+    The probabilities depend on phi only through x (the R port receives
+    a (1 - x)).  p_right falls as x grows, and p_one is convex in x with
+    its minimum at x = 1/2, a cell edge since K is even, so on each cell
+    both lie between their values at the cell's edges.  The bounds are
+    widened by 1e-9 relative, far more than the rounding of the
+    exponentials (below 1e-12 relative), and by 1e-12 a + 1e-300
+    absolute: ``_branch_probability`` reads sin^2(phi/2), not 1 - x, and
+    the two differ by ~1e-15, which moves a probability by at most
+    ~1e-15 a, and a subnormal probability is off by whole units of its
+    last place."""
+    k = BRACKET_CELLS
+    edges = [_click_probabilities(arrival, log_nodark, i / k, (k - i) / k) for i in range(k + 1)]
+    margin = 1e-12 * arrival + 1e-300
+    low, high = 1.0 - 1e-9, 1.0 + 1e-9
+    table = [
+        (
+            min(one_a, one_b) * low - margin,
+            max(one_a, one_b) * high + margin,
+            right_b * low - margin,
+            right_a * high + margin,
+        )
+        for (one_a, right_a), (one_b, right_b) in zip(edges, edges[1:])
+    ]
+    table.append(table[-1])
+    return table
 
 
 def _candidate_bound(arrival: float, dark_count: float) -> float:
@@ -327,26 +380,14 @@ def _run_chunk(
     return n_sift, *draw(rng, n_cand, n, bound, *setting)
 
 
-def _draw_stdlib(
-    rng: random.Random,
-    n_cand: int,
-    n: int,
-    bound: float,
-    m: int,
-    arrival: float,
-    dark_count: float,
-    deviations: tuple,
-    comp: tuple,
-) -> tuple:
-    """The candidates one at a time, each dropped at its first branch
-    that does not click exactly once."""
-    log_nodark = math.log1p(-dark_count)
-    slice_phase = 2.0 * math.pi / m
+def _stdlib_setting(m: int, arrival: float, dark_count: float, deviations: tuple, comp: tuple) -> tuple:
+    """What ``_draw_stdlib`` reads of a run, built once per run: arrival,
+    log(1 - p_d), the slice phase 2 pi / M, per-branch step and turn
+    tables, and the bracket table."""
     # bit 2q of a candidate's draws is party q's bit and bit 2l + 1 branch
     # l's half-slice offset, so branch l reads the three bits
-    # key = b_l + 2 h_l + 4 b_{l+1} and looks up its whole-slice steps, its
-    # phase shift pi (b_{l+1} - b_l) plus the reference deviation, and
-    # whether b_l + h_l + b_{l+1} is odd, which makes an L click the wrong port
+    # key = b_l + 2 h_l + 4 b_{l+1} and looks up its whole-slice steps and
+    # its phase shift pi (b_{l+1} - b_l) plus the reference deviation
     branches = tuple(
         (
             tuple(shift + ((key >> 1) & 1) * (m // 2) for key in range(8)),
@@ -355,7 +396,32 @@ def _draw_stdlib(
         )
         for l, (shift, deviation) in enumerate(zip(comp, deviations))
     )
-    swapped = tuple(bin(key).count("1") & 1 for key in range(8))
+    log_nodark = math.log1p(-dark_count)
+    return arrival, log_nodark, 2.0 * math.pi / m, branches, _bracket_table(arrival, log_nodark)
+
+
+# whether b_l + h_l + b_{l+1} is odd for each key, which makes an L click
+# the wrong port
+_SWAPPED = tuple(bin(key).count("1") & 1 for key in range(8))
+
+
+def _draw_stdlib(
+    rng: random.Random,
+    n_cand: int,
+    n: int,
+    bound: float,
+    arrival: float,
+    log_nodark: float,
+    slice_phase: float,
+    branches: tuple,
+    table: list,
+) -> tuple:
+    """The candidates one at a time, each dropped at its first branch
+    that does not click exactly once.  A branch's uniform is compared
+    with its cell's brackets first; ``_branch_probability`` runs only
+    when the uniform falls inside one, so every decision is the one the
+    exact probabilities give."""
+    cos, cells, swapped = math.cos, BRACKET_CELLS, _SWAPPED
     counts = [0] * 2 ** (n - 1)
     wrong_counts = [0] * 2 ** (n - 1)
     uniform, getrandbits = rng.random, rng.getrandbits
@@ -368,11 +434,18 @@ def _draw_stdlib(
             draws >>= 2
             following = uniform()
             phase_delta = (steps[key] + following - position) * slice_phase + turns[key]
-            p_one, p_right = _branch_probability(arrival, log_nodark, phase_delta)
+            cos_half = cos(phase_delta / 2.0)
+            one_low, one_high, right_low, right_high = table[int(cos_half * cos_half * cells)]
             scaled = uniform() * bound
-            if scaled >= p_one:
+            if scaled >= one_high:
                 break
-            right = scaled < p_right
+            if scaled >= one_low or right_low <= scaled < right_high:
+                p_one, p_right = _branch_probability(arrival, log_nodark, phase_delta)
+                if scaled >= p_one:
+                    break
+                right = scaled < p_right
+            else:
+                right = scaled < right_low
             if right:
                 pattern |= mask
             if right != swapped[key]:
@@ -450,6 +523,7 @@ def run_rounds(
     stdlib = sc.rounds * (sifting or 1.0) * bound ** (n - 1) < _numpy_threshold(n, chunks)
     if stdlib:
         binomial, draw = _binomial, _draw_stdlib
+        setting = _stdlib_setting(m, arrival, ch.dark_count, deviations, comp)
 
         def stream(idx):
             return random.Random((idx << 64) | sc.seed)
@@ -458,13 +532,12 @@ def run_rounds(
         import numpy as np
 
         binomial, draw = np.random.Generator.binomial, _draw_numpy
-        deviations = np.asarray(deviations, dtype=float)
-        comp = np.asarray(comp, dtype=np.int64)
+        setting = (
+            m, arrival, ch.dark_count, np.asarray(deviations, dtype=float), np.asarray(comp, dtype=np.int64)
+        )
 
         def stream(idx):
             return np.random.default_rng(np.random.SeedSequence(entropy=sc.seed, spawn_key=(idx,)))
-
-    setting = (m, arrival, ch.dark_count, deviations, comp)
 
     def work(idx):
         size = min(CHUNK_SIZE, sc.rounds - idx * CHUNK_SIZE)

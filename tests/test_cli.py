@@ -70,6 +70,21 @@ class TestRateCommand:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["message"] == "loss_rate must be finite, got inf"
 
+    @pytest.mark.parametrize("change,protocol,message", [
+        pytest.param({"f": float("inf")}, "pmqcc", "ec_efficiency must be finite, got inf", id="f"),
+        pytest.param({"mu": float("inf")}, "pmqcc", "signal_intensity must be finite, got inf", id="mu"),
+        pytest.param({"decoys": [float("inf"), 0.02, 0.001, 0]}, "decoy-lower",
+                     "decoy intensities must be finite, got (inf, 0.02, 0.001, 0.0)", id="decoy"),
+    ])
+    def test_infinite_protocol_value_exits_2(self, tmp_path, capsys, change, protocol, message):
+        # an infinite f was echoed as `inf`, which is not JSON, an infinite
+        # mu surfaced as a NaN passed to binary_entropy, and an infinite
+        # decoy as an OverflowError traceback
+        cfg = write_config(tmp_path, {**TABLE_CONFIG, **change})
+        code, out, err = run_cli(["rate", cfg, "--protocol", protocol], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == message
+
     def test_invalid_value_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TABLE_CONFIG, "dark_count": 1.5})
         code, _, err = run_cli(["rate", cfg], capsys)

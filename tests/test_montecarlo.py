@@ -450,6 +450,90 @@ class TestKernels:
         assert {key: tally[key] for key in counts} == counts
 
 
+class TestBracketTable:
+    """The stdlib kernel decides a branch on its cell's brackets and runs
+    ``_branch_probability`` only when the uniform falls inside one."""
+
+    # at a = 1490 the probabilities near x = 1/2 are subnormal, where a
+    # rounding error is a whole unit of the last place: only the absolute
+    # margin covers it
+    @pytest.mark.parametrize("a", [1e-9, 1e-4, 0.05, 1.0, 10.0, 50.0, 1490.0])
+    @pytest.mark.parametrize("pd", [0.0, 7.2e-8, 0.01, 0.5])
+    def test_cells_bracket_the_exact_probabilities(self, a, pd):
+        log_nodark = math.log1p(-pd)
+        table = montecarlo._bracket_table(a, log_nodark)
+        k = montecarlo.BRACKET_CELLS
+        rng = random.Random(f"brackets:{a}:{pd}")
+        # every cell edge and two random points in each cell, each as a
+        # phase on either side of 0 and some whole turns away
+        xs = [i / k for i in range(k + 1)] + [(i + rng.random()) / k for i in range(k) for _ in range(2)]
+        for x in xs:
+            half = math.acos(math.sqrt(x))
+            for phase in (2.0 * half, 2.0 * math.pi * rng.randint(-3, 3) - 2.0 * half):
+                cos_half = math.cos(phase / 2.0)
+                one_low, one_high, right_low, right_high = table[int(cos_half * cos_half * k)]
+                p_one, p_right = _branch_probability(a, log_nodark, phase)
+                assert one_low <= p_one <= one_high, (x, phase)
+                assert right_low <= p_right <= right_high, (x, phase)
+
+    def test_tallies_equal_the_exact_path(self, monkeypatch):
+        # unbounded brackets send every branch to _branch_probability
+        monkeypatch.setattr(montecarlo, "NUMPY_CANDIDATES", math.inf)
+        rng = random.Random("exact-path")
+        runs = []
+        for _ in range(100):
+            n, m = rng.randint(2, 6), 2 * rng.randint(1, 10)
+            pp, ch = at_arrival(n, 10.0 ** rng.uniform(-6.0, math.log10(50.0)),
+                                rng.choice((0.0, 7.2e-8, 0.01, 0.3)), m)
+            offsets = {}
+            if rng.random() < 0.5:
+                offsets = {"reference_offsets": [rng.uniform(-math.pi, math.pi) for _ in range(n - 1)],
+                           "compensation_indices": [rng.randrange(m) for _ in range(n - 1)]}
+            mode = rng.choice(MODES)
+            # at most ~1500 expected candidates, so the exact runs stay quick
+            per_round = expected_candidates(pp, ch, SimConfig(rounds=1, seed=0, mode=mode))
+            rounds = max(100, min(rng.choice((1000, 30_000, 70_000)), int(1500 / per_round)))
+            runs.append((pp, ch, SimConfig(rounds=rounds, seed=rng.randrange(2**64), mode=mode, **offsets)))
+        squeezed = [run_rounds(*run).to_dict() for run in runs]
+        unbounded = [(-math.inf, math.inf, -math.inf, math.inf)] * (montecarlo.BRACKET_CELLS + 1)
+        monkeypatch.setattr(montecarlo, "_bracket_table", lambda arrival, log_nodark: unbounded)
+        assert squeezed == [run_rounds(*run).to_dict() for run in runs]
+        assert sum(tally["success"] for tally in squeezed) > 0
+
+    def test_few_branches_take_the_exact_path(self, monkeypatch):
+        # a run that evaluated _branch_probability on every branch would
+        # give the same bytes, only slower: count the exact calls instead
+        calls = []
+        exact = montecarlo._branch_probability
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        class CountingRandom:
+            def __init__(self, seed):
+                self.rng, self.uniforms = random.Random(seed), 0
+
+            def random(self):
+                self.uniforms += 1
+                return self.rng.random()
+
+            def getrandbits(self, k):
+                return self.rng.getrandbits(k)
+
+        monkeypatch.setattr(montecarlo, "_branch_probability", counted)
+        # the bench's paired config: N=3, M=14, 10 km, forced matching
+        pp, ch = protocol(m=14, mu=0.13, n=3), channel(distance=10.0)
+        arrival = transmittance(ch) * pp.signal_intensity
+        setting = montecarlo._stdlib_setting(pp.slice_count, arrival, ch.dark_count, (0.0, 0.0), (0, 0))
+        rng, candidates = CountingRandom(1), 40_000
+        montecarlo._draw_stdlib(rng, candidates, 3, _candidate_bound(arrival, ch.dark_count), *setting)
+        # one uniform per candidate, two per branch it reaches
+        branch_draws = (rng.uniforms - candidates) // 2
+        assert branch_draws > candidates
+        assert len(calls) < 0.01 * branch_draws
+
+
 class TestCompensation:
     def test_compensated_offsets_match_baseline(self):
         # physical deviations equal to whole slices, cancelled by the
@@ -469,6 +553,27 @@ class TestCompensation:
             p = eb.pair_qbers[m_idx]
             sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / base.success)
             assert abs(es.pair_qbers[m_idx] - p) < 3.0 * sigma
+
+    @pytest.mark.parametrize("offsets,compensated", [
+        pytest.param((0.3, -1.1, 2.5), True, id="compensated"),
+        pytest.param((0.9, 2.0, -0.4), False, id="uncompensated"),
+    ])
+    def test_counts_match_transfer_matrix(self, monkeypatch, offsets, compensated):
+        # the uncompensated branches see phases far from 0 (mod pi), so
+        # their draws land in cells well inside (0, 1) of x = cos^2(phi/2)
+        monkeypatch.setattr(montecarlo, "NUMPY_CANDIDATES", math.inf)
+        m = 8
+        comp = tuple(round(-d * m / (2.0 * math.pi)) % m for d in offsets) if compensated else ()
+        pp, ch = at_arrival(4, 1.0, 0.01, m)
+        sc = SimConfig(rounds=60_000, seed=71, reference_offsets=offsets, compensation_indices=comp)
+        tally = run_rounds(pp, ch, sc)
+        expect = expected_tally(4, 1.0, 0.01, m, deviations=offsets, compensation=comp)
+        assert within_5_sigma(tally.success, tally.sifted, expect["success"])
+        assert len(tally.pattern_counts) == 8
+        for count in tally.pattern_counts.values():
+            assert within_5_sigma(count, tally.success, expect["pattern"])
+        for p, q in expect["pair_error"].items():
+            assert within_5_sigma(tally.pair_errors[p], tally.success, q)
 
     def test_uncompensated_offset_degrades_qber(self):
         m = 16

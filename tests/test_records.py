@@ -170,6 +170,12 @@ def test_conversions():
     (ChannelParams, (float("nan"), 50.0, 0.65, 0.0), "loss_rate must be >= 0, got nan"),
     (ChannelParams, (float("inf"), 0.0, 0.65, 0.0), "loss_rate must be finite, got inf"),
     (ChannelParams, (0.2, float("inf"), 0.65, 0.0), "distance must be finite, got inf"),
+    (ProtocolParams, (3, float("inf"), 13), "signal_intensity must be finite, got inf"),
+    (ProtocolParams, (3, 0.1, 13, float("inf")), "ec_efficiency must be finite, got inf"),
+    (ProtocolParams, (3, 0.1, 13, 1.16, (float("inf"), 0.02, 0.001, 0.0)),
+     "decoy intensities must be finite, got (inf, 0.02, 0.001, 0.0)"),
+    (ProtocolParams, (3, 0.1, 13, 1.16, (0.05, float("nan"), 0.001, 0.0)),
+     "decoy intensities must be finite, got (0.05, nan, 0.001, 0.0)"),
 ])
 def test_validation_errors(cls, args, message):
     with pytest.raises(ParameterError) as info:
