@@ -7,6 +7,12 @@ Exit codes: 0 ok, 2 configuration/validation failure, 3 computation
 failure (degenerate decoys, insufficient data, ...); errors are emitted
 as a machine-readable JSON object on stderr.
 
+``rate``, ``curve`` and ``optimize`` build their parameters through one
+function, ``_setup``, which runs the distance-free checks in one order,
+so a config fails each of them with the same error before any output; a
+curve row whose rate then fails at its own distance is flagged
+``error:<type>``.
+
 A process imports only the layers its command runs: the decoy
 estimator, the optimizers and the simulator are imported inside the
 commands that use them, so a plain rate loads ``core``, ``errors``,
@@ -170,21 +176,41 @@ def parse_boundaries(cfg: dict) -> tuple:
     return ("left" in marks, "right" in marks)
 
 
-def _signal_options(cfg: dict) -> dict:
-    """Keyword options of ``optimize_signal`` taken from the config."""
-    return {
-        "ec_efficiency": _float(cfg, "f"),
-        "signal_phase_misalignment": _float(cfg, "signal_phase_misalignment", 0.0),
-        "boundaries": parse_boundaries(cfg),
-    }
+def _setup(cfg: dict, protocol: str, search: str = "none") -> tuple:
+    """(protocol record, channel, broken ends) of a command, after every
+    check that holds at every distance, in one order: the record, the
+    channel, the decoy set of ``decoy-lower`` or the boundaries of any
+    other protocol, the slice count and, when the decoys are searched,
+    the decoy search.  ``search`` (``none``, ``signal``, ``decoys`` or
+    ``signal+decoys``) names what an optimizer picks: the record holds
+    placeholders there, mu = 1 and M = 4 for the signal, no decoys."""
+    if "signal" in search:
+        cfg = {**cfg, "mu": 1.0, "slices": 4}
+    if "decoys" in search:
+        cfg = {**cfg, "decoys": ()}
+    pp = build_protocol(cfg)
+    ch = build_channel(cfg)
+    ends = (False, False)
+    if protocol != "decoy-lower":
+        ends = parse_boundaries(cfg)
+    elif "decoys" not in search:
+        from .decoy import check_decoy_set
+
+        check_decoy_set(pp)
+    rate_constants(pp, sliced=protocol != "pmqcc-star")
+    if "decoys" in search:
+        from .optimize import check_decoy_search
+
+        check_decoy_search(pp.n_parties)
+    return pp, ch, ends
 
 
-def compute_rate(protocol: str, pp: ProtocolParams, ch: ChannelParams, cfg: dict) -> RateReport:
+def compute_rate(protocol: str, pp: ProtocolParams, ch: ChannelParams, ends: tuple) -> RateReport:
     if protocol == "decoy-lower":
         from .decoy import rate_lower
 
         return rate_lower(pp, ch)
-    return objective_rate(protocol, pp, ch, parse_boundaries(cfg))
+    return objective_rate(protocol, pp, ch, ends)
 
 
 def report_dict(report: RateReport) -> dict:
@@ -208,9 +234,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_rate(args) -> int:
     cfg = load_config(args.config)
-    pp = build_protocol(cfg)
-    ch = build_channel(cfg)
-    report = compute_rate(args.protocol, pp, ch, cfg)
+    pp, ch, ends = _setup(cfg, args.protocol)
+    report = compute_rate(args.protocol, pp, ch, ends)
     payload = {"protocol": args.protocol, **report_dict(report), "config": cfg}
     _emit(_dump_json(payload) + "\n", args.out)
     return 0
@@ -221,41 +246,36 @@ def _zero_row(length: float, mu: float, slices: int, flag: str) -> str:
     return f"{_fmt(length)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(mu)},{slices},{flag}"
 
 
-def _curve_row(length: float, protocol: str, cfg: dict, optimize: str, pp, options) -> str:
-    """One CSV row: ``pp`` is the configured protocol under ``--optimize
-    none``, and ``options`` the ``optimize_signal`` options otherwise."""
-    ch = build_channel({**cfg, "distance_km": length})
+def _curve_row(
+    length: float, protocol: str, search: str, fixed: ProtocolParams, channel: ChannelParams, ends: tuple
+) -> str:
+    """One CSV row: the rate of ``fixed`` and ``channel``, the record and
+    the channel of ``_setup``, at ``length`` with the fields ``search``
+    names picked there."""
+    ch = ChannelParams(channel.loss_rate, length, channel.detector_efficiency, channel.dark_count)
+    pp = fixed
     try:
-        if optimize != "none":
+        if search != "none":
             from .optimize import optimize_decoys, optimize_signal
 
             objective = protocol if protocol != "decoy-lower" else "pmqcc"
-            result = optimize_signal(ch, _int(cfg, "parties"), objective, **options)
+            result = optimize_signal(
+                ch, pp.n_parties, objective, ec_efficiency=pp.ec_efficiency,
+                signal_phase_misalignment=pp.signal_phase_misalignment, boundaries=ends,
+            )
             if result.flagged_zero:
                 return _zero_row(length, 0, 0, "infeasible")
-            pp = result.best_params
-            if protocol == "decoy-lower" and optimize == "signal":
-                # keep the configured decoy set alongside the optimized signal
-                pp = ProtocolParams(
-                    pp.n_parties,
-                    pp.signal_intensity,
-                    pp.slice_count,
-                    pp.ec_efficiency,
-                    _decoys(cfg),
-                    pp.signal_phase_misalignment,
-                )
-            if optimize == "signal+decoys":
+            best = result.best_params
+            pp = ProtocolParams(pp.n_parties, best.signal_intensity, best.slice_count,
+                                pp.ec_efficiency, pp.decoy_intensities, pp.signal_phase_misalignment)
+            if search == "signal+decoys":
                 dec = optimize_decoys(
-                    ch,
-                    pp.n_parties,
-                    pp.signal_intensity,
-                    pp.slice_count,
-                    ec_efficiency=pp.ec_efficiency,
+                    ch, pp.n_parties, pp.signal_intensity, pp.slice_count, ec_efficiency=pp.ec_efficiency
                 )
                 if dec.flagged_zero:
                     return _zero_row(length, pp.signal_intensity, pp.slice_count, "infeasible")
                 pp = dec.best_params
-        report = compute_rate(protocol, pp, ch, cfg)
+        report = compute_rate(protocol, pp, ch, ends)
     except PMQCCError as exc:
         return _zero_row(length, 0, 0, f"error:{type(exc).__name__}")
     flag = "clamped" if report.clamped else "ok"
@@ -268,7 +288,6 @@ def _curve_row(length: float, protocol: str, cfg: dict, optimize: str, pp, optio
 
 def cmd_curve(args) -> int:
     cfg = load_config(args.config)
-    _require(cfg, ["parties", "alpha_db_per_km", "detector_efficiency", "dark_count", "f"])
     if not all(map(math.isfinite, (args.l_min, args.l_max, args.l_step))):
         raise ConfigError("l-min, l-max and l-step must be finite")
     if args.l_min > args.l_max or args.l_step <= 0:
@@ -283,36 +302,10 @@ def cmd_curve(args) -> int:
         length += args.l_step
     if args.optimize == "signal+decoys" and args.protocol != "decoy-lower":
         raise ConfigError("--optimize signal+decoys needs --protocol decoy-lower")
-    # parameters that hold at every distance are checked here, once, so that
-    # a config rate rejects fails as it does there instead of flagging rows
-    pp = options = None
-    if args.optimize == "none":
-        _require(cfg, ["mu", "slices"])
-        pp = build_protocol(cfg)
-        build_channel({**cfg, "distance_km": args.l_min})
-        if args.protocol == "decoy-lower":
-            from .decoy import check_decoy_set
-
-            check_decoy_set(pp)
-        rate_constants(pp, sliced=args.protocol != "pmqcc-star")
-        if args.protocol != "decoy-lower":
-            parse_boundaries(cfg)
-    else:
-        from .optimize import MU_BOUNDS, check_decoy_search
-
-        # the optimizer picks mu and M and builds the rest into every row;
-        # under signal+decoys it picks the decoys too
-        decoys = cfg.get("decoys", ()) if args.optimize == "signal" else ()
-        fixed = build_protocol({**cfg, "mu": MU_BOUNDS[1], "slices": 4, "decoys": decoys})
-        build_channel({**cfg, "distance_km": args.l_min})
-        if args.protocol == "decoy-lower" and args.optimize == "signal":
-            from .decoy import check_decoy_set
-
-            check_decoy_set(fixed)
-        if args.optimize == "signal+decoys":
-            check_decoy_search(fixed.n_parties)
-        options = _signal_options(cfg)
-    rows = (_curve_row(length, args.protocol, cfg, args.optimize, pp, options) for length in lengths)
+    # checked once, at l-min: a config that rate rejects fails here with the
+    # same error instead of flagging every row
+    fixed, ch, ends = _setup({**cfg, "distance_km": args.l_min}, args.protocol, args.optimize)
+    rows = (_curve_row(length, args.protocol, args.optimize, fixed, ch, ends) for length in lengths)
     _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0
 
@@ -362,18 +355,15 @@ def cmd_optimize(args) -> int:
     from .optimize import optimize_decoys, optimize_signal
 
     cfg = load_config(args.config)
-    _require(cfg, ["parties", "f"])
-    ch = build_channel(cfg)
+    pp, ch, ends = _setup(cfg, args.protocol, args.target)
     if args.target == "signal":
-        result = optimize_signal(ch, _int(cfg, "parties"), args.protocol, **_signal_options(cfg))
+        result = optimize_signal(
+            ch, pp.n_parties, args.protocol, ec_efficiency=pp.ec_efficiency,
+            signal_phase_misalignment=pp.signal_phase_misalignment, boundaries=ends,
+        )
     else:
-        _require(cfg, ["mu", "slices"])
         result = optimize_decoys(
-            ch,
-            _int(cfg, "parties"),
-            _float(cfg, "mu"),
-            _int(cfg, "slices"),
-            ec_efficiency=_float(cfg, "f"),
+            ch, pp.n_parties, pp.signal_intensity, pp.slice_count, ec_efficiency=pp.ec_efficiency
         )
     payload = {
         "target": args.target,

@@ -129,10 +129,10 @@ class SimConfig(Record):
 
 
 class SimTally(Record):
-    """Counts accumulated over rounds; merging is associative and
-    commutative (plain sums of aligned counters).  Unlike the other
-    records a tally is mutable, and so unhashable; each tally gets its
-    own count dicts unless the caller passes them."""
+    """Counts accumulated over the rounds of one run; ``run_rounds`` sums
+    the count vectors of its chunks into the run's one tally.  Unlike the
+    other records a tally is mutable, and so unhashable; each tally gets
+    its own count dicts unless the caller passes them."""
 
     __slots__ = (
         "n_parties", "slice_count", "sent", "sifted", "success", "pattern_counts", "pair_errors",
@@ -161,33 +161,6 @@ class SimTally(Record):
             {} if pair_errors is None else pair_errors,
             sifting_probability, seed, mode,
         )
-
-    def merge(self, other: "SimTally") -> "SimTally":
-        """Sum the counters of two compatible tallies; run metadata (seed,
-        sifting probability) follows the left operand."""
-        if (self.n_parties, self.slice_count, self.mode) != (
-            other.n_parties,
-            other.slice_count,
-            other.mode,
-        ):
-            raise ParameterError("cannot merge tallies from different configurations")
-        out = SimTally(
-            n_parties=self.n_parties,
-            slice_count=self.slice_count,
-            sent=self.sent + other.sent,
-            sifted=self.sifted + other.sifted,
-            success=self.success + other.success,
-            pattern_counts=dict(self.pattern_counts),
-            pair_errors=dict(self.pair_errors),
-            sifting_probability=self.sifting_probability,
-            seed=self.seed,
-            mode=self.mode,
-        )
-        for k, v in other.pattern_counts.items():
-            out.pattern_counts[k] = out.pattern_counts.get(k, 0) + v
-        for k, v in other.pair_errors.items():
-            out.pair_errors[k] = out.pair_errors.get(k, 0) + v
-        return out
 
     def to_dict(self) -> dict:
         return {

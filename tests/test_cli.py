@@ -262,6 +262,17 @@ class TestCurveCommand:
                      id="signal-decoys-string-entry"),
         pytest.param("none", {"distance_km": "ten"}, "pmqcc", id="string-distance"),
         pytest.param("none", {"mu": True}, "pmqcc", id="boolean-mu"),
+        # curve checked the slice count before the boundaries, rate after
+        pytest.param("none", {"slices": 2, "boundaries": "right"}, "pmqcc",
+                     id="two-slices-and-bad-boundaries"),
+        # rate ran the decoy ladder (exit 3, decoys too close) before it
+        # checked the slice count, curve the other way round
+        pytest.param("none", {"slices": 2, "decoys": [0.02, 0.019999, 0.001, 0.0]}, "decoy-lower",
+                     id="two-slices-and-close-decoys"),
+        # optimize built no record of the config: it ran on these
+        pytest.param("none", {"mu": float("inf")}, "pmqcc", id="infinite-mu"),
+        pytest.param("signal", {"decoys": [0.01, 0.02, 0.0]}, "pmqcc",
+                     id="signal-decoys-increasing-pmqcc"),
     ])
     def test_config_that_rate_rejects_exits_2(self, tmp_path, capsys, optimize, change, protocol):
         # this used to exit 0 with every row flagged error:ParameterError
@@ -270,8 +281,14 @@ class TestCurveCommand:
         rate = run_cli(["rate", cfg, "--protocol", protocol], capsys)
         curve = run_cli(["curve", cfg, "--protocol", protocol, "--l-min", "0", "--l-max", "20",
                          "--l-step", "10", "--optimize", optimize], capsys)
+        # the optimize target that reads what curve reads: the config's mu
+        # and M unless the signal is searched
+        objective = [] if protocol == "decoy-lower" else ["--protocol", protocol]
+        target = "signal" if optimize == "signal" else "decoys"
+        opt = run_cli(["optimize", cfg, "--target", target, *objective], capsys)
         assert rate[:2] == (2, "")
         assert curve == rate
+        assert opt == rate
 
     @pytest.mark.parametrize("optimize", ["none", "signal"])
     @pytest.mark.parametrize("decoys", [
@@ -285,9 +302,16 @@ class TestCurveCommand:
         rate = run_cli(["rate", cfg, "--protocol", "decoy-lower"], capsys)
         curve = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0", "--l-max", "20",
                          "--l-step", "10", "--optimize", optimize], capsys)
+        # optimize runs no decoy-lower rate on the configured decoys (its
+        # decoy target searches them): it accepts the config as rate does
+        # under its own --protocol, pmqcc
+        target = "signal" if optimize == "signal" else "decoys"
+        opt = run_cli(["optimize", cfg, "--target", target], capsys)
+        pmqcc = run_cli(["rate", cfg], capsys)
         assert rate[:2] == (3, "")
         assert json.loads(rate[2])["error"]["type"] == "InsufficientIntensitiesError"
         assert curve == rate
+        assert (opt[0], opt[2]) == (pmqcc[0], pmqcc[2]) == (0, "")
 
     def test_decoy_set_is_checked_before_the_boundaries(self, tmp_path, capsys):
         # rate --protocol decoy-lower never reads the boundaries
@@ -298,6 +322,15 @@ class TestCurveCommand:
                          "--l-step", "10", "--optimize", "signal"], capsys)
         assert rate[:2] == (3, "")
         assert curve == rate
+        # so with a valid decoy set both run; the signal search of curve used
+        # to parse the boundaries and exit 2
+        cfg = write_config(tmp_path, {**TABLE_CONFIG, "decoys": [0.0204583, 0.0182017, 9.27216e-5, 0.0],
+                                      "boundaries": "right"})
+        rate = run_cli(["rate", cfg, "--protocol", "decoy-lower"], capsys)
+        curve = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0", "--l-max", "20",
+                         "--l-step", "10", "--optimize", "signal"], capsys)
+        assert (rate[0], rate[2]) == (curve[0], curve[2]) == (0, "")
+        assert [row.split(",")[-1] for row in curve[1].splitlines()[1:]] == ["ok"] * 3
 
     def test_distance_dependent_error_keeps_row_flag(self, tmp_path, capsys):
         # without dark counts the signal gain vanishes once eta underflows,

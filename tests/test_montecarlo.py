@@ -92,25 +92,6 @@ class TestTally:
         assert payload["seed"] == 3
         assert set(payload["pattern_counts"]) <= {"LL", "LR", "RL", "RR"}
 
-    def test_merge_is_union(self):
-        a = run_rounds(protocol(), channel(), SimConfig(rounds=80_000, seed=5))
-        b = run_rounds(protocol(), channel(), SimConfig(rounds=90_000, seed=6))
-        ab = a.merge(b)
-        ba = b.merge(a)
-        d_ab, d_ba = ab.to_dict(), ba.to_dict()
-        d_ab.pop("seed"), d_ba.pop("seed")  # run metadata follows the left operand
-        assert d_ab == d_ba  # counts merge commutatively
-        assert ab.sent == a.sent + b.sent
-        assert ab.success == a.success + b.success
-        for key in set(a.pattern_counts) | set(b.pattern_counts):
-            assert ab.pattern_counts[key] == a.pattern_counts.get(key, 0) + b.pattern_counts.get(key, 0)
-
-    def test_merge_rejects_mismatched_configs(self):
-        a = run_rounds(protocol(), channel(), SimConfig(rounds=1000, seed=5))
-        b = run_rounds(protocol(m=16), channel(), SimConfig(rounds=1000, seed=5))
-        with pytest.raises(ParameterError):
-            a.merge(b)
-
 
 class TestSifting:
     def test_full_random_fraction(self):
@@ -605,11 +586,11 @@ class TestEstimate:
         assert est.phase_error is None
 
     def test_merged_estimates_match_union(self):
-        a = SimTally(n_parties=3, slice_count=14, sent=1000, sifted=500, success=100,
-                     pair_errors={2: 5, 3: 9})
-        b = SimTally(n_parties=3, slice_count=14, sent=3000, sifted=1500, success=300,
-                     pair_errors={2: 10, 3: 21}, pattern_counts={"LL": 300})
-        merged = estimate(a.merge(b))
+        # the union of a (1000 sent, 500 sifted, 100 successes, pair errors
+        # 5 and 9) and b (3000, 1500, 300, 10 and 21)
+        union = SimTally(n_parties=3, slice_count=14, sent=4000, sifted=2000, success=400,
+                         pair_errors={2: 15, 3: 30}, pattern_counts={"LL": 300})
+        merged = estimate(union)
         assert merged.gain == pytest.approx(400 / 2000)
         assert merged.pair_qbers[2] == pytest.approx(15 / 400)
         assert merged.pair_qbers[3] == pytest.approx(30 / 400)
