@@ -23,9 +23,10 @@ def main():
     nu, om, ta, _ = res.best_params.decoy_intensities
     print(f"  nu={nu:.6f}  omega={om:.6f}  tau={ta:.3e}")
     print(f"  certified rate lower bound R^L = {res.best_rate:.4e} bits/pulse")
-    print("  (in the asymptotic noiseless model, closely spaced weak decoys extract")
-    print("   the two-photon yield almost exactly; finite statistics would penalize")
-    print("   such clustering, but fluctuation analysis is out of scope here)")
+    print("  (in the asymptotic noiseless model, decoys far weaker than the signal")
+    print("   extract the two-photon yield almost exactly, and the certified rate is")
+    print("   flat in them to ~1e-6; finite statistics would penalize such weak decoys,")
+    print("   but fluctuation analysis is out of scope here)")
 
     print("\ninfeasible channel handling (L = 10000 km):")
     res = optimize_signal(ChannelParams(distance=10_000.0, **BENCH), 3, m_values=range(10, 20))

@@ -179,9 +179,9 @@ def parse_boundaries(cfg: dict) -> tuple:
 def _setup(cfg: dict, protocol: str, search: str = "none") -> tuple:
     """(protocol record, channel, broken ends) of a command, after every
     check that holds at every distance, in one order: the record, the
-    channel, the decoy set of ``decoy-lower`` or the boundaries of any
-    other protocol, the slice count and, when the decoys are searched,
-    the decoy search.  ``search`` (``none``, ``signal``, ``decoys`` or
+    channel, the boundaries of any protocol but ``decoy-lower``, the
+    slice count and, unless the decoys are searched, the decoy set of
+    ``decoy-lower``.  ``search`` (``none``, ``signal``, ``decoys`` or
     ``signal+decoys``) names what an optimizer picks: the record holds
     placeholders there, mu = 1 and M = 4 for the signal, no decoys."""
     if "signal" in search:
@@ -193,15 +193,11 @@ def _setup(cfg: dict, protocol: str, search: str = "none") -> tuple:
     ends = (False, False)
     if protocol != "decoy-lower":
         ends = parse_boundaries(cfg)
-    elif "decoys" not in search:
+    rate_constants(pp, sliced=protocol != "pmqcc-star")
+    if protocol == "decoy-lower" and "decoys" not in search:
         from .decoy import check_decoy_set
 
         check_decoy_set(pp)
-    rate_constants(pp, sliced=protocol != "pmqcc-star")
-    if "decoys" in search:
-        from .optimize import check_decoy_search
-
-        check_decoy_search(pp.n_parties)
     return pp, ch, ends
 
 

@@ -20,10 +20,9 @@ For three nonzero decoys the m=2 rung reduces to a closed form; the
 test suite keeps that closed form as an oracle and pins the ladder
 against it.
 
-The ladder runs on plain floats.  Its dot products round once per term,
-as a fused multiply-add does (``_fused_dot``), which is how numpy's BLAS
-dot rounds these short vectors, so the bounds keep the bits they had
-when the ladder ran on numpy arrays.
+The ladder runs on plain floats.  Its dot products sum the float
+products with one rounding (``_dot``), so a bound does not depend on the
+order in which a dot is accumulated.
 """
 
 from __future__ import annotations
@@ -58,13 +57,6 @@ MIN_RELATIVE_SEPARATION = 1e-3
 # cap on sum(|c_i| A_i) / |G|: beyond this the combination has cancelled
 # away too many digits to certify anything
 MAX_CONDITION = 1e9
-
-# Veltkamp's splitting constant 2**27 + 1, and the magnitudes between
-# which Dekker's split of a float product into p + e is exact: no
-# overflow in the split, no underflow in the low parts
-_VELTKAMP = 134217729.0
-_EXACT_SPLIT_MIN = 2.0**-960
-_EXACT_SPLIT_MAX = 2.0**990
 
 
 class DecoyGains(Record):
@@ -127,57 +119,20 @@ def _check_separation(ts) -> None:
             )
 
 
-def _fma(a: float, b: float, s: float) -> float:
-    """a * b + s rounded once, as a fused multiply-add rounds it.
-
-    Dekker's product splits a * b exactly into p + e, and ``math.fsum``
-    rounds p + e + s correctly.  Outside the range where that split is
-    exact, the sum is formed from integer ratios instead: int true
-    division rounds correctly too."""
-    p = a * b
-    if not (a and b):
-        return p + s  # a signed zero plus s: IEEE addition signs it as the fma does
-    if not s:
-        return p
-    if (_EXACT_SPLIT_MIN < abs(p) < _EXACT_SPLIT_MAX and abs(a) < _EXACT_SPLIT_MAX
-            and abs(b) < _EXACT_SPLIT_MAX and abs(s) < _EXACT_SPLIT_MAX):
-        t = _VELTKAMP * a
-        a_hi = t - (t - a)
-        a_lo = a - a_hi
-        t = _VELTKAMP * b
-        b_hi = t - (t - b)
-        b_lo = b - b_hi
-        e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-        return math.fsum((s, p, e))
+def _dot(c, x) -> float:
+    """sum(c_i x_i): the float products summed with one rounding.  A sum
+    beyond the float range certifies nothing."""
     try:
-        an, ad = a.as_integer_ratio()
-        bn, bd = b.as_integer_ratio()
-        sn, sd = s.as_integer_ratio()
-        num = an * bn * sd + sn * ad * bd
-        return num / (ad * bd * sd) if num else 0.0
-    except (OverflowError, ValueError):  # an inf or nan operand, or an inf result
-        return p + s
-
-
-def _fused_dot(c, x) -> float:
-    """sum(c_i x_i) accumulated left to right with one rounding per term,
-    as the BLAS dot behind numpy's ``np.dot`` does on short float64
-    vectors (a fused multiply-add per step, from 0.0)."""
-    acc = 0.0
-    for ci, xi in zip(c, x):
-        if ci:
-            acc = _fma(ci, xi, acc)
-        else:
-            acc += ci * xi  # the fma of a signed zero product, without the call
-    return acc
+        return math.fsum(map(operator.mul, c, x))
+    except OverflowError:
+        raise DegenerateGeometryError("decoy combination overflows") from None
 
 
 def _powers(ts, k: int) -> list:
-    """t**k for each t, squaring by multiplication as numpy's ``ts**2``
-    does: libm's pow(t, 2) differs from t*t in the last bit now and then.
-    Intensities far above any signal overflow the checked orders."""
+    """t**k for each t.  Intensities far above any signal overflow the
+    checked orders."""
     try:
-        return [t * t for t in ts] if k == 2 else [t**k for t in ts]
+        return [t**k for t in ts]
     except OverflowError:
         raise DegenerateGeometryError(f"decoy intensities too large: t**{k} overflows") from None
 
@@ -195,7 +150,7 @@ def _eliminate(ts, kill_orders) -> list:
     for k in kill_orders:
         powers = _powers(ts, k)
         fact = math.factorial(k)
-        phis = [_fused_dot(c, powers) / fact for c in combos]
+        phis = [_dot(c, powers) / fact for c in combos]
         combos = [
             [phis[i + 1] * u - phis[i] * v for u, v in zip(combos[i], combos[i + 1])]
             for i in range(len(combos) - 1)
@@ -206,10 +161,10 @@ def _eliminate(ts, kill_orders) -> list:
 
 
 def _normalized(c: list) -> list:
-    """c / max|c|, with numpy's nan for an all-zero or nan vector."""
+    """c / max|c|.  An all-zero or nan combination certifies nothing."""
     scale = max(map(abs, c))
     if not scale or any(map(math.isnan, c)):
-        return [math.nan] * len(c)
+        raise DegenerateGeometryError("elimination combination collapsed to 0 or nan")
     return [x / scale for x in c]
 
 
@@ -230,14 +185,14 @@ def _ladder_bound(ts, a_values, m: int, kill_orders, check_orders: int) -> float
     vacuum-subtracted scaled gains A.  Verifies the sign pattern that
     makes dropping the retained higher orders safe.
 
-    The bound and its denominator use the fused dot; the sign guards and
-    the cancellation ratio are one-sided tests, where a plain float sum
+    The bound and its denominator use ``_dot``; the sign guards and the
+    cancellation ratio are one-sided tests, where a plain float sum
     does."""
     _check_separation(ts)
     c = _eliminate(ts, kill_orders)
     t_max = ts[0]
 
-    g_m = _fused_dot(c, _powers(ts, m)) / math.factorial(m)
+    g_m = _dot(c, _powers(ts, m)) / math.factorial(m)
     if g_m < 0.0:
         c = [-x for x in c]
         g_m = -g_m
@@ -257,7 +212,7 @@ def _ladder_bound(ts, a_values, m: int, kill_orders, check_orders: int) -> float
     if c[0] > 0.0:
         raise DegenerateGeometryError("asymptotic elimination coefficient has the unsafe sign")
 
-    g = _fused_dot(c, a_values)
+    g = _dot(c, a_values)
     g_abs = sum(abs(ci) * max(a, 0.0) for ci, a in zip(c, a_values))
     if g != 0.0 and g_abs / abs(g) > MAX_CONDITION:
         raise DegenerateGeometryError(
@@ -322,17 +277,20 @@ def phase_error_upper(
 
 def check_decoy_set(pp: ProtocolParams) -> None:
     """Raise ``InsufficientIntensitiesError`` unless the decoy set has the
-    vacuum intensity and the n_cut + 1 nonzero ones the ladder needs.
-    Neither depends on the channel, so a caller can check them once for
-    every distance."""
+    vacuum intensity and the n_cut + 1 nonzero ones the ladder needs, and
+    ``DegenerateGeometryError`` if two of those, scaled by N-1 as the
+    ladder scales them, are too close.  None of these depends on the
+    channel, so a caller can check them once for every distance."""
     n_cut = n_cut_for(pp.n_parties)
+    nonzero = pp.nonzero_decoys
     if not pp.has_vacuum_decoy:
         raise InsufficientIntensitiesError("the estimator needs a vacuum (0) decoy intensity")
-    if len(pp.nonzero_decoys) < n_cut + 1:
+    if len(nonzero) < n_cut + 1:
         raise InsufficientIntensitiesError(
             f"N={pp.n_parties} needs {n_cut + 1} nonzero decoys plus vacuum, "
-            f"got {len(pp.nonzero_decoys)}"
+            f"got {len(nonzero)}"
         )
+    _check_separation([(pp.n_parties - 1) * x for x in nonzero[-(n_cut + 1):]])
 
 
 def decoy_bounds(pp: ProtocolParams, ch: ChannelParams) -> DecoyBounds:

@@ -291,13 +291,13 @@ class TestCurveCommand:
         assert opt == rate
 
     @pytest.mark.parametrize("optimize", ["none", "signal"])
-    @pytest.mark.parametrize("decoys", [
-        pytest.param([0.0204583, 0.0182017, 9.27216e-5], id="no-vacuum"),
-        pytest.param([0.0204583, 0.0182017, 0.0], id="two-nonzero"),
+    @pytest.mark.parametrize("decoys, error", [
+        pytest.param([0.0204583, 0.0182017, 9.27216e-5], "InsufficientIntensitiesError", id="no-vacuum"),
+        pytest.param([0.0204583, 0.0182017, 0.0], "InsufficientIntensitiesError", id="two-nonzero"),
+        pytest.param([0.02, 0.019999, 0.001, 0.0], "DegenerateGeometryError", id="close-decoys"),
     ])
-    def test_decoy_set_that_rate_rejects_exits_3(self, tmp_path, capsys, optimize, decoys):
-        # this used to exit 0 with every row flagged
-        # error:InsufficientIntensitiesError
+    def test_decoy_set_that_rate_rejects_exits_3(self, tmp_path, capsys, optimize, decoys, error):
+        # this used to exit 0 with every row flagged error:<type>
         cfg = write_config(tmp_path, {**TABLE_CONFIG, "decoys": decoys})
         rate = run_cli(["rate", cfg, "--protocol", "decoy-lower"], capsys)
         curve = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0", "--l-max", "20",
@@ -309,7 +309,7 @@ class TestCurveCommand:
         opt = run_cli(["optimize", cfg, "--target", target], capsys)
         pmqcc = run_cli(["rate", cfg], capsys)
         assert rate[:2] == (3, "")
-        assert json.loads(rate[2])["error"]["type"] == "InsufficientIntensitiesError"
+        assert json.loads(rate[2])["error"]["type"] == error
         assert curve == rate
         assert (opt[0], opt[2]) == (pmqcc[0], pmqcc[2]) == (0, "")
 
@@ -483,15 +483,17 @@ class TestOptimizeCommand:
         assert payload["M"] == 13
         assert payload["mu"] == pytest.approx(0.1333, abs=5e-3)
 
-    def test_decoy_search_beyond_the_draws_exits_2(self, tmp_path, capsys):
-        # N=18 needs 19 decoys, two more than the search has starting draws for
+    def test_decoy_search_at_eighteen_parties_exits_0(self, tmp_path, capsys):
+        # N=18 needs 19 decoys; the search has starting points for any N,
+        # and at 50 km no decoy set certifies a positive rate
         cfg = write_config(tmp_path, {**TABLE_CONFIG, "parties": 18})
-        optimize = run_cli(["optimize", cfg, "--target", "decoys"], capsys)
-        curve = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0", "--l-max", "20",
-                         "--l-step", "10", "--optimize", "signal+decoys"], capsys)
-        assert optimize[:2] == (2, "")
-        assert "N=18 needs 19" in json.loads(optimize[2])["error"]["message"]
-        assert curve == optimize
+        code, out, err = run_cli(["optimize", cfg, "--target", "decoys"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["flagged_zero"] is True
+        code, out, err = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0",
+                                  "--l-max", "0", "--l-step", "10", "--optimize", "signal+decoys"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].endswith(",infeasible")
 
     def test_infeasible_flagged_zero_exit_0(self, tmp_path, capsys):
         cfg = write_config(

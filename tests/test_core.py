@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from pmqcc import (
     ProtocolParams,
     binary_entropy,
     intrinsic_misalignment,
+    optimize_signal,
     transmittance,
 )
 # the Poisson helpers serve only the enumeration reference and live with it
@@ -119,6 +121,16 @@ class TestIntrinsicMisalignment:
     def test_strictly_decreasing_4_to_1024(self):
         values = [intrinsic_misalignment(m) for m in range(4, 1025)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_nonnegative_and_not_rising_over_the_signal_search(self):
+        # the sliced branch QBER rises with e_delta, so a rate bound that
+        # scans M upward from the smallest searched count needs e_delta
+        # >= 0 and no rise anywhere in optimize_signal's slice range
+        searched = inspect.signature(optimize_signal).parameters["m_values"].default
+        assert (searched[0], searched[-1]) == (4, 64)
+        values = [intrinsic_misalignment(m) for m in searched]
+        assert min(values) >= 0.0
+        assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_domain(self):
         with pytest.raises(ParameterError):

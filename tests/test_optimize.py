@@ -1,8 +1,11 @@
 import math
+import operator
+import random
 
 import numpy as np
 import pytest
 
+import pmqcc.decoy
 import pmqcc.keyrate
 
 from pmqcc import (
@@ -15,7 +18,8 @@ from pmqcc import (
     rate_pmqcc_star,
     rate_reduced,
 )
-from pmqcc.optimize import COARSE_GRID, COARSE_POINTS, MU_BOUNDS, START_DRAWS, _uniform
+from pmqcc.decoy import n_cut_for
+from pmqcc.optimize import COARSE_GRID, COARSE_POINTS, DECOY_RESTARTS, MU_BOUNDS
 from tests.conftest import bench_channel_at
 
 # (N, km, objective, options) -> repr-exact (best_rate, mu, M, evaluations),
@@ -146,34 +150,52 @@ class TestOptimizeDecoys:
         result = optimize_decoys(bench_channel_at(10.0), 6, 1e-11, 13, restarts=1, sweeps=2)
         assert result.flagged_zero and result.best_rate == 0.0 and result.evaluations > 0
 
-    def test_start_draws_are_the_seeded_generator_draws(self):
-        for r, row in enumerate(START_DRAWS):
-            assert row == tuple(np.random.default_rng(1000 + r).random(len(row)).tolist())
+    def test_searches_beyond_seventeen_parties_run(self):
+        # N=18 needs 19 decoys and N=24 needs 25; the starting points have
+        # no cap on N, and a search whose every trial scores 0 stops after
+        # one sweep of each restart
+        for n in (18, 24):
+            result = optimize_decoys(bench_channel_at(0.0), n, 0.1, 13)
+            assert result.flagged_zero and result.best_rate == 0.0
+            assert result.evaluations <= DECOY_RESTARTS * (2 * (n_cut_for(n) + 1) + 1)
 
-    def test_uniform_draws_match_numpy(self):
-        # the search used to draw each starting point from the generator
-        n_decoys = len(START_DRAWS[0])
-        for r, u in enumerate(START_DRAWS):
-            rng = np.random.default_rng(1000 + r)
-            drawn = [rng.uniform(2.0, 8.0), *rng.uniform(1.3, 3.0, n_decoys - 2).tolist(),
-                     rng.uniform(20.0, 400.0)]
-            ours = [_uniform(2.0, 8.0, u[0]), *(_uniform(1.3, 3.0, q) for q in u[1:-1]),
-                    _uniform(20.0, 400.0, u[-1])]
-            assert ours == drawn
+    def test_all_zero_search_stops_after_one_flat_sweep(self):
+        # at N=5, 20 km every trial certifies 0: one start plus one sweep
+        # of 2 * 5 trials per restart
+        result = optimize_decoys(bench_channel_at(20.0), 5, 0.1, 13)
+        assert result.flagged_zero
+        assert result.evaluations <= DECOY_RESTARTS * (1 + 2 * 5)
 
-    def test_restarts_beyond_the_draws_raise(self):
-        ch = bench_channel_at(150.0)
-        with pytest.raises(ParameterError, match="restarts"):
-            optimize_decoys(ch, 3, 0.104815, 13, restarts=len(START_DRAWS) + 1)
-        result = optimize_decoys(ch, 3, 0.104815, 13, restarts=len(START_DRAWS), sweeps=0)
-        assert result.evaluations == len(START_DRAWS)
+    def test_search_does_not_depend_on_how_a_dot_is_summed(self, monkeypatch):
+        # the search stops at DECOY_RTOL, far above the rounding of a dot,
+        # so two summation orders take the same path over the bench's
+        # decoy-search domain and agree on the rate to well below it
+        runs = {}
+        for name, dot in (("fsum", lambda c, x: math.fsum(map(operator.mul, c, x))),
+                          ("left-to-right", lambda c, x: sum(map(operator.mul, c, x)))):
+            monkeypatch.setattr(pmqcc.decoy, "_dot", dot)
+            runs[name] = [optimize_decoys(*config) for config in DOT_CONFIGS]
+        for config, fsum, plain in zip(DOT_CONFIGS, runs["fsum"], runs["left-to-right"]):
+            assert not fsum.flagged_zero
+            assert (plain.best_params, plain.evaluations) == (fsum.best_params, fsum.evaluations)
+            assert plain.best_rate == pytest.approx(fsum.best_rate, rel=1e-9, abs=0.0)
+            ch = config[0]
+            for result in (fsum, plain):
+                assert 0.0 < result.best_rate <= rate_pmqcc(result.best_params, ch).rate
 
-    def test_draws_cover_sixteen_parties(self):
-        # N=16 and N=17 need 17 decoys; N=18 needs 19
-        for n in (16, 17):
-            optimize_decoys(bench_channel_at(0.0), n, 0.1, 13, restarts=1, sweeps=0)
-        with pytest.raises(ParameterError, match="N=18 needs 19"):
-            optimize_decoys(bench_channel_at(0.0), 18, 0.1, 13)
+
+def dot_configs() -> list:
+    """40 seeded N=3 decoy searches from the bench's decoy-search domain:
+    0-150 km, mu 0.1-0.16, M 13-16."""
+    rng = random.Random(16)
+    return [
+        (bench_channel_at(round(rng.uniform(0.0, 150.0), 3)), 3,
+         round(rng.uniform(0.1, 0.16), 6), rng.randint(13, 16))
+        for _ in range(40)
+    ]
+
+
+DOT_CONFIGS = dot_configs()
 
 
 def numpy_dispatches_x86_v4() -> bool:
