@@ -1,7 +1,7 @@
 """Decoy-state estimation, step by step.
 
 Simulates the observable gains of a four-intensity decoy set, runs the
-elimination ladder for the two-photon yield lower bound, turns it into a
+decoy ladder for the two-photon yield lower bound, turns it into a
 phase-error upper bound and a certified key-rate lower bound, and then
 checks the bound against the exact phase-error rate.
 """

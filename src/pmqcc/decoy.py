@@ -1,24 +1,22 @@
-"""Finite-decoy-state estimation: even-order yield lower bounds via a
-pairwise-elimination ladder, the phase-error upper bound they certify,
-and the resulting key-rate lower bound.
+"""Finite-decoy-state estimation: even-order yield lower bounds from the
+decoy ladder, the phase-error upper bound they certify, and the
+resulting key-rate lower bound.
 
 Writing t_x = (N-1) x for the total virtual intensity of decoy setting x
 and A_x = e^{t_x} Q_x - Q_0, the observed gains obey
 
     A_x = sum_{k >= 1} t_x^k / k! * Y_k .
 
-To lower-bound an even order Y_m the ladder linearly combines the A_x of
-the m+1 smallest nonzero intensities so that the orders {1..m-1, m+1}
-cancel; with descending intensities the surviving combination has a
-positive coefficient on Y_m and negative coefficients on every retained
-higher order, so dropping those orders can only lower the estimate.  The
-sign pattern is asserted at runtime: a violation (or an ill-conditioned
-combination) raises ``DegenerateGeometryError`` instead of silently
-returning an unsafe bound.
-
-For three nonzero decoys the m=2 rung reduces to a closed form; the
-test suite keeps that closed form as an oracle and pins the ladder
-against it.
+To lower-bound Y_m the ladder's rung combines the A_x of the m+1
+smallest nonzero intensities with closed-form coefficients that cancel
+the orders {1..m-1, m+1} (the standard decoy method: Ma, Qi, Zhao & Lo,
+PRA 72, 012326, 2005).  The combination has a positive coefficient on
+Y_m and negative ones on every higher order, so dropping those orders
+can only lower the estimate.  The sign pattern is asserted again on the
+floats: a violation (or an ill-conditioned combination) raises
+``DegenerateGeometryError`` instead of returning an unsafe bound.  For
+three nonzero decoys the m=2 rung is the three-party closed form the
+test suite keeps as an oracle.
 
 The ladder runs on plain floats.  Its dot products sum the float
 products with one rounding (``_dot``), so a bound does not depend on the
@@ -51,8 +49,8 @@ __all__ = [
     "rate_lower",
 ]
 
-# adjacent intensities closer than this (relatively) make the
-# elimination denominator collapse
+# adjacent intensities closer than this (relatively) make the rung's
+# difference products collapse
 MIN_RELATIVE_SEPARATION = 1e-3
 # cap on sum(|c_i| A_i) / |G|: beyond this the combination has cancelled
 # away too many digits to certify anything
@@ -95,15 +93,11 @@ def n_cut_for(n_parties: int) -> int:
     return n_parties - 1 if n_parties % 2 == 1 else n_parties
 
 
-def simulate_decoy_gains(
-    pp: ProtocolParams, ch: ChannelParams, intensities: tuple | None = None
-) -> DecoyGains:
+def simulate_decoy_gains(pp: ProtocolParams, ch: ChannelParams) -> DecoyGains:
     """Forward-simulate the honest-model gains feeding the estimator:
     Q_x = Q_branch(eta x)^(N-1) for each nonzero decoy intensity and
     Q_0 = (2 p_d (1-p_d))^(N-1) for vacuum."""
-    if intensities is None:
-        intensities = pp.decoy_intensities
-    nonzero = tuple(x for x in intensities if x > 0.0)
+    nonzero = pp.nonzero_decoys
     eta = transmittance(ch)
     n = pp.n_parties
     gains = tuple(branch_gain_avg(eta * x, ch.dark_count) ** (n - 1) for x in nonzero)
@@ -114,9 +108,7 @@ def simulate_decoy_gains(
 def _check_separation(ts) -> None:
     for hi, lo in zip(ts, ts[1:]):
         if hi <= lo or (hi - lo) / hi < MIN_RELATIVE_SEPARATION:
-            raise DegenerateGeometryError(
-                f"decoy intensities too close: {hi} vs {lo}"
-            )
+            raise DegenerateGeometryError(f"decoy intensities too close: {hi} vs {lo}")
 
 
 def _dot(c, x) -> float:
@@ -137,35 +129,31 @@ def _powers(ts, k: int) -> list:
         raise DegenerateGeometryError(f"decoy intensities too large: t**{k} overflows") from None
 
 
-def _eliminate(ts, kill_orders) -> list:
-    """Pairwise elimination of the given photon-number orders.
+def _rung_combination(ts) -> list:
+    """Coefficients c of the Y_m rung over the m + 1 intensities ts
+    (descending), m = len(ts) - 1, in closed form:
 
-    Returns the final coefficient vector c over the inputs, normalized
-    after each stage to keep scales bounded.  Each stage replaces
-    adjacent combinations (u, v) with phi_k(v) u - phi_k(u) v, which
-    zeroes the order-k coefficient phi_k(c) = sum_i c_i t_i^k / k!.
-    """
-    n = len(ts)
-    combos = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for k in kill_orders:
-        powers = _powers(ts, k)
-        fact = math.factorial(k)
-        phis = [_dot(c, powers) / fact for c in combos]
-        combos = [
-            [phis[i + 1] * u - phis[i] * v for u, v in zip(combos[i], combos[i + 1])]
-            for i in range(len(combos) - 1)
-        ]
-        combos = [_normalized(c) for c in combos]
-    (c,) = combos
+        c_i = -(sum_{j != i} t_j) / (t_i prod_{j != i} (t_i - t_j)).
+
+    With S = sum_j t_j and h_r the complete homogeneous symmetric
+    polynomial of degree r in the t_j (h_0 = 1, h_r = 0 for r < 0), the
+    order-k coefficient is sum_i c_i t_i^k = h_{k-m} - S h_{k-m-1}: 0 for
+    k in {1..m-1, m+1}, 1 for k = m, and negative for every k >= m + 2,
+    since S h_{r-1} holds every monomial of h_r and more; and c_0 < 0.
+    So dropping the orders above m can only lower the bound, for odd m as
+    for even.  c is evaluated on s_i = t_i / t_max, which scales it by
+    t_max^m to O(1); a difference product that under- or overflows
+    certifies nothing."""
+    t_max = ts[0]
+    s = [t / t_max for t in ts]
+    c = []
+    for i, si in enumerate(s):
+        others = s[:i] + s[i + 1:]
+        den = si * math.prod([si - sj for sj in others])
+        c.append(-sum(others) / den if den else math.nan)
+    if not all(map(math.isfinite, c)):
+        raise DegenerateGeometryError("rung combination collapsed: a difference product under- or overflows")
     return c
-
-
-def _normalized(c: list) -> list:
-    """c / max|c|.  An all-zero or nan combination certifies nothing."""
-    scale = max(map(abs, c))
-    if not scale or any(map(math.isnan, c)):
-        raise DegenerateGeometryError("elimination combination collapsed to 0 or nan")
-    return [x / scale for x in c]
 
 
 def _order_scale(t_max: float, k: int) -> float:
@@ -180,57 +168,40 @@ def _order_scale(t_max: float, k: int) -> float:
     return scale
 
 
-def _ladder_bound(ts, a_values, m: int, kill_orders, check_orders: int) -> float:
-    """Lower bound on Y_m from intensities ts (descending) and their
-    vacuum-subtracted scaled gains A.  Verifies the sign pattern that
-    makes dropping the retained higher orders safe.
+def _ladder_bound(ts, a_values, m: int, check_orders: int) -> float:
+    """Lower bound on Y_m from the m + 1 intensities ts (descending) and
+    their vacuum-subtracted scaled gains A: sum_i c_i A_i over the rung's
+    order-m coefficient.  The signs that make dropping the higher orders
+    safe are checked on the floats, up to ``check_orders`` and for
+    k -> infinity, and so is the cancellation in the numerator.
 
     The bound and its denominator use ``_dot``; the sign guards and the
     cancellation ratio are one-sided tests, where a plain float sum
     does."""
     _check_separation(ts)
-    c = _eliminate(ts, kill_orders)
+    c = _rung_combination(ts)
     t_max = ts[0]
 
     g_m = _dot(c, _powers(ts, m)) / math.factorial(m)
-    if g_m < 0.0:
-        c = [-x for x in c]
-        g_m = -g_m
     if g_m <= 0.0:
-        raise DegenerateGeometryError("elimination denominator collapsed to 0")
+        raise DegenerateGeometryError("rung denominator collapsed to 0")
     # normalized comparison scale: psi_k = phi_k k! / t_max^k is O(1)
     psi_m = g_m * math.factorial(m) / _order_scale(t_max, m)
-    for k in range(1, check_orders + 1):
-        if k == m or k in kill_orders:
-            continue
+    for k in range(m + 2, check_orders + 1):
         psi_k = sum(map(operator.mul, c, _powers(ts, k))) / _order_scale(t_max, k)
         if psi_k > 1e-9 * psi_m:
-            raise DegenerateGeometryError(
-                f"order-{k} elimination coefficient has the unsafe sign"
-            )
+            raise DegenerateGeometryError(f"order-{k} rung coefficient has the unsafe sign")
     # the k -> infinity sign is carried by the largest intensity
     if c[0] > 0.0:
-        raise DegenerateGeometryError("asymptotic elimination coefficient has the unsafe sign")
+        raise DegenerateGeometryError("asymptotic rung coefficient has the unsafe sign")
 
     g = _dot(c, a_values)
     g_abs = sum(abs(ci) * max(a, 0.0) for ci, a in zip(c, a_values))
     if g != 0.0 and g_abs / abs(g) > MAX_CONDITION:
         raise DegenerateGeometryError(
-            f"elimination too ill-conditioned (cancellation {g_abs / abs(g):.1e})"
+            f"rung too ill-conditioned (cancellation {g_abs / abs(g):.1e})"
         )
     return min(max(g / g_m, 0.0), 1.0)
-
-
-def _scaled_gain_excesses(g: DecoyGains, scale: float, intensities):
-    ts = [scale * x for x in intensities]
-    idx = {x: i for i, x in enumerate(g.intensities)}
-    try:
-        a_values = [
-            math.exp(t) * g.gains[idx[x]] - g.vacuum_gain for x, t in zip(intensities, ts)
-        ]
-    except OverflowError:
-        raise DegenerateGeometryError(f"decoy intensities too large: e**{max(ts)} overflows") from None
-    return ts, a_values
 
 
 def yields_lower_general(
@@ -238,9 +209,9 @@ def yields_lower_general(
 ) -> DecoyBounds:
     """Lower bounds for every even order up to n_cut.
 
-    The Y_m rung eliminates orders {1..m-1, m+1} using the m+1 smallest
-    nonzero intensities (all three of them in the three-party case,
-    where the rung reproduces the three-party closed form).
+    The Y_m rung combines the m+1 smallest nonzero intensities (all
+    three of them in the three-party case, where the rung is the
+    three-party closed form).
     """
     if n_cut < 2 or n_cut % 2 != 0:
         raise ParameterError(f"n_cut must be a positive even integer, got {n_cut}")
@@ -249,14 +220,17 @@ def yields_lower_general(
             f"bounding Y_{n_cut} needs {n_cut + 1} nonzero decoys plus vacuum, "
             f"got {len(g.intensities)}"
         )
-    t_all = [total_intensity_scale * x for x in g.intensities]
-    check_orders = max(int(math.ceil(max(t_all) + 12.0 * math.sqrt(max(t_all)) + 30.0)), n_cut + 20)
-    y_lower = {}
-    for m in range(2, n_cut + 1, 2):
-        chosen = g.intensities[-(m + 1):]
-        ts, a_values = _scaled_gain_excesses(g, total_intensity_scale, chosen)
-        kill = list(range(1, m)) + [m + 1]
-        y_lower[m] = _ladder_bound(ts, a_values, m, kill, check_orders)
+    t_top = total_intensity_scale * g.intensities[0]
+    check_orders = max(int(math.ceil(t_top + 12.0 * math.sqrt(t_top) + 30.0)), n_cut + 20)
+    ts = [total_intensity_scale * x for x in g.intensities[-(n_cut + 1):]]
+    try:
+        a_values = [math.exp(t) * q - g.vacuum_gain for t, q in zip(ts, g.gains[-(n_cut + 1):])]
+    except OverflowError:
+        raise DegenerateGeometryError(f"decoy intensities too large: e**{ts[0]} overflows") from None
+    y_lower = {
+        m: _ladder_bound(ts[-(m + 1):], a_values[-(m + 1):], m, check_orders)
+        for m in range(2, n_cut + 1, 2)
+    }
     return DecoyBounds(y_lower=y_lower, n_cut=n_cut)
 
 

@@ -44,21 +44,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 MU_BOUNDS = (1e-3, 1.0)
 MU_TOL = 1e-4
 COARSE_POINTS = 40
-# np.geomspace(*MU_BOUNDS, COARSE_POINTS) element for element, as numpy's
-# AVX-512 path computes it (its baseline path puts index 34 one ulp
-# higher): computing it as 10.0 ** y instead misses one point by an ulp,
-# and that moves the last bit of some optima
-COARSE_GRID = (
-    0.001, 0.001193776641714437, 0.0014251026703029977, 0.0017012542798525892,
-    0.002030917620904735, 0.0024244620170823282, 0.0028942661247167516, 0.003455107294592218,
-    0.004124626382901352, 0.004923882631706742, 0.0058780160722749115, 0.00701703828670383,
-    0.008376776400682925, 0.01, 0.01193776641714437, 0.014251026703029985,
-    0.017012542798525893, 0.020309176209047358, 0.024244620170823284, 0.028942661247167517,
-    0.0345510729459222, 0.04124626382901352, 0.04923882631706741, 0.05878016072274915,
-    0.07017038286703829, 0.0837677640068292, 0.1, 0.1193776641714437,
-    0.14251026703029993, 0.17012542798525893, 0.2030917620904737, 0.24244620170823283,
-    0.28942661247167517, 0.3455107294592222, 0.4124626382901352, 0.49238826317067413,
-    0.5878016072274912, 0.701703828670383, 0.8376776400682924, 1.0,
+_LOG_LO, _LOG_HI = map(math.log10, MU_BOUNDS)
+COARSE_GRID = tuple(
+    10.0 ** (_LOG_LO + i * ((_LOG_HI - _LOG_LO) / (COARSE_POINTS - 1))) for i in range(COARSE_POINTS)
 )
 
 DECOY_RESTARTS = 3

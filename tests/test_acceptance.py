@@ -5,7 +5,7 @@ Criterion 1 checks the engine against its frozen benchmark table.  The
 200 km row of that table is known to be inconsistent with the other four
 rows and with the recovered optimal parameters (the engine that matches
 rows 1-4 to 0.003% and returns the table's own optimal mu and M at every
-distance produces 5.6206e-14 there, against the frozen 2.6206e-14 -- a
+distance produces 5.62054e-14 there, against the frozen 2.6206e-14 -- a
 single-leading-digit discrepancy).  The frozen value is kept and the row
 fails honestly; see README.
 """

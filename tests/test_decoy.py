@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from pmqcc import (
     transmittance,
     yields_lower_general,
 )
-from pmqcc.decoy import _dot, _normalized
+from pmqcc.decoy import _dot, _rung_combination
 from pmqcc.keyrate import chain_branches, parity_phase_error
 from tests.conftest import bench_channel_at
 from tests.enumeration import enumerated_yields, poisson_weight, yield_probability
@@ -173,14 +174,81 @@ class TestLadderArithmetic:
                 exact = sum(Fraction(ci * xi) for ci, xi in zip(c, x))
                 assert _dot(c, x) == float(exact)
 
-    @pytest.mark.parametrize("c", [[0.0, -0.0, 0.0], [1.0, math.nan]])
-    def test_a_collapsed_combination_raises_a_typed_error(self, c):
+    def test_a_collapsed_combination_raises_a_typed_error(self):
+        # the smallest intensity's difference product, 1e-250 * 1e-200,
+        # underflows to 0
         with pytest.raises(DegenerateGeometryError, match="collapsed"):
-            _normalized(c)
+            _rung_combination([1.0, 1e-200, 1e-250])
 
     def test_a_sum_beyond_the_float_range_raises_a_typed_error(self):
         with pytest.raises(DegenerateGeometryError, match="overflows"):
             _dot([1.0, 1.0], [1e308, 1e308])
+
+
+def exact_rung(ts) -> list:
+    """The rung combination in exact arithmetic on rational ts:
+    c_i = -(sum_{j != i} t_j) / (t_i prod_{j != i} (t_i - t_j))."""
+    return [
+        -(sum(ts) - ti) / (ti * math.prod(ti - tj for j, tj in enumerate(ts) if j != i))
+        for i, ti in enumerate(ts)
+    ]
+
+
+# the benchmark's decoy fractions of mu for N=4 and N=5: five decoys
+# 1.5-4 % apart
+BENCH_FRACTIONS_45 = (0.9827, 0.9511, 0.9099, 0.8966, 0.8825)
+# (N, mu, nonzero decoys, km) on honest gains
+ACCURACY_CONFIGS = [
+    (3, 0.104815, ANCHOR_DECOYS, 150.0),
+    (3, 0.1, (0.05, 0.03, 0.001), 50.0),
+    (4, 0.13, tuple(round(0.13 * x, 9) for x in BENCH_FRACTIONS_45), 20.0),
+    (5, 0.1, tuple(round(0.1 * x, 9) for x in BENCH_FRACTIONS_45), 10.0),
+    (5, 0.1, (0.05, 0.03, 0.018, 0.01, 0.001), 10.0),
+    (7, 0.05, (0.04, 0.03, 0.02, 0.012, 0.008, 0.004, 0.001), 5.0),
+    (9, 0.05, (0.06, 0.045, 0.035, 0.025, 0.018, 0.012, 0.008, 0.004, 0.001), 0.0),
+]
+
+
+class TestRungCombination:
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_exact_identities(self, m):
+        # orders {1..m-1, m+1} cancel, order m has coefficient 1, every
+        # higher order and the largest intensity's coefficient are negative;
+        # the float combination on t / t_max is the same vector scaled
+        rng = random.Random(m)
+        for _ in range(20):
+            scale = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            ts = [scale * k for k in sorted(rng.sample(range(1, 100), m + 1), reverse=True)]
+            c = exact_rung(ts)
+            order = lambda k: sum(ci * t**k for ci, t in zip(c, ts))
+            assert [order(k) for k in [*range(1, m), m + 1]] == [0] * m
+            assert order(m) == 1
+            assert all(order(k) < 0 for k in range(m + 2, m + 11))
+            assert c[0] < 0
+            floats = [float(t) for t in ts]
+            expected = exact_rung([Fraction(t) / Fraction(floats[0]) for t in floats])
+            for got, want in zip(_rung_combination(floats), expected):
+                assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
+
+    @pytest.mark.parametrize("n, mu, decoys, km", ACCURACY_CONFIGS)
+    def test_bounds_are_within_four_condition_numbers_of_exact(self, n, mu, decoys, km):
+        # against the exact rung on the same float t and A, each bound is
+        # off by at most 4 kappa eps, kappa = sum|c_i A_i| / |sum c_i A_i|
+        pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=13,
+                            decoy_intensities=decoys + (0.0,))
+        g = simulate_decoy_gains(pp, bench_channel_at(km))
+        n_cut = n_cut_for(n)
+        y_lower = yields_lower_general(g, float(n - 1), n_cut).y_lower
+        ts = [(n - 1) * x for x in g.intensities[-(n_cut + 1):]]
+        a_values = [math.exp(t) * q - g.vacuum_gain for t, q in zip(ts, g.gains[-(n_cut + 1):])]
+        for m, bound in y_lower.items():
+            c = exact_rung([Fraction(t) for t in ts[-(m + 1):]])
+            terms = [ci * Fraction(a) for ci, a in zip(c, a_values[-(m + 1):])]
+            exact = math.factorial(m) * sum(terms)
+            kappa = sum(map(abs, terms)) / abs(sum(terms))
+            clamped = min(max(exact, Fraction(0)), Fraction(1))
+            assert abs(Fraction(bound) - clamped) <= 4 * kappa * Fraction(sys.float_info.epsilon) * abs(exact)
+        assert 0 < y_lower[n_cut] < 1
 
 
 class TestPhaseErrorUpper:

@@ -3,8 +3,8 @@
 With exactly three nonzero decoys plus vacuum, eliminating the orders
 {1, 3} from the scaled gain excesses A_x = e^{t_x} Q_x - Q_0 leaves Y_2
 in closed form.  ``pmqcc.decoy.yields_lower_general`` reaches the same
-bound by pairwise elimination; the test suite pins the two against each
-other.
+bound from the general rung combination, written for any order m; the
+test suite pins the two against each other.
 """
 
 from __future__ import annotations
