@@ -174,11 +174,12 @@ class TestLadderArithmetic:
                 exact = sum(Fraction(ci * xi) for ci, xi in zip(c, x))
                 assert _dot(c, x) == float(exact)
 
-    def test_a_collapsed_combination_raises_a_typed_error(self):
-        # the smallest intensity's difference product, 1e-250 * 1e-200,
-        # underflows to 0
+    # c0: the smallest intensity's difference product, 1e-250 * 1e-200,
+    # underflows to 0; c1: a NaN intensity makes every coefficient NaN
+    @pytest.mark.parametrize("ts", [[1.0, 1e-200, 1e-250], [1.0, math.nan]], ids=["c0", "c1"])
+    def test_a_collapsed_combination_raises_a_typed_error(self, ts):
         with pytest.raises(DegenerateGeometryError, match="collapsed"):
-            _rung_combination([1.0, 1e-200, 1e-250])
+            _rung_combination(ts)
 
     def test_a_sum_beyond_the_float_range_raises_a_typed_error(self):
         with pytest.raises(DegenerateGeometryError, match="overflows"):
