@@ -222,8 +222,11 @@ def report_dict(report: RateReport) -> dict:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

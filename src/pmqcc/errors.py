@@ -16,8 +16,8 @@ class ParameterError(PMQCCError, ValueError):
 
 
 class DegenerateGeometryError(PMQCCError, ArithmeticError):
-    """Decoy intensities too close (or sign pattern broken) for a safe
-    yield bound; the elimination denominator is unusable."""
+    """Decoy intensities too close, too small or too large for a safe
+    yield bound: a rung's combination or its sign check is unusable."""
 
 
 class InsufficientIntensitiesError(PMQCCError, ValueError):

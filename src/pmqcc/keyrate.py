@@ -27,9 +27,9 @@ Poisson thinning the branch photon numbers are independent Poisson
 variables, so the odd-photon-number share of the gain factorizes over
 the branches into an O(branches) product with no truncation.  A chain
 is its branches, the (virtual intensity, survival) pairs that
-``chain_branches`` builds (with ``merge_arms`` for a broken end); the
-photon-number enumeration that pins the closed form, in the test suite,
-takes the same pairs.
+``chain_branches`` builds; the photon-number enumeration that pins the
+closed form, in the test suite, takes the same pairs.  The marginal
+QBERs are closed forms too, the odd share of m-1 branch errors.
 
 ``objective_rate`` picks one of the three rates by its objective name
 (``OBJECTIVES``), for the command line and the signal optimizer.
@@ -66,10 +66,6 @@ __all__ = [
     "slice_rate",
 ]
 
-_LN2 = math.log(2.0)
-
-_ARM_BALANCE_RTOL = 1e-9
-
 # the rate objectives of ``objective_rate``, the command line and the
 # signal optimizer
 OBJECTIVES = ("pmqcc", "pmqcc-star", "reduced")
@@ -98,20 +94,24 @@ class RateReport(Record):
         super().__init__(rate, gain, marginal_qbers, phase_error, sifting_prefactor, clamped)
 
 
+def _odd_error_share(e: float, k: int) -> float:
+    """Probability of an odd number of errors among k independent bits
+    that each flip with probability e: (1 - (1-2e)^k)/2.  Below e = 1/2
+    the power is exp(k log1p(-2e)), so nothing cancels at small e."""
+    if e < 0.5:
+        return -math.expm1(k * math.log1p(-2.0 * e)) / 2.0
+    return (1.0 - (1.0 - 2.0 * e) ** k) / 2.0
+
+
 def marginal_qber(branch_qber: float, pair_index: int) -> float:
     """Probability that an odd number of branch errors separates party 1
-    from party m: sum over odd-weight error patterns on the m-1
-    connecting branches."""
+    from party m, over the m-1 connecting branches."""
     m = pair_index
     if not isinstance(m, int) or m < 2:
         raise ParameterError(f"pair_index must be an integer >= 2, got {m}")
     if not 0.0 <= branch_qber <= 1.0:
         raise ParameterError(f"branch_qber must lie in [0, 1], got {branch_qber}")
-    e = branch_qber
-    total = 0.0
-    for k in range((m - 2) // 2 + 1):
-        total += math.comb(m - 1, 2 * k + 1) * e ** (2 * k + 1) * (1.0 - e) ** (m - 2 * k - 2)
-    return total
+    return _odd_error_share(branch_qber, m - 1)
 
 
 def qber_star(arrival_intensity: float, dark_count: float, misalignment: float) -> float:
@@ -138,16 +138,6 @@ def _qber_star_at_gain(
     return wrong / gain
 
 
-def merge_arms(mu_left: float, eta_left: float, mu_right: float, eta_right: float) -> tuple:
-    """(virtual intensity, survival) of the branch fed by two source arms,
-    whose arriving intensities must balance."""
-    left, right = eta_left * mu_left, eta_right * mu_right
-    if not math.isclose(left, right, rel_tol=_ARM_BALANCE_RTOL):
-        raise ParameterError(f"arm arrival intensities must match, got {left} vs {right}")
-    mu_v = mu_left + mu_right
-    return mu_v, (left + right) / mu_v
-
-
 def chain_branches(n_parties: int, mu: float, eta: float, boundaries: tuple) -> list:
     """(virtual intensity, survival) of each branch of a chain whose marked
     ends are broken.
@@ -155,9 +145,10 @@ def chain_branches(n_parties: int, mu: float, eta: float, boundaries: tuple) -> 
     A broken end party sends the full interior intensity mu, but half of
     its light feeds a dead branch, so its arm enters with source
     intensity mu at effective transmittance eta/2; every other arm
-    contributes mu/2 at eta.  Arriving intensities stay balanced, so the
-    branch gain and QBER match the symmetric chain while the virtual
-    intensity (and with it the phase error) grows.
+    contributes mu/2 at eta.  Both arms arrive with eta mu / 2, so a
+    branch whose arms' source intensities sum to t survives with
+    eta mu / t: the branch gain and QBER match the symmetric chain while
+    the virtual intensity t (and with it the phase error) grows.
     """
     if n_parties < 2:
         raise ParameterError(f"n_parties must be >= 2, got {n_parties}")
@@ -168,9 +159,10 @@ def chain_branches(n_parties: int, mu: float, eta: float, boundaries: tuple) -> 
         return [(mu, eta)] * (n_parties - 1)
     branches = []
     for l in range(n_parties - 1):
-        left_arm = (mu, eta / 2.0) if l == 0 and left_b else (mu / 2.0, eta)
-        right_arm = (mu, eta / 2.0) if l == n_parties - 2 and right_b else (mu / 2.0, eta)
-        branches.append(merge_arms(*left_arm, *right_arm))
+        left = mu if l == 0 and left_b else mu / 2.0
+        right = mu if l == n_parties - 2 and right_b else mu / 2.0
+        t = left + right
+        branches.append((t, eta * mu / t))
     return branches
 
 
@@ -243,12 +235,11 @@ def intensity_terms(
 def slice_rate(terms: tuple, f: float, prefactor: float, misalignment: float, sliced: bool) -> tuple:
     """(raw rate, gain, marginal QBERs, E_X) from the ``intensity_terms``
     and the constants of ``rate_constants``:
-    R = P Q [1 - f max_m H(E_m) - H(E_X)], unclamped.
+    R = P Q [1 - f H(E_N) - H(E_X)], unclamped.
 
     The branch QBER is the sliced closed form when ``sliced``, else the
-    starred one.  The marginal QBERs and their entropies are the sums of
-    ``marginal_qber`` and ``binary_entropy`` written out, without their
-    argument checks: the branch QBER is checked once instead.
+    starred one; it is checked once, and the marginals are those of
+    ``marginal_qber`` without its argument checks.
     """
     n, pd, arrival, branch_gain, attenuation, gain, phase_error, phase_entropy = terms
     if branch_gain == 0.0:
@@ -260,22 +251,13 @@ def slice_rate(terms: tuple, f: float, prefactor: float, misalignment: float, sl
         e = _qber_star_at_gain(branch_gain, arrival, pd, misalignment)
     if not 0.0 <= e <= 1.0:
         raise ParameterError(f"branch QBER must lie in [0, 1], got {e}")
-    q = 1.0 - e
-    marginals = []
-    worst = -math.inf  # max() of the entropies, the first of equal ones
-    for m in range(2, n + 1):
-        total = 0.0
-        for k in range(m // 2):
-            total += math.comb(m - 1, 2 * k + 1) * e ** (2 * k + 1) * q ** (m - 2 * k - 2)
-        marginals.append(total)
-        rest = 1.0 - total
-        h = -((total * math.log(total) if total > 0.0 else 0.0)
-              + (rest * math.log(rest) if rest > 0.0 else 0.0)) / _LN2
-        if h > worst:
-            worst = h
-    leak = f * worst
+    marginals = tuple(_odd_error_share(e, m - 1) for m in range(2, n + 1))
+    # the leak is charged at the farthest pair: H(E_m) = H((1 - |1-2e|^(m-1))/2)
+    # since H is symmetric about 1/2, and |1-2e|^(m-1) does not rise with
+    # m for any e in [0, 1], e > 1/2 included, so H(E_m) does not fall
+    leak = f * binary_entropy(marginals[-1])
     raw = prefactor * gain * (1.0 - (leak + phase_entropy))
-    return raw, gain, tuple(marginals), phase_error
+    return raw, gain, marginals, phase_error
 
 
 def key_rate(
@@ -312,7 +294,7 @@ def key_rate(
 
 def rate_pmqcc(pp: ProtocolParams, ch: ChannelParams) -> RateReport:
     """Conference key rate of the phase-sliced protocol on the symmetric
-    chain: R = (2/M)^(N-1) Q [1 - f max_m H(E_m) - H(E_X)]."""
+    chain: R = (2/M)^(N-1) Q [1 - f max_m H(E_m) - H(E_X)], the max at m = N."""
     return key_rate(pp, ch)
 
 

@@ -62,6 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 import random
 from typing import TYPE_CHECKING
 
@@ -470,6 +471,17 @@ def _draw_numpy(
     return tuple(np.bincount(weights @ x, minlength=2 ** (n - 1)).tolist() for x in (r_click, wrong))
 
 
+def _sum_chunks(parts, n: int) -> tuple:
+    """(sifted, counts, wrong counts) summed over chunk results as they
+    finish, so a run holds one chunk's vectors per thread at a time."""
+    sifted, counts, wrong_counts = 0, [0] * 2 ** (n - 1), [0] * 2 ** (n - 1)
+    for part_sifted, part_counts, part_wrong in parts:
+        sifted += part_sifted
+        counts = list(map(operator.add, counts, part_counts))
+        wrong_counts = list(map(operator.add, wrong_counts, part_wrong))
+    return sifted, counts, wrong_counts
+
+
 def run_rounds(
     pp: ProtocolParams, ch: ChannelParams, sc: SimConfig, workers: int = 1
 ) -> SimTally:
@@ -517,18 +529,20 @@ def run_rounds(
         return _run_chunk(stream(idx), binomial, draw, size, sifting, bound, n, *setting)
 
     if workers == 1 or stdlib:
-        parts = [work(idx) for idx in range(chunks)]
+        sifted, counts, wrong_counts = _sum_chunks(map(work, range(chunks)), n)
     else:
         # imported here: a thread pool (~7 ms to import) serves only the
-        # numpy kernel at more than one worker
+        # numpy kernel at more than one worker, on at most one per core
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, range(chunks)))
+        threads = min(workers, os.cpu_count() or 1)
 
-    sifted, counts, wrong_counts = zip(*parts)
-    counts = [sum(c) for c in zip(*counts)]
-    wrong_counts = [sum(c) for c in zip(*wrong_counts)]
+        def stride(first):
+            return _sum_chunks(map(work, range(first, chunks, threads)), n)
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            sifted, counts, wrong_counts = _sum_chunks(pool.map(stride, range(threads)), n)
+
     # bit-flip cooperation: party p disagrees with party 1 exactly when
     # the first p - 1 branches hold an odd number of wrong-port clicks
     pair_errors = {
@@ -539,7 +553,7 @@ def run_rounds(
         n_parties=n,
         slice_count=m,
         sent=sc.rounds,
-        sifted=sum(sifted),
+        sifted=sifted,
         success=sum(counts),
         pattern_counts={
             "".join("R" if (i >> l) & 1 else "L" for l in range(n - 1)): c

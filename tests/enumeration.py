@@ -19,12 +19,16 @@ pin the product code.
   success masses of each branch are sums over n alone, and the chain's
   masses follow by a parity convolution over branches.  It costs
   O(B K) and serves any branch count.
+* ``exact_odd_error_share`` is the marginal QBER's oracle: the exact
+  rational probability of an odd number of errors among k independent
+  bits, summed over the odd-weight error patterns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from pmqcc import ParameterError
 
@@ -175,3 +179,11 @@ def branchwise_phase_error(branches, pd: float) -> float:
         even, odd = even * e_l + odd * o_l, even * o_l + odd * e_l
         even, odd = even / (even + odd), odd / (even + odd)
     return odd
+
+
+def exact_odd_error_share(e: float, k: int) -> Fraction:
+    """P(odd number of errors among k bits that each flip with
+    probability e), as the exact sum of C(k, j) e^j (1-e)^(k-j) over odd j
+    in rational arithmetic on the float e."""
+    e = Fraction(e)
+    return sum(math.comb(k, j) * e**j * (1 - e) ** (k - j) for j in range(1, k + 1, 2))

@@ -472,6 +472,28 @@ class TestSimulateCommand:
         assert payload["tally"]["sent"] == self.CONFIG["rounds"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["rate"],
+        ["curve", "--l-min", "0", "--l-max", "20", "--l-step", "10"],
+        ["optimize", "--target", "signal"],
+        ["simulate"],
+    ],
+    ids=["rate", "curve", "optimize", "simulate"],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    cfg = write_config(
+        tmp_path, {**TABLE_CONFIG, "distance_km": 0.0, "slices": 14, "seed": 7, "rounds": 20_000}
+    )
+    out_path = tmp_path / "missing" / "result.txt"
+    code, out, err = run_cli([command[0], cfg, *command[1:], "--out", str(out_path)], capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert str(out_path) in error["message"]
+
+
 class TestOptimizeCommand:
     def test_signal_target(self, tmp_path, capsys):
         cfg = write_config(

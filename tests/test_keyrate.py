@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -32,7 +33,7 @@ from pmqcc.keyrate import (
 from pmqcc.montecarlo import _branch_probabilities
 from pmqcc.optimize import MU_BOUNDS
 from tests.conftest import bench_channel_at
-from tests.enumeration import enumerated_gain, parity_split
+from tests.enumeration import enumerated_gain, exact_odd_error_share, parity_split
 
 
 class TestMarginalQBER:
@@ -54,6 +55,43 @@ class TestMarginalQBER:
         # odd-error composition equals the XOR parity formula
         expected = (1.0 - (1.0 - 2.0 * e) ** (m - 1)) / 2.0
         assert marginal_qber(e, m) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "e", [0.0, 5e-324, 1e-300, 1e-12, 1e-6, 0.007, 0.1, 0.5 - 2.0**-53, 0.5, 0.7, 1.0]
+    )
+    def test_matches_exact_odd_pattern_sum(self, e):
+        # the closed form against the rational sum over odd-weight error
+        # patterns, from the subnormals to e = 1
+        for m in range(2, 13):
+            exact = float(exact_odd_error_share(e, m - 1))
+            assert abs(marginal_qber(e, m) - exact) <= 2 * math.ulp(exact)
+
+    GRID = [0.0, 5e-324, 1e-300, 1e-12, *(k / 200 for k in range(1, 200)),
+            0.5 - 2.0**-53, 0.5 + 2.0**-52, 1 - 1e-12, 1.0]
+
+    def test_entropy_never_falls_with_pair_index(self):
+        # the rate charges the leak at the farthest pair, m = N: H(E_m),
+        # computed here from the exact odd-pattern sums, must not fall with
+        # m anywhere in [0, 1], e > 1/2 included
+        with mpmath.workdps(60):
+            for e in self.GRID:
+                entropies = []
+                for m in range(2, 13):
+                    x = exact_odd_error_share(e, m - 1)
+                    x = mpmath.mpf(x.numerator) / x.denominator
+                    entropies.append(-sum(p * mpmath.log(p, 2) for p in (x, 1 - x) if p > 0))
+                assert all(b >= a for a, b in zip(entropies, entropies[1:])), e
+
+    def test_farthest_pair_is_least_balanced_in_floats(self):
+        # H depends on E_m only through |E_m - 1/2|, which the floats keep
+        # from rising with m; the float entropy itself may then jitter by
+        # an ulp where it rounds near its maximum 1
+        for e in self.GRID:
+            marginals = [marginal_qber(e, m) for m in range(2, 13)]
+            gaps = [abs(x - 0.5) for x in marginals]
+            assert all(b <= a for a, b in zip(gaps, gaps[1:])), e
+            entropies = [binary_entropy(x) for x in marginals]
+            assert entropies[-1] >= max(entropies) - 2 * math.ulp(1.0), e
 
     def test_domain(self):
         with pytest.raises(ParameterError):

@@ -367,6 +367,67 @@ class TestKernels:
         tally = run_rounds(pp, ch, sc, workers=workers).to_dict()
         assert {key: tally[key] for key in counts} == counts
 
+    def test_pool_is_capped_at_the_core_count(self, monkeypatch):
+        # a fake pool that runs its tasks in the calling thread: it records
+        # the thread count it was asked for and its tasks, and never starts
+        # a thread
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers, self.tasks = max_workers, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                self.tasks += len(items)
+                return map(fn, items)
+
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlinePool)
+        record, run, counts = self.PINNED[0]
+        n, mu, m, efficiency, pd = record
+        pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=m)
+        ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=efficiency, dark_count=pd)
+        sc = SimConfig(**run)
+        tally = run_rounds(pp, ch, sc, workers=10_000).to_dict()
+        (pool,) = pools
+        assert pool.max_workers <= os.cpu_count()
+        # one task per thread, each summing its share of the chunks, so no
+        # finished chunk waits in a future
+        assert pool.tasks == pool.max_workers
+        assert tally == run_rounds(pp, ch, sc, workers=1).to_dict()
+        assert {key: tally[key] for key in counts} == counts
+
+    @pytest.mark.parametrize("kernel,workers", [("stdlib", 1), ("numpy", 1), ("numpy", 2)])
+    def test_memory_does_not_grow_with_the_chunk_count(self, monkeypatch, kernel, workers):
+        # no candidates at all, in chunks of 64 rounds: ten times the
+        # chunks may not raise the traced peak, where keeping every chunk's
+        # vectors would add over 200 kB.  A first run fills numpy's own
+        # caches, which are bounded.
+        import tracemalloc
+
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 64)
+        if kernel == "numpy":
+            monkeypatch.setattr(montecarlo, "NUMPY_CANDIDATES", 0.0)
+        pp = protocol(mu=1e-6)
+        ch = ChannelParams(loss_rate=0.2, distance=100.0, detector_efficiency=0.65, dark_count=0.0)
+        run_rounds(pp, ch, SimConfig(rounds=64 * 1000, seed=3), workers=workers)
+        peaks = []
+        for chunks in (100, 1000):
+            tracemalloc.start()
+            try:
+                run_rounds(pp, ch, SimConfig(rounds=64 * chunks, seed=3), workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 16_384
+
     @pytest.mark.parametrize("record,run,counts", PINNED, ids=["n3-0km-mu1", "n4-full-random-offsets"])
     def test_numpy_kernel_tallies_hold_on_the_baseline_path(self, record, run, counts):
         # the pins were recorded where numpy dispatches its AVX-512

@@ -1,7 +1,7 @@
 import pytest
 
 from pmqcc import ParameterError, branch_gain_avg
-from pmqcc.keyrate import chain_branches, merge_arms, parity_phase_error
+from pmqcc.keyrate import chain_branches, parity_phase_error
 from tests.enumeration import (
     EnumerationLimitError,
     branchwise_phase_error,
@@ -27,23 +27,21 @@ def sym3():
 
 
 class TestBranchSpec:
-    """One branch's (virtual intensity, survival) pair, as ``merge_arms``
-    builds it from the branch's two source arms."""
+    """One branch's (virtual intensity, survival) pair, as ``chain_branches``
+    builds it from the branch's two source arms: a broken end's arm sends
+    mu at eta/2, every other arm mu/2 at eta."""
 
     def test_from_arms_balanced(self):
-        t, s = merge_arms(0.05, 0.1, 0.05, 0.1)
+        # an interior branch of a chain with a broken end: two mu/2 arms
+        t, s = chain_branches(4, 0.1, 0.1, (True, False))[1]
         assert t == pytest.approx(0.1)
         assert s == pytest.approx(0.1)
         assert t * s == pytest.approx(0.01)
 
-    def test_from_arms_unbalanced_rejected(self):
-        with pytest.raises(ParameterError):
-            merge_arms(0.05, 0.1, 0.05, 0.2)
-
     def test_reduced_arm_matches_symmetric_arrival(self):
         # boundary arm (mu at eta/2) against interior arm (mu/2 at eta)
         mu, eta = 0.1059, 0.065
-        t, s = merge_arms(mu, eta / 2.0, mu / 2.0, eta)
+        t, s = chain_branches(3, mu, eta, (True, False))[0]
         assert t * s == pytest.approx(mu * eta, rel=1e-12)
         # same arrival -> same branch gain
         assert branch_gain_avg(t * s, 1e-7) == pytest.approx(
@@ -51,6 +49,14 @@ class TestBranchSpec:
         )
         # but a larger virtual source
         assert t == pytest.approx(1.5 * mu)
+
+    @pytest.mark.parametrize("mu,eta", [(0.1059, 0.065), (0.3, 1e-30), (1e-6, 0.0)])
+    def test_both_ends_broken_at_two_parties(self, mu, eta):
+        # the single branch takes both broken arms: mu at eta/2 twice
+        ((t, s),) = chain_branches(2, mu, eta, (True, True))
+        assert t == mu + mu
+        assert s == (eta / 2.0 * mu + eta / 2.0 * mu) / t
+        assert t * s == pytest.approx(eta * mu, rel=1e-15, abs=0.0)
 
 
 class TestYieldProbability:
