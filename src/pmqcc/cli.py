@@ -16,7 +16,9 @@ curve row whose rate then fails at its own distance is flagged
 A process imports only the layers its command runs: the decoy
 estimator, the optimizers and the simulator are imported inside the
 commands that use them, so a plain rate loads ``core``, ``errors``,
-``interference`` and ``keyrate`` alone.
+``interference`` and ``keyrate`` alone.  The rate layers are imported
+inside the functions that run them too, so ``simulate`` loads ``core``,
+``errors`` and ``montecarlo`` alone.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ import json
 import math
 import sys
 
-from .core import ChannelParams, ProtocolParams
+from .core import OBJECTIVES, ChannelParams, ProtocolParams
 from .errors import ParameterError, PMQCCError
-from .keyrate import OBJECTIVES, RateReport, objective_rate, rate_constants
 
 __all__ = ["main"]
 
@@ -184,6 +185,8 @@ def _setup(cfg: dict, protocol: str, search: str = "none") -> tuple:
     ``decoy-lower``.  ``search`` (``none``, ``signal``, ``decoys`` or
     ``signal+decoys``) names what an optimizer picks: the record holds
     placeholders there, mu = 1 and M = 4 for the signal, no decoys."""
+    from .keyrate import rate_constants
+
     if "signal" in search:
         cfg = {**cfg, "mu": 1.0, "slices": 4}
     if "decoys" in search:
@@ -201,23 +204,15 @@ def _setup(cfg: dict, protocol: str, search: str = "none") -> tuple:
     return pp, ch, ends
 
 
-def compute_rate(protocol: str, pp: ProtocolParams, ch: ChannelParams, ends: tuple) -> RateReport:
+def compute_rate(protocol: str, pp: ProtocolParams, ch: ChannelParams, ends: tuple):
+    """The ``RateReport`` of ``protocol`` at ``pp`` and ``ch``."""
     if protocol == "decoy-lower":
         from .decoy import rate_lower
 
         return rate_lower(pp, ch)
+    from .keyrate import objective_rate
+
     return objective_rate(protocol, pp, ch, ends)
-
-
-def report_dict(report: RateReport) -> dict:
-    return {
-        "rate": report.rate,
-        "gain": report.gain,
-        "marginal_qbers": list(report.marginal_qbers),
-        "phase_error": report.phase_error,
-        "sifting_prefactor": report.sifting_prefactor,
-        "clamped": report.clamped,
-    }
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -235,7 +230,8 @@ def cmd_rate(args) -> int:
     cfg = load_config(args.config)
     pp, ch, ends = _setup(cfg, args.protocol)
     report = compute_rate(args.protocol, pp, ch, ends)
-    payload = {"protocol": args.protocol, **report_dict(report), "config": cfg}
+    fields = {name: getattr(report, name) for name in report.__slots__}
+    payload = {"protocol": args.protocol, **fields, "config": cfg}
     _emit(_dump_json(payload) + "\n", args.out)
     return 0
 

@@ -28,6 +28,10 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# the rate objectives of ``keyrate.objective_rate``, the command line and
+# the signal optimizer
+OBJECTIVES = ("pmqcc", "pmqcc-star", "reduced")
+
 
 class Record:
     """Base of the package's records.
@@ -163,10 +167,12 @@ def _xlogx(x: float) -> float:
 
 
 def binary_entropy(x: float) -> float:
-    """H(x) = -x log2 x - (1-x) log2 (1-x), total on [0, 1]."""
+    """H(x) = -x log2 x - (1-x) log2 (1-x), total on [0, 1].  Near x = 1/2
+    the rounded sum can come out 1 ulp above 1, the maximum, so it is
+    capped there."""
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"binary_entropy requires x in [0, 1], got {x}")
-    return -(_xlogx(x) + _xlogx(1.0 - x)) / _LN2
+    return min(-(_xlogx(x) + _xlogx(1.0 - x)) / _LN2, 1.0)
 
 
 def transmittance(ch: ChannelParams) -> float:

@@ -77,12 +77,13 @@ class DecoyGains(Record):
 
 class DecoyBounds(Record):
     """Certified-safe estimates: yield lower bounds for the targeted even
-    orders and the phase-error upper bound."""
+    orders, keyed by order up to ``n_cut_for(N)``, and the phase-error
+    upper bound."""
 
-    __slots__ = ("y_lower", "n_cut", "phase_error_upper")
+    __slots__ = ("y_lower", "phase_error_upper")
 
-    def __init__(self, y_lower: dict, n_cut: int, phase_error_upper: float | None = None):
-        super().__init__(y_lower, n_cut, phase_error_upper)
+    def __init__(self, y_lower: dict, phase_error_upper: float | None = None):
+        super().__init__(y_lower, phase_error_upper)
 
 
 def n_cut_for(n_parties: int) -> int:
@@ -231,7 +232,7 @@ def yields_lower_general(
         m: _ladder_bound(ts[-(m + 1):], a_values[-(m + 1):], m, check_orders)
         for m in range(2, n_cut + 1, 2)
     }
-    return DecoyBounds(y_lower=y_lower, n_cut=n_cut)
+    return DecoyBounds(y_lower=y_lower)
 
 
 def phase_error_upper(
@@ -278,7 +279,7 @@ def decoy_bounds(pp: ProtocolParams, ch: ChannelParams) -> DecoyBounds:
     arrival = transmittance(ch) * pp.signal_intensity
     q_mu = branch_gain_avg(arrival, ch.dark_count) ** (n - 1)
     e_x_u = phase_error_upper(y_lower, pp.signal_intensity, q_mu, gains.vacuum_gain, n)
-    return DecoyBounds(y_lower=y_lower, n_cut=n_cut, phase_error_upper=e_x_u)
+    return DecoyBounds(y_lower=y_lower, phase_error_upper=e_x_u)
 
 
 def rate_lower(pp: ProtocolParams, ch: ChannelParams) -> RateReport:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 
 from .core import (
+    OBJECTIVES,
     ChannelParams,
     ProtocolParams,
     Record,
@@ -65,10 +66,6 @@ __all__ = [
     "scaling_exponent",
     "slice_rate",
 ]
-
-# the rate objectives of ``objective_rate``, the command line and the
-# signal optimizer
-OBJECTIVES = ("pmqcc", "pmqcc-star", "reduced")
 
 
 class RateReport(Record):

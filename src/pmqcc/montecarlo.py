@@ -131,17 +131,14 @@ class SimConfig(Record):
 
 class SimTally(Record):
     """Counts accumulated over the rounds of one run; ``run_rounds`` sums
-    the count vectors of its chunks into the run's one tally.  Unlike the
-    other records a tally is mutable, and so unhashable; each tally gets
-    its own count dicts unless the caller passes them."""
+    the count vectors of its chunks and builds the run's one tally.  Its
+    count dicts make it unhashable; each tally gets its own unless the
+    caller passes them."""
 
     __slots__ = (
         "n_parties", "slice_count", "sent", "sifted", "success", "pattern_counts", "pair_errors",
         "sifting_probability", "seed", "mode",
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -181,29 +178,21 @@ class SimTally(Record):
 class EmpiricalEstimates(Record):
     """Point estimates with Wilson-interval half-widths (z = 1).
 
-    The phase error is a counterfactual X-basis quantity with no
-    empirical estimator in this simulation; it is reported as None.
+    There is no phase-error estimate: the phase error is a counterfactual
+    X-basis quantity with no empirical estimator in this simulation.
     """
 
-    __slots__ = ("gain", "gain_halfwidth", "pair_qbers", "pair_halfwidths", "phase_error")
+    __slots__ = ("gain", "gain_halfwidth", "pair_qbers", "pair_halfwidths")
 
-    def __init__(
-        self,
-        gain: float,
-        gain_halfwidth: float,
-        pair_qbers: dict,
-        pair_halfwidths: dict,
-        phase_error: None = None,
-    ):
-        super().__init__(gain, gain_halfwidth, pair_qbers, pair_halfwidths, phase_error)
+    def __init__(self, gain: float, gain_halfwidth: float, pair_qbers: dict, pair_halfwidths: dict):
+        super().__init__(gain, gain_halfwidth, pair_qbers, pair_halfwidths)
 
 
-def _wilson(successes: int, trials: int, z: float = 1.0):
+def _wilson(successes: int, trials: int, z: float = 1.0) -> float:
+    """Half-width of the Wilson score interval of ``successes`` in ``trials``."""
     p = successes / trials
     denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return center, half
+    return z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
 
 
 def _branch_probabilities(arrival: float, dark_count: float, phase_delta: np.ndarray):
@@ -504,8 +493,10 @@ def run_rounds(
     arrival = transmittance(ch) * pp.signal_intensity
     bound = _candidate_bound(arrival, ch.dark_count)
     chunks = -(-sc.rounds // CHUNK_SIZE)
-    sifting = (2.0 / m) ** (n - 1) if sc.mode == "full-random" else None
-    stdlib = sc.rounds * (sifting or 1.0) * bound ** (n - 1) < _numpy_threshold(n, chunks)
+    slice_match = (2.0 / m) ** (n - 1)
+    sifting = slice_match if sc.mode == "full-random" else None
+    candidates = sc.rounds * (1.0 if sifting is None else sifting) * bound ** (n - 1)
+    stdlib = candidates < _numpy_threshold(n, chunks)
     if stdlib:
         binomial, draw = _binomial, _draw_stdlib
         setting = _stdlib_setting(m, arrival, ch.dark_count, deviations, comp)
@@ -561,7 +552,7 @@ def run_rounds(
             if c > 0
         },
         pair_errors=pair_errors,
-        sifting_probability=(2.0 / m) ** (n - 1) if sc.mode == "forced-matching" else 1.0,
+        sifting_probability=slice_match if sifting is None else 1.0,
         seed=sc.seed,
         mode=sc.mode,
     )
@@ -572,13 +563,13 @@ def estimate(tally: SimTally) -> EmpiricalEstimates:
     if tally.sifted == 0 or tally.success == 0:
         raise InsufficientDataError("tally holds no successful events to estimate from")
     gain = tally.success / tally.sifted
-    _, gain_half = _wilson(tally.success, tally.sifted)
+    gain_half = _wilson(tally.success, tally.sifted)
     qbers = {}
     halves = {}
     for p in range(2, tally.n_parties + 1):
         errs = tally.pair_errors.get(p, 0)
         qbers[p] = errs / tally.success
-        _, halves[p] = _wilson(errs, tally.success)
+        halves[p] = _wilson(errs, tally.success)
     return EmpiricalEstimates(
         gain=gain, gain_halfwidth=gain_half, pair_qbers=qbers, pair_halfwidths=halves
     )

@@ -49,7 +49,9 @@ COARSE_GRID = tuple(
     10.0 ** (_LOG_LO + i * ((_LOG_HI - _LOG_LO) / (COARSE_POINTS - 1))) for i in range(COARSE_POINTS)
 )
 
+# starting points and coordinate sweeps per start of the decoy search
 DECOY_RESTARTS = 3
+DECOY_SWEEPS = 25
 # relative rate change below which the decoy search treats a move as no
 # change: halving one decoy near the 150 km optimum moves the certified
 # rate by only 1e-6 to 3e-6 relative
@@ -184,14 +186,13 @@ def optimize_decoys(
     slice_count: int,
     *,
     ec_efficiency: float = 1.16,
-    restarts: int = DECOY_RESTARTS,
-    sweeps: int = 25,
 ) -> OptimizationResult:
     """Maximize the certified rate lower bound over the decoy intensities
     (ordering constraints enforced, vacuum always appended).
 
     Log-space coordinate descent with shrinking line searches, restarted
-    from fixed starting points; deterministic.  A move must gain more
+    from ``DECOY_RESTARTS`` fixed starting points for at most
+    ``DECOY_SWEEPS`` sweeps each; deterministic.  A move must gain more
     than ``DECOY_RTOL`` relative, and a restart ends once a sweep finds
     every trial within that of the current rate: a smaller step can only
     be flatter.
@@ -223,7 +224,7 @@ def optimize_decoys(
     def starting_points():
         # ratios drawn from a golden-ratio (Kronecker) sequence: the first
         # decoy mu / [2, 8), each next one / [1.3, 3), the last / [20, 400)
-        for r in range(restarts):
+        for r in range(DECOY_RESTARTS):
             u = [((r * n_decoys + j + 1) * _INVPHI) % 1.0 for j in range(n_decoys)]
             xs = [signal_intensity / (2.0 + 6.0 * u[0])]
             for q in u[1:-1]:
@@ -235,7 +236,7 @@ def optimize_decoys(
     for log_xs in starting_points():
         current = objective(log_xs)
         step = 0.5
-        for _ in range(sweeps):
+        for _ in range(DECOY_SWEEPS):
             improved, flat = False, True
             for i in range(n_decoys):
                 for delta in (step, -step):

@@ -575,6 +575,11 @@ class TestEntryPoint:
             "pmqcc", "pmqcc.cli", "pmqcc.core", "pmqcc.errors", "pmqcc.interference", "pmqcc.keyrate"
         ]
 
+    def test_simulate_loads_only_the_simulator_layers(self, tmp_path):
+        assert loaded_after(tmp_path, ["simulate"], "pmqcc") == [
+            "pmqcc", "pmqcc.cli", "pmqcc.core", "pmqcc.errors", "pmqcc.montecarlo"
+        ]
+
     @pytest.mark.parametrize("command", [
         ["rate", "--protocol", "pmqcc"],
         ["rate", "--protocol", "decoy-lower"],
@@ -688,6 +693,14 @@ def golden_cases() -> dict:
     far = {**GOLDEN_N3, "distance_km": 150.0, "mu": 0.104815}
     for target in ("signal", "decoys"):
         cases[f"optimize-{target}"] = (far, "optimize", ["--target", target])
+    # simulate on either kernel: the stdlib one below the crossover, in
+    # either mode, and the numpy one on the first pinned numpy tally
+    simulate = TestSimulateCommand.CONFIG
+    cases["simulate-forced-matching"] = (simulate, "simulate", [])
+    cases["simulate-full-random"] = ({**simulate, "mode": "full-random"}, "simulate", [])
+    cases["simulate-numpy"] = (
+        {**simulate, "distance_km": 0.0, "mu": 1.0, "seed": 2718, "rounds": 1_000_000}, "simulate", []
+    )
     return cases
 
 

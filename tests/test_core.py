@@ -25,6 +25,13 @@ class TestBinaryEntropy:
     def test_uniform_bit(self):
         assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
 
+    def test_never_exceeds_one_near_the_maximum(self):
+        # the rounded sum came out 1 ulp above 1 at 671 of these points,
+        # 0.49999999588228 among them
+        assert binary_entropy(0.5) == 1.0
+        assert binary_entropy(0.49999999588228) <= 1.0
+        assert max(binary_entropy(0.5 - i * 1e-12) for i in range(1, 200_000)) <= 1.0
+
     def test_quarter(self):
         # frozen from a 30-digit evaluation of the closed form
         assert binary_entropy(0.25) == pytest.approx(0.8112781244591328, rel=1e-14)

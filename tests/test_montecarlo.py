@@ -644,7 +644,25 @@ class TestEstimate:
         assert est.pair_qbers[2] == pytest.approx(0.012)
         assert est.gain == pytest.approx(0.02)
         assert 0.0 < est.pair_halfwidths[3] < 0.005
-        assert est.phase_error is None
+
+    def test_wilson_halfwidths_are_exact(self):
+        # z sqrt(p (1 - p) / n + z^2 / 4 n^2) / (1 + z^2 / n) at z = 1, to
+        # 40 digits: the half-widths are within 2 ulps of it
+        from decimal import Decimal, localcontext
+
+        tally = SimTally(
+            n_parties=3, slice_count=14, sent=10_000_000, sifted=500_000, success=10_000,
+            pair_errors={2: 120, 3: 180},
+        )
+        est = estimate(tally)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for got, successes, trials in ((est.gain_halfwidth, 10_000, 500_000),
+                                           (est.pair_halfwidths[2], 120, 10_000)):
+                n = Decimal(trials)
+                p = Decimal(successes) / n
+                exact = float((p * (1 - p) / n + 1 / (4 * n * n)).sqrt() / (1 + 1 / n))
+                assert abs(got - exact) <= 2 * math.ulp(exact)
 
     def test_merged_estimates_match_union(self):
         # the union of a (1000 sent, 500 sifted, 100 successes, pair errors

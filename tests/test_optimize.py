@@ -6,6 +6,7 @@ import pytest
 
 import pmqcc.decoy
 import pmqcc.keyrate
+import pmqcc.optimize
 
 from pmqcc import (
     ChannelParams,
@@ -114,6 +115,11 @@ class TestOptimizeSignal:
             optimize_signal(bench_channel_at(50.0), 3, "bogus")
 
 
+def shorten_decoy_search(monkeypatch, restarts, sweeps):
+    monkeypatch.setattr(pmqcc.optimize, "DECOY_RESTARTS", restarts)
+    monkeypatch.setattr(pmqcc.optimize, "DECOY_SWEEPS", sweeps)
+
+
 class TestOptimizeDecoys:
     def test_anchor_is_attainable(self):
         ch = bench_channel_at(150.0)
@@ -121,30 +127,34 @@ class TestOptimizeDecoys:
         assert not result.flagged_zero
         assert result.best_rate >= 1.7e-11
 
-    def test_reevaluation_is_bitwise(self):
+    def test_reevaluation_is_bitwise(self, monkeypatch):
+        shorten_decoy_search(monkeypatch, 1, 6)
         ch = bench_channel_at(150.0)
-        result = optimize_decoys(ch, 3, 0.104815, 13, restarts=1, sweeps=6)
+        result = optimize_decoys(ch, 3, 0.104815, 13)
         assert result.best_rate == rate_lower(result.best_params, ch).rate
 
-    def test_ordering_constraints_hold(self):
-        result = optimize_decoys(bench_channel_at(150.0), 3, 0.104815, 13, restarts=1, sweeps=8)
+    def test_ordering_constraints_hold(self, monkeypatch):
+        shorten_decoy_search(monkeypatch, 1, 8)
+        result = optimize_decoys(bench_channel_at(150.0), 3, 0.104815, 13)
         decs = result.best_params.decoy_intensities
         assert decs[-1] == 0.0
         nonzero = decs[:-1]
         assert all(a > b for a, b in zip(nonzero, nonzero[1:]))
         assert nonzero[0] < 0.104815
 
-    def test_collapsed_search_returns_start(self):
+    def test_collapsed_search_returns_start(self, monkeypatch):
         # no sweeps: the single fixed starting point is returned as-is
+        shorten_decoy_search(monkeypatch, 1, 0)
         ch = bench_channel_at(150.0)
-        result = optimize_decoys(ch, 3, 0.104815, 13, restarts=1, sweeps=0)
+        result = optimize_decoys(ch, 3, 0.104815, 13)
         assert not result.flagged_zero
         assert result.best_rate == rate_lower(result.best_params, ch).rate
 
-    def test_underflowing_search_scores_zero(self):
+    def test_underflowing_search_scores_zero(self, monkeypatch):
         # every start at this signal puts the decoys where t_max**k
         # underflows; the ladder's typed error scores each point 0
-        result = optimize_decoys(bench_channel_at(10.0), 6, 1e-11, 13, restarts=1, sweeps=2)
+        shorten_decoy_search(monkeypatch, 1, 2)
+        result = optimize_decoys(bench_channel_at(10.0), 6, 1e-11, 13)
         assert result.flagged_zero and result.best_rate == 0.0 and result.evaluations > 0
 
     def test_searches_beyond_seventeen_parties_run(self):

@@ -58,9 +58,9 @@ CASES = {
         "DecoyGains(intensities=(0.02, 0.01), gains=(0.0001, 5e-05), vacuum_gain=1e-14)",
     ),
     "DecoyBounds": (
-        DecoyBounds, ({2: 0.5}, 2),
-        {"y_lower": {2: 0.5}, "n_cut": 2},
-        "DecoyBounds(y_lower={2: 0.5}, n_cut=2, phase_error_upper=None)",
+        DecoyBounds, ({2: 0.5},),
+        {"y_lower": {2: 0.5}},
+        "DecoyBounds(y_lower={2: 0.5}, phase_error_upper=None)",
     ),
     "OptimizationResult": (
         OptimizationResult, (PP, 1e-7, 300),
@@ -86,7 +86,7 @@ CASES = {
         EmpiricalEstimates, (0.5, 0.01, {2: 0.1}, {2: 0.01}),
         {"gain": 0.5, "gain_halfwidth": 0.01, "pair_qbers": {2: 0.1}, "pair_halfwidths": {2: 0.01}},
         "EmpiricalEstimates(gain=0.5, gain_halfwidth=0.01, pair_qbers={2: 0.1}, "
-        "pair_halfwidths={2: 0.01}, phase_error=None)",
+        "pair_halfwidths={2: 0.01})",
     ),
     "SimTally": (
         SimTally, (3, 14),
@@ -95,7 +95,7 @@ CASES = {
         "pair_errors={}, sifting_probability=1.0, seed=0, mode='forced-matching')",
     ),
 }
-FROZEN = [name for name in CASES if name != "SimTally"]
+FROZEN = list(CASES)
 # records whose fields are all hashable
 HASHABLE = ["ProtocolParams", "ProtocolParams-full", "ChannelParams", "RateReport", "DecoyGains",
             "OptimizationResult", "SimConfig", "SimConfig-full"]
@@ -121,11 +121,10 @@ def test_defaults():
     pp = ProtocolParams(3, 0.1, 13)
     assert (pp.ec_efficiency, pp.decoy_intensities, pp.signal_phase_misalignment) == (1.16, (), 0.0)
     assert RateReport(0.0, 0.0, (), 0.0, 1.0).clamped is False
-    assert DecoyBounds({}, 2).phase_error_upper is None
+    assert DecoyBounds({}).phase_error_upper is None
     assert OptimizationResult(None, 0.0, 0).flagged_zero is False
     sc = SimConfig(10, 1)
     assert (sc.mode, sc.reference_offsets, sc.compensation_indices) == ("forced-matching", (), ())
-    assert EmpiricalEstimates(0.5, 0.1, {}, {}).phase_error is None
     tally = SimTally(3, 14)
     assert (tally.sent, tally.sifted, tally.success, tally.sifting_probability, tally.seed,
             tally.mode) == (0, 0, 0, 1.0, 0, "forced-matching")
@@ -197,15 +196,9 @@ def test_frozen(name):
     assert repr(record) == before
 
 
-def test_tally_is_mutable_and_unhashable():
-    tally = SimTally(3, 14)
-    tally.seed = 5
-    tally.pattern_counts["LL"] = 2
-    assert (tally.seed, tally.pattern_counts) == (5, {"LL": 2})
-    with pytest.raises(AttributeError):
-        tally.not_a_field = 1
+def test_tally_is_unhashable():
     with pytest.raises(TypeError):
-        hash(tally)
+        hash(SimTally(3, 14))
 
 
 def test_tallies_do_not_share_their_dicts():
@@ -235,8 +228,8 @@ def test_unequal_values():
     assert ProtocolParams(3, 0.1, 13) != ProtocolParams(3, 0.1, 14)
     assert ChannelParams(0.2, 50.0, 0.65, 0.0) != ChannelParams(0.2, 60.0, 0.65, 0.0)
     assert RateReport(1.0, 0.0, (), 0.0, 1.0) != RateReport(1.0, 0.0, (), 0.0, 1.0, True)
-    # same fields, different record: not equal
-    assert OptimizationResult(None, 0.0, 1) != DecoyBounds(None, 0.0, 1)
+    # same values, different record: not equal
+    assert OptimizationResult(None, 0.0, 1) != DecoyBounds(None, 0.0)
     assert SimTally(3, 14) != SimTally(3, 14, sent=1)
 
 
