@@ -12,11 +12,13 @@ smallest nonzero intensities with closed-form coefficients that cancel
 the orders {1..m-1, m+1} (the standard decoy method: Ma, Qi, Zhao & Lo,
 PRA 72, 012326, 2005).  The combination has a positive coefficient on
 Y_m and negative ones on every higher order, so dropping those orders
-can only lower the estimate.  The sign pattern is asserted again on the
-floats: a violation (or an ill-conditioned combination) raises
-``DegenerateGeometryError`` instead of returning an unsafe bound.  For
-three nonzero decoys the m=2 rung is the three-party closed form the
-test suite keeps as an oracle.
+can only lower the estimate.  For three nonzero decoys the m=2 rung is
+the three-party closed form the test suite keeps as an oracle.  The
+ladder's gain-free half (``_ladder``), which ``check_decoy_set`` runs
+once for every distance, checks the decoys' spacing and float range and
+asserts each rung's sign pattern again on the floats; its gain half
+(``_rung_bounds``) rejects an ill-conditioned combination.  Both raise
+``DegenerateGeometryError`` rather than return an unsafe bound.
 
 The ladder runs on plain floats.  Its dot products sum the float
 products with one rounding (``_dot``), so a bound does not depend on the
@@ -106,12 +108,6 @@ def simulate_decoy_gains(pp: ProtocolParams, ch: ChannelParams) -> DecoyGains:
     return DecoyGains(intensities=nonzero, gains=gains, vacuum_gain=q_vac)
 
 
-def _check_separation(ts) -> None:
-    for hi, lo in zip(ts, ts[1:]):
-        if hi <= lo or (hi - lo) / hi < MIN_RELATIVE_SEPARATION:
-            raise DegenerateGeometryError(f"decoy intensities too close: {hi} vs {lo}")
-
-
 def _dot(c, x) -> float:
     """sum(c_i x_i): the float products summed with one rounding.  A sum
     beyond the float range certifies nothing."""
@@ -169,51 +165,67 @@ def _order_scale(t_max: float, k: int) -> float:
     return scale
 
 
-def _ladder_bound(ts, a_values, m: int, check_orders: int) -> float:
-    """Lower bound on Y_m from the m + 1 intensities ts (descending) and
-    their vacuum-subtracted scaled gains A: sum_i c_i A_i over the rung's
-    order-m coefficient.  The signs that make dropping the higher orders
-    safe are checked on the floats, up to ``check_orders`` and for
-    k -> infinity, and so is the cancellation in the numerator.
+def _ladder(intensities, scale: float, n_cut: int) -> tuple:
+    """The gain-free half of the ladder on the nonzero intensities x
+    (descending), t = scale * x: (e^t, {m: (c, g_m)}) over the n_cut + 1
+    smallest t, with each even rung's combination c and order-m
+    coefficient g_m, after checking the spacing of those t and, on the
+    floats, the signs that make dropping the higher orders safe, up to
+    an order set by the largest t and for k -> infinity.  g_m uses
+    ``_dot``; a one-sided sign guard needs only a plain float sum."""
+    t_top = scale * intensities[0]
+    check_orders = max(int(math.ceil(t_top + 12.0 * math.sqrt(t_top) + 30.0)), n_cut + 20)
+    ts = [scale * x for x in intensities[-(n_cut + 1):]]
+    for hi, lo in zip(ts, ts[1:]):
+        if hi <= lo or (hi - lo) / hi < MIN_RELATIVE_SEPARATION:
+            raise DegenerateGeometryError(f"decoy intensities too close: {hi} vs {lo}")
+    try:
+        exps = [math.exp(t) for t in ts]
+    except OverflowError:
+        raise DegenerateGeometryError(f"decoy intensities too large: e**{ts[0]} overflows") from None
+    rungs = {}
+    for m in range(2, n_cut + 1, 2):
+        rung = ts[-(m + 1):]
+        c = _rung_combination(rung)
+        g_m = _dot(c, _powers(rung, m)) / math.factorial(m)
+        if g_m <= 0.0:
+            raise DegenerateGeometryError("rung denominator collapsed to 0")
+        # normalized comparison scale: psi_k = phi_k k! / t_max^k is O(1)
+        psi_m = g_m * math.factorial(m) / _order_scale(rung[0], m)
+        for k in range(m + 2, check_orders + 1):
+            psi_k = sum(map(operator.mul, c, _powers(rung, k))) / _order_scale(rung[0], k)
+            if psi_k > 1e-9 * psi_m:
+                raise DegenerateGeometryError(f"order-{k} rung coefficient has the unsafe sign")
+        # the k -> infinity sign is carried by the largest intensity
+        if c[0] > 0.0:
+            raise DegenerateGeometryError("asymptotic rung coefficient has the unsafe sign")
+        rungs[m] = (c, g_m)
+    return exps, rungs
 
-    The bound and its denominator use ``_dot``; the sign guards and the
-    cancellation ratio are one-sided tests, where a plain float sum
-    does."""
-    _check_separation(ts)
-    c = _rung_combination(ts)
-    t_max = ts[0]
 
-    g_m = _dot(c, _powers(ts, m)) / math.factorial(m)
-    if g_m <= 0.0:
-        raise DegenerateGeometryError("rung denominator collapsed to 0")
-    # normalized comparison scale: psi_k = phi_k k! / t_max^k is O(1)
-    psi_m = g_m * math.factorial(m) / _order_scale(t_max, m)
-    for k in range(m + 2, check_orders + 1):
-        psi_k = sum(map(operator.mul, c, _powers(ts, k))) / _order_scale(t_max, k)
-        if psi_k > 1e-9 * psi_m:
-            raise DegenerateGeometryError(f"order-{k} rung coefficient has the unsafe sign")
-    # the k -> infinity sign is carried by the largest intensity
-    if c[0] > 0.0:
-        raise DegenerateGeometryError("asymptotic rung coefficient has the unsafe sign")
-
-    g = _dot(c, a_values)
-    g_abs = sum(abs(ci) * max(a, 0.0) for ci, a in zip(c, a_values))
-    if g != 0.0 and g_abs / abs(g) > MAX_CONDITION:
-        raise DegenerateGeometryError(
-            f"rung too ill-conditioned (cancellation {g_abs / abs(g):.1e})"
-        )
-    return min(max(g / g_m, 0.0), 1.0)
+def _rung_bounds(ladder: tuple, g: DecoyGains) -> dict:
+    """The gain half: Y_m^L = sum_i c_i A_i / g_m (by ``_dot``) for each
+    rung of ``ladder`` (``_ladder`` on g's intensities), after a one-sided
+    check of the cancellation in the numerator."""
+    exps, rungs = ladder
+    a_values = [e * q - g.vacuum_gain for e, q in zip(exps, g.gains[-len(exps):])]
+    y_lower = {}
+    for m, (c, g_m) in rungs.items():
+        a = a_values[-(m + 1):]
+        num = _dot(c, a)
+        num_abs = sum(abs(ci) * max(ai, 0.0) for ci, ai in zip(c, a))
+        if num != 0.0 and num_abs / abs(num) > MAX_CONDITION:
+            raise DegenerateGeometryError(f"rung too ill-conditioned (cancellation {num_abs / abs(num):.1e})")
+        y_lower[m] = min(max(num / g_m, 0.0), 1.0)
+    return y_lower
 
 
 def yields_lower_general(
     g: DecoyGains, total_intensity_scale: float, n_cut: int
 ) -> DecoyBounds:
-    """Lower bounds for every even order up to n_cut.
-
-    The Y_m rung combines the m+1 smallest nonzero intensities (all
-    three of them in the three-party case, where the rung is the
-    three-party closed form).
-    """
+    """Lower bounds for every even order up to n_cut.  The Y_m rung
+    combines the m+1 smallest nonzero intensities (all three in the
+    three-party case, where it is the three-party closed form)."""
     if n_cut < 2 or n_cut % 2 != 0:
         raise ParameterError(f"n_cut must be a positive even integer, got {n_cut}")
     if len(g.intensities) < n_cut + 1:
@@ -221,18 +233,7 @@ def yields_lower_general(
             f"bounding Y_{n_cut} needs {n_cut + 1} nonzero decoys plus vacuum, "
             f"got {len(g.intensities)}"
         )
-    t_top = total_intensity_scale * g.intensities[0]
-    check_orders = max(int(math.ceil(t_top + 12.0 * math.sqrt(t_top) + 30.0)), n_cut + 20)
-    ts = [total_intensity_scale * x for x in g.intensities[-(n_cut + 1):]]
-    try:
-        a_values = [math.exp(t) * q - g.vacuum_gain for t, q in zip(ts, g.gains[-(n_cut + 1):])]
-    except OverflowError:
-        raise DegenerateGeometryError(f"decoy intensities too large: e**{ts[0]} overflows") from None
-    y_lower = {
-        m: _ladder_bound(ts[-(m + 1):], a_values[-(m + 1):], m, check_orders)
-        for m in range(2, n_cut + 1, 2)
-    }
-    return DecoyBounds(y_lower=y_lower)
+    return DecoyBounds(y_lower=_rung_bounds(_ladder(g.intensities, total_intensity_scale, n_cut), g))
 
 
 def phase_error_upper(
@@ -250,11 +251,11 @@ def phase_error_upper(
     return float(min(max(bound, 0.0), 1.0))
 
 
-def check_decoy_set(pp: ProtocolParams) -> None:
+def check_decoy_set(pp: ProtocolParams) -> tuple:
     """Raise ``InsufficientIntensitiesError`` unless the decoy set has the
     vacuum intensity and the n_cut + 1 nonzero ones the ladder needs, and
-    ``DegenerateGeometryError`` if two of those, scaled by N-1 as the
-    ladder scales them, are too close.  None of these depends on the
+    ``DegenerateGeometryError`` if the ladder's gain-free half rejects
+    them; return that half's (e^t, rungs).  None of these depends on the
     channel, so a caller can check them once for every distance."""
     n_cut = n_cut_for(pp.n_parties)
     nonzero = pp.nonzero_decoys
@@ -265,17 +266,16 @@ def check_decoy_set(pp: ProtocolParams) -> None:
             f"N={pp.n_parties} needs {n_cut + 1} nonzero decoys plus vacuum, "
             f"got {len(nonzero)}"
         )
-    _check_separation([(pp.n_parties - 1) * x for x in nonzero[-(n_cut + 1):]])
+    return _ladder(nonzero, float(pp.n_parties - 1), n_cut)
 
 
 def decoy_bounds(pp: ProtocolParams, ch: ChannelParams) -> DecoyBounds:
     """Estimation on simulated honest gains: the even-order yield lower
     bounds and the phase-error upper bound they certify."""
-    check_decoy_set(pp)
+    ladder = check_decoy_set(pp)
     n = pp.n_parties
-    n_cut = n_cut_for(n)
     gains = simulate_decoy_gains(pp, ch)
-    y_lower = yields_lower_general(gains, float(n - 1), n_cut).y_lower
+    y_lower = _rung_bounds(ladder, gains)
     arrival = transmittance(ch) * pp.signal_intensity
     q_mu = branch_gain_avg(arrival, ch.dark_count) ** (n - 1)
     e_x_u = phase_error_upper(y_lower, pp.signal_intensity, q_mu, gains.vacuum_gain, n)

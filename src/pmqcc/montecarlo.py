@@ -188,11 +188,10 @@ class EmpiricalEstimates(Record):
         super().__init__(gain, gain_halfwidth, pair_qbers, pair_halfwidths)
 
 
-def _wilson(successes: int, trials: int, z: float = 1.0) -> float:
-    """Half-width of the Wilson score interval of ``successes`` in ``trials``."""
+def _wilson(successes: int, trials: int) -> float:
+    """Half-width of the z = 1 Wilson score interval of ``successes`` in ``trials``."""
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    return z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
+    return math.sqrt(p * (1.0 - p) / trials + 1.0 / (4 * trials * trials)) / (1.0 + 1.0 / trials)
 
 
 def _branch_probabilities(arrival: float, dark_count: float, phase_delta: np.ndarray):

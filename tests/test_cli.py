@@ -295,6 +295,11 @@ class TestCurveCommand:
         pytest.param([0.0204583, 0.0182017, 9.27216e-5], "InsufficientIntensitiesError", id="no-vacuum"),
         pytest.param([0.0204583, 0.0182017, 0.0], "InsufficientIntensitiesError", id="two-nonzero"),
         pytest.param([0.02, 0.019999, 0.001, 0.0], "DegenerateGeometryError", id="close-decoys"),
+        # no distance certifies these either: t_max**28 underflows, t**162
+        # and e**1600 overflow
+        pytest.param([1e-12, 5e-13, 1e-13, 0.0], "DegenerateGeometryError", id="tiny-decoys"),
+        pytest.param([40.0, 30.0, 20.0, 0.0], "DegenerateGeometryError", id="power-overflow"),
+        pytest.param([800.0, 700.0, 600.0, 0.0], "DegenerateGeometryError", id="exp-overflow"),
     ])
     def test_decoy_set_that_rate_rejects_exits_3(self, tmp_path, capsys, optimize, decoys, error):
         # this used to exit 0 with every row flagged error:<type>
@@ -345,6 +350,20 @@ class TestCurveCommand:
         rows = out.splitlines()[1:]
         assert rows[0].endswith(",13,ok")
         assert rows[1].endswith(",0,error:ParameterError")
+
+    def test_ill_conditioned_rung_keeps_row_flag(self, tmp_path, capsys):
+        # the ladder's cancellation guard reads the gains, so a decoy set it
+        # rejects at 200 km still certifies the 0 km row
+        cfg = write_config(tmp_path, {
+            **TABLE_CONFIG, "parties": 5, "mu": 0.1,
+            "decoys": [0.005, 0.00495, 0.0049005, 0.004851495, 0.00480298, 0.0],
+        })
+        code, out, err = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0",
+                                  "--l-max", "200", "--l-step", "200"], capsys)
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert rows[0].endswith(",13,ok")
+        assert rows[1].endswith(",0,error:DegenerateGeometryError")
 
     def test_optimized_point_matches_benchmark(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {k: v for k, v in TABLE_CONFIG.items() if k not in ("mu", "slices")})

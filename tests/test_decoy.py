@@ -23,7 +23,7 @@ from pmqcc import (
     transmittance,
     yields_lower_general,
 )
-from pmqcc.decoy import _dot, _rung_combination
+from pmqcc.decoy import _dot, _rung_combination, check_decoy_set
 from pmqcc.keyrate import chain_branches, parity_phase_error
 from tests.conftest import bench_channel_at
 from tests.enumeration import enumerated_yields, poisson_weight, yield_probability
@@ -33,6 +33,9 @@ ANCHOR_DECOYS = (0.0204583, 0.0182017, 9.27216e-5)
 # seven nonzero decoys for N=6, so small that t_max**k underflows to 0
 # within the sign guard's checked orders
 TINY_DECOYS = (1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 0.0)
+# five nonzero decoys 1 % apart for N=5: spaced widely enough for the
+# ladder, but the Y_4 rung cancels away its digits once the gains shrink
+CLUSTERED_DECOYS = (0.005, 0.00495, 0.0049005, 0.004851495, 0.00480298, 0.0)
 
 
 def anchor_protocol():
@@ -341,6 +344,31 @@ class TestRateLower:
         with pytest.raises(DegenerateGeometryError, match="underflows"):
             rate_lower(pp, bench_channel_at(10.0))
 
+    def test_cancellation_guard_depends_on_the_distance(self):
+        # the one ladder guard that reads the gains: the same decoy set
+        # certifies at 0 km and is too ill-conditioned at 200 km
+        pp = ProtocolParams(n_parties=5, signal_intensity=0.1, slice_count=13,
+                            decoy_intensities=CLUSTERED_DECOYS)
+        assert rate_lower(pp, bench_channel_at(0.0)).rate == pytest.approx(3.64305952706e-11, rel=1e-11)
+        with pytest.raises(DegenerateGeometryError, match="ill-conditioned"):
+            rate_lower(pp, bench_channel_at(200.0))
+
+    @pytest.mark.parametrize("top, message", [
+        (1.8, "rung denominator collapsed to 0"),
+        (12.85, "order-155 rung coefficient has the unsafe sign"),
+    ], ids=["denominator", "order-sign"])
+    def test_clustered_decoys_fail_a_gain_free_guard(self, top, message):
+        # N=8, nine nonzero decoys 0.13 % apart: the rung's float
+        # combination cancels so far that g_m, or an order-k sign, is noise,
+        # whatever the distance
+        decoys = tuple(round(top * (1.0 - 0.0013) ** j, 12) for j in range(9))
+        pp = ProtocolParams(n_parties=8, signal_intensity=0.1, slice_count=13,
+                            decoy_intensities=(*decoys, 0.0))
+        with pytest.raises(DegenerateGeometryError, match=message):
+            check_decoy_set(pp)
+        with pytest.raises(DegenerateGeometryError, match=message):
+            rate_lower(pp, bench_channel_at(0.0))
+
     def test_overflowing_decoys_raise_a_typed_error(self):
         for decoys in ((40.0, 30.0, 20.0, 0.0), (800.0, 700.0, 600.0, 0.0)):
             pp = ProtocolParams(n_parties=3, signal_intensity=1000.0, slice_count=13,
@@ -351,7 +379,9 @@ class TestRateLower:
     def test_random_decoy_sets_fail_typed_only(self):
         # N=3-8, decoys log-uniform from 1e-16 up to the signal: every
         # draw certifies a rate no higher than the exact one or raises a
-        # PMQCCError
+        # PMQCCError.  The distance-free check raises exactly when the rate
+        # fails on anything but the gain-dependent cancellation guard, and
+        # with the same message
         rng = random.Random(1016)
         outcomes = Counter()
         for _ in range(600):
@@ -365,10 +395,17 @@ class TestRateLower:
                                 decoy_intensities=(*decoys, 0.0))
             ch = bench_channel_at(rng.uniform(0.0, 100.0))
             try:
+                check_decoy_set(pp)
+                checked = None
+            except PMQCCError as exc:
+                checked = repr(exc)
+            try:
                 rate = rate_lower(pp, ch).rate
             except PMQCCError as exc:
                 outcomes[type(exc).__name__] += 1
+                assert checked == (None if "ill-conditioned" in str(exc) else repr(exc))
                 continue
+            assert checked is None
             assert rate <= rate_pmqcc(pp, ch).rate
             outcomes["positive" if rate > 0.0 else "zero"] += 1
         assert outcomes.keys() == {"positive", "zero", "DegenerateGeometryError"}
