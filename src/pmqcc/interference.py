@@ -9,11 +9,14 @@ protocol's bit-flip cooperation L is the expected port, so the branch
 QBER is the R-click fraction of one-click events.
 
 The closed forms are approximations, not exact averages of the click
-model over the slice-phase density: the misalignment term of
-``branch_qber_avg`` undercounts the true average by roughly M/(2 pi) in
-misalignment-dominated regimes.  The round-level simulator is therefore
-checked against ``montecarlo.tally_expectation``, which integrates the
-click model exactly, not against these forms.
+model over the slice-phase density.  Two uniform in-slice positions make
+the phase difference triangular on +-2 pi/M, with mean misalignment
+e_avg(M) = (1 - (M/pi)^2 sin^2(pi/M))/2 ~ pi^2/(6 M^2), while the
+misalignment term e_delta(M) ~ pi^3/(2 M^3) of ``branch_qber_avg``
+undercounts it by about M/(3 pi) in misalignment-dominated regimes.
+The round-level simulator is therefore checked against
+``montecarlo.tally_expectation``, which integrates the click model
+exactly, not against these forms.
 """
 
 from __future__ import annotations

@@ -279,13 +279,16 @@ def key_rate(
         pp.n_parties, pp.signal_intensity, ch.dark_count, transmittance(ch), boundaries, phase_error
     )
     raw, gain, marginals, phase_error = slice_rate(terms, pp.ec_efficiency, prefactor, misalignment, sliced)
+    # the sign, not raw < 0: a negative margin times a prefactor and gain
+    # that underflow to 0 gives -0.0
+    clamped = math.copysign(1.0, raw) < 0.0
     return RateReport(
-        rate=max(raw, 0.0),
+        rate=0.0 if clamped else raw,
         gain=gain,
         marginal_qbers=marginals,
         phase_error=phase_error,
         sifting_prefactor=prefactor,
-        clamped=raw < 0.0,
+        clamped=clamped,
     )
 
 

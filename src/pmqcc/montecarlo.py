@@ -26,12 +26,16 @@ device, and a chunk costs O(K N) draws rather than O(rounds N).
 Rounds where some branch has zero or two clicks are discarded, not
 errors.
 
-Both kernels run each chunk through ``_run_chunk``, which draws steps
-1-2 and returns the chunk's successes counted per L/R pattern and per
-wrong-port pattern; ``run_rounds`` sums the chunks into the run's one
-tally.  The kernels differ only in their candidate draws (step 3) and
-streams.  A run whose E[K] = rounds (2/M)^(N-1) c^(N-1) (the sifting
-factor under ``mode="full-random"`` only) is below
+A success is counted once, under one id: bit l holds branch l's R
+click and bit l + N - 1 whether that click is the wrong port.  Each
+thread of ``run_rounds`` draws steps 1-2 of its chunks and counts their
+successes per id in one dict of its own, so a run holds only the ids
+that occur; ``run_rounds`` merges the dicts and decodes the L/R pattern
+counts and the per-pair errors from the ids.  The numpy kernel's ids
+are int64, which caps N at 32.  The kernels differ only in their
+candidate draws (step 3) and streams.  A run whose E[K] =
+rounds (2/M)^(N-1) c^(N-1) (the sifting factor under
+``mode="full-random"`` only) is below
 ``_numpy_threshold(N, chunks)`` takes the stdlib kernel, which never
 imports numpy: on ``random.Random((chunk << 64) | seed)`` it draws one
 candidate at a time and drops it at its first failing branch.  It
@@ -86,7 +90,8 @@ CHUNK_SIZE = 1 << 16
 # few chunks, and NUMPY_CHUNKS the chunk count whose extra numpy call
 # overhead matches the import.  The fit predates the stdlib kernel's
 # bracket squeeze, which cut its cost to ~0.85 us per candidate branch
-# and moved the crossover at N=3 with few chunks to ~110k (ROADMAP item 6).
+# and moved the crossover at N=3 with few chunks to ~110k; it is not
+# refitted yet.
 NUMPY_CANDIDATES = 72_000
 NUMPY_CHUNKS = 2_000
 
@@ -130,10 +135,11 @@ class SimConfig(Record):
 
 
 class SimTally(Record):
-    """Counts accumulated over the rounds of one run; ``run_rounds`` sums
-    the count vectors of its chunks and builds the run's one tally.  Its
-    count dicts make it unhashable; each tally gets its own unless the
-    caller passes them."""
+    """Counts accumulated over the rounds of one run; ``run_rounds``
+    decodes ``pattern_counts`` (successes per L/R pattern that occurred)
+    and ``pair_errors`` from its per-id success counts.  Its count dicts
+    make it unhashable; each tally gets its own unless the caller passes
+    them."""
 
     __slots__ = (
         "n_parties", "slice_count", "sent", "sifted", "success", "pattern_counts", "pair_errors",
@@ -322,30 +328,11 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def _run_chunk(
-    rng,
-    binomial,
-    draw,
-    n_rounds: int,
-    sifting: float | None,
-    bound: float,
-    n: int,
-    *setting,
-) -> tuple:
-    """One chunk of ``n_rounds`` rounds: (sifted, successes per L/R
-    pattern id, successes per wrong-port id).  ``binomial(rng, trials, p)``
-    draws the sifted count, Binomial(n_rounds, sifting) or every round
-    when ``sifting`` is None, and the candidate count K, and
-    ``draw(rng, K, n, bound, *setting)`` the K candidates."""
-    n_sift = n_rounds if sifting is None else binomial(rng, n_rounds, sifting)
-    n_cand = binomial(rng, n_sift, bound ** (n - 1))
-    return n_sift, *draw(rng, n_cand, n, bound, *setting)
-
-
 def _stdlib_setting(m: int, arrival: float, dark_count: float, deviations: tuple, comp: tuple) -> tuple:
     """What ``_draw_stdlib`` reads of a run, built once per run: arrival,
     log(1 - p_d), the slice phase 2 pi / M, per-branch step and turn
-    tables, and the bracket table."""
+    tables with the branch's R-click and wrong-port bits of a success id,
+    and the bracket table."""
     # bit 2q of a candidate's draws is party q's bit and bit 2l + 1 branch
     # l's half-slice offset, so branch l reads the three bits
     # key = b_l + 2 h_l + 4 b_{l+1} and looks up its whole-slice steps and
@@ -355,6 +342,7 @@ def _stdlib_setting(m: int, arrival: float, dark_count: float, deviations: tuple
             tuple(shift + ((key >> 1) & 1) * (m // 2) for key in range(8)),
             tuple(math.pi * ((key >> 2) - (key & 1)) + deviation for key in range(8)),
             1 << l,
+            1 << (l + len(comp)),
         )
         for l, (shift, deviation) in enumerate(zip(comp, deviations))
     )
@@ -372,26 +360,25 @@ def _draw_stdlib(
     n_cand: int,
     n: int,
     bound: float,
+    tally: dict,
     arrival: float,
     log_nodark: float,
     slice_phase: float,
     branches: tuple,
     table: list,
-) -> tuple:
+) -> None:
     """The candidates one at a time, each dropped at its first branch
-    that does not click exactly once.  A branch's uniform is compared
-    with its cell's brackets first; ``_branch_probability`` runs only
-    when the uniform falls inside one, so every decision is the one the
-    exact probabilities give."""
+    that does not click exactly once; ``tally`` counts the successes per
+    id.  A branch's uniform is compared with its cell's brackets first;
+    ``_branch_probability`` runs only when the uniform falls inside one,
+    so every decision is the one the exact probabilities give."""
     cos, cells, swapped = math.cos, BRACKET_CELLS, _SWAPPED
-    counts = [0] * 2 ** (n - 1)
-    wrong_counts = [0] * 2 ** (n - 1)
-    uniform, getrandbits = rng.random, rng.getrandbits
+    uniform, getrandbits, get = rng.random, rng.getrandbits, tally.get
     for _ in range(n_cand):
         draws = getrandbits(2 * n - 1)
         position = uniform()
-        pattern = wrong = 0
-        for steps, turns, mask in branches:
+        found = 0
+        for steps, turns, right_bit, wrong_bit in branches:
             key = draws & 7
             draws >>= 2
             following = uniform()
@@ -409,14 +396,12 @@ def _draw_stdlib(
             else:
                 right = scaled < right_low
             if right:
-                pattern |= mask
+                found |= right_bit
             if right != swapped[key]:
-                wrong |= mask
+                found |= wrong_bit
             position = following
         else:
-            counts[pattern] += 1
-            wrong_counts[wrong] += 1
-    return counts, wrong_counts
+            tally[found] = get(found, 0) + 1
 
 
 def _draw_numpy(
@@ -424,15 +409,17 @@ def _draw_numpy(
     n_cand: int,
     n: int,
     bound: float,
+    tally: dict,
     m: int,
     arrival: float,
     dark_count: float,
     deviations: np.ndarray,
     comp: np.ndarray,
-) -> tuple:
-    """The candidates as arrays.  Slice p+1 sits comp_p or comp_p + M/2
-    slices after slice p; the absolute slice index shifts each phase
-    difference by whole turns only, so it is not drawn."""
+) -> None:
+    """The candidates as arrays, their successes counted per id into
+    ``tally``.  Slice p+1 sits comp_p or comp_p + M/2 slices after slice
+    p; the absolute slice index shifts each phase difference by whole
+    turns only, so it is not drawn."""
     import numpy as np
 
     half_offset = rng.integers(0, 2, (n - 1, n_cand))
@@ -450,24 +437,15 @@ def _draw_numpy(
     # probability P(R | one click)
     scaled = rng.random((n - 1, n_cand)) * bound
     success = np.all(scaled < p_one, axis=0)
-    # branch l contributes bit 2^l to a success's pattern id when it
-    # clicked R, and to its wrong-port id when R-click + b_l + h_l + b_{l+1}
-    # is odd
+    # branch l sets bit l of a success's id when it clicked R, and bit
+    # l + N - 1 when R-click + b_l + h_l + b_{l+1} is odd (the wrong port)
     r_click = (scaled < p_right)[:, success]
     wrong = r_click ^ ((bits[1:] + half_offset + bits[:-1]) % 2)[:, success]
     weights = 1 << np.arange(n - 1)
-    return tuple(np.bincount(weights @ x, minlength=2 ** (n - 1)).tolist() for x in (r_click, wrong))
-
-
-def _sum_chunks(parts, n: int) -> tuple:
-    """(sifted, counts, wrong counts) summed over chunk results as they
-    finish, so a run holds one chunk's vectors per thread at a time."""
-    sifted, counts, wrong_counts = 0, [0] * 2 ** (n - 1), [0] * 2 ** (n - 1)
-    for part_sifted, part_counts, part_wrong in parts:
-        sifted += part_sifted
-        counts = list(map(operator.add, counts, part_counts))
-        wrong_counts = list(map(operator.add, wrong_counts, part_wrong))
-    return sifted, counts, wrong_counts
+    ids, counts = np.unique(weights @ r_click | (weights @ wrong) << (n - 1), return_counts=True)
+    get = tally.get
+    for key, count in zip(ids.tolist(), counts.tolist()):
+        tally[key] = get(key, 0) + count
 
 
 def run_rounds(
@@ -484,6 +462,9 @@ def run_rounds(
         raise ParameterError(f"the simulator needs an even slice count, got M={m}")
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
+    if n > 32:
+        # a success's id takes 2 (N - 1) bits, and the numpy kernel's are int64
+        raise ParameterError(f"the simulator takes at most 32 parties, got N={n}")
     deviations = sc.reference_offsets or (0.0,) * (n - 1)
     comp = sc.compensation_indices or (0,) * (n - 1)
     if len(deviations) != n - 1 or len(comp) != n - 1:
@@ -514,42 +495,52 @@ def run_rounds(
         def stream(idx):
             return np.random.default_rng(np.random.SeedSequence(entropy=sc.seed, spawn_key=(idx,)))
 
-    def work(idx):
-        size = min(CHUNK_SIZE, sc.rounds - idx * CHUNK_SIZE)
-        return _run_chunk(stream(idx), binomial, draw, size, sifting, bound, n, *setting)
+    pooled = workers > 1 and not stdlib
+    threads = min(workers, os.cpu_count() or 1) if pooled else 1
 
-    if workers == 1 or stdlib:
-        sifted, counts, wrong_counts = _sum_chunks(map(work, range(chunks)), n)
-    else:
+    def work(first):
+        sifted, found = 0, {}
+        for idx in range(first, chunks, threads):
+            rng, size = stream(idx), min(CHUNK_SIZE, sc.rounds - idx * CHUNK_SIZE)
+            n_sift = size if sifting is None else binomial(rng, size, sifting)
+            draw(rng, binomial(rng, n_sift, bound ** (n - 1)), n, bound, found, *setting)
+            sifted += n_sift
+        return sifted, found
+
+    if pooled:
         # imported here: a thread pool (~7 ms to import) serves only the
         # numpy kernel at more than one worker, on at most one per core
         from concurrent.futures import ThreadPoolExecutor
 
-        threads = min(workers, os.cpu_count() or 1)
-
-        def stride(first):
-            return _sum_chunks(map(work, range(first, chunks, threads)), n)
-
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sifted, counts, wrong_counts = _sum_chunks(pool.map(stride, range(threads)), n)
+            parts = list(pool.map(work, range(threads)))
+    else:
+        parts = [work(0)]
+    sifted, found = parts[0]
+    for part_sifted, part in parts[1:]:
+        sifted += part_sifted
+        for key, count in part.items():
+            found[key] = found.get(key, 0) + count
 
     # bit-flip cooperation: party p disagrees with party 1 exactly when
-    # the first p - 1 branches hold an odd number of wrong-port clicks
-    pair_errors = {
-        p: sum(c for wrong, c in enumerate(wrong_counts) if bin(wrong % 2 ** (p - 1)).count("1") % 2)
-        for p in range(2, n + 1)
-    }
+    # the first p - 1 branches hold an odd number of wrong-port clicks,
+    # bits N - 1 to N + p - 3 of the id
+    pattern_counts, pair_errors = {}, dict.fromkeys(range(2, n + 1), 0)
+    for key, count in found.items():
+        name = "".join("LR"[key >> l & 1] for l in range(n - 1))
+        pattern_counts[name] = pattern_counts.get(name, 0) + count
+        odd = 0
+        for p in range(2, n + 1):
+            odd ^= key >> (n + p - 3) & 1
+            if odd:
+                pair_errors[p] += count
     return SimTally(
         n_parties=n,
         slice_count=m,
         sent=sc.rounds,
         sifted=sifted,
-        success=sum(counts),
-        pattern_counts={
-            "".join("R" if (i >> l) & 1 else "L" for l in range(n - 1)): c
-            for i, c in enumerate(counts)
-            if c > 0
-        },
+        success=sum(found.values()),
+        pattern_counts=pattern_counts,
         pair_errors=pair_errors,
         sifting_probability=slice_match if sifting is None else 1.0,
         seed=sc.seed,

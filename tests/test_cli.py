@@ -490,6 +490,12 @@ class TestSimulateCommand:
         payload = json.loads(out_path.read_text())
         assert payload["tally"]["sent"] == self.CONFIG["rounds"]
 
+    def test_more_than_32_parties_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**self.CONFIG, "parties": 70, "slices": 56})
+        code, out, err = run_cli(["simulate", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "at most 32 parties" in err
+
 
 @pytest.mark.parametrize(
     "command",

@@ -116,11 +116,13 @@ class TestQuadratureOracle:
         assert oracle_qber(a, pd, m) == pytest.approx(expected, rel=2e-2)
 
     def test_closed_form_qber_undercounts_misalignment(self):
-        # the tabulated closed form is not the exact average: its
+        # the tabulated closed form is not the exact average: over this
+        # oracle's density (a uniform offset on top of the triangle) its
         # misalignment coefficient equals (2 pi / M) * E[sin^2(phi/2)], so in
         # misalignment-dominated regimes the quadrature truth sits a factor
-        # M/(2 pi) above it.  The simulator is therefore validated against
-        # the exact click model, not this closed form.
+        # M/(2 pi) above it (M/(3 pi) over the simulator's triangle alone).
+        # The simulator is therefore validated against the exact click
+        # model, not this closed form.
         for m in (8, 13, 32):
             exact = oracle_qber(0.01, 0.0, m)
             closed = branch_qber_avg(0.01, 0.0, m)

@@ -135,6 +135,13 @@ class TestRatePMQCC:
         report = rate_pmqcc(pp, ch)
         assert report.rate == 0.0 and report.gain == 0.0
 
+    def test_negative_margin_is_clamped_when_the_rate_underflows(self):
+        # P Q underflows at N=90, so the negative margin leaves a raw rate of -0.0
+        pp = ProtocolParams(n_parties=90, signal_intensity=0.01, slice_count=55)
+        report = rate_pmqcc(pp, ChannelParams(0.2, 0.0, 0.65, 7.2e-8))
+        assert report.clamped
+        assert math.copysign(1.0, report.rate) == 1.0 and report.rate == 0.0
+
     def test_two_party_degeneration(self, bench_channel):
         pp = ProtocolParams(n_parties=2, signal_intensity=0.1333, slice_count=14)
         report = rate_pmqcc(pp, bench_channel)

@@ -54,6 +54,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             run_rounds(protocol(), channel(), sc)
 
+    def test_more_than_32_parties_rejected(self):
+        # a success's id holds 2 (N - 1) bits in an int64
+        with pytest.raises(ParameterError, match="at most 32 parties"):
+            run_rounds(protocol(n=33), channel(), SimConfig(rounds=100, seed=1))
+
 
 class TestDeterminism:
     def test_identical_runs(self):
@@ -154,6 +159,27 @@ class TestTallyExpectation:
     def test_no_light_and_no_darks(self):
         success, pair_errors = tally_expectation(protocol(m=4), channel(distance=20_000.0, pd=0.0))
         assert success == 0.0 and pair_errors == {2: 0.0, 3: 0.0}
+
+    @pytest.mark.parametrize("m", [4, 6, 14, 32, 64])
+    def test_two_parties_match_the_mean_misalignment_closed_form(self, m):
+        # a second oracle, independent of the transfer matrix: at N=2 the
+        # pair QBER is the branch QBER (p_d + a e_avg) e^-a / Q, with
+        # Q = 1 - e^-a + 2 p_d e^-a and e_avg = (1 - (M/pi)^2 sin^2(pi/M)) / 2
+        # the mean of s = sin^2(phi/2) over the triangular density of the
+        # phase difference.  P(only R) = e^-a (a s + a^2 s^2 / 2 + ...),
+        # P(one click) = Q (1 - a s + ...) and, on the triangle,
+        # E[s^2] = (12/5) e_avg E[s], so the exact QBER lies above the
+        # closed form by 2.2 a e_avg relative to first order; 2.3 leaves
+        # room for the higher orders at a <= 0.65.
+        e_avg = (1.0 - (m / math.pi) ** 2 * math.sin(math.pi / m) ** 2) / 2.0
+        for distance in (0.0, 50.0, 100.0, 200.0):
+            for mu in (0.01, 0.1, 1.0):
+                pp, ch = protocol(m=m, mu=mu, n=2), channel(distance=distance)
+                a, pd = transmittance(ch) * mu, ch.dark_count
+                gain = -math.expm1(-a) + 2.0 * pd * math.exp(-a)
+                closed = (pd + a * e_avg) * math.exp(-a) / gain
+                gap = tally_expectation(pp, ch)[1][2] / closed - 1.0
+                assert -1e-12 <= gap <= 2.3 * a * e_avg + 1e-12, (distance, mu)
 
 
 def within_5_sigma(count: int, trials: int, p: float) -> bool:
@@ -428,6 +454,22 @@ class TestKernels:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 16_384
 
+    def test_memory_does_not_grow_with_the_party_count(self):
+        # one chunk without light at N=24, where a count for every L/R or
+        # wrong-port pattern would take 2^23 entries
+        import tracemalloc
+
+        pp = protocol(mu=1e-6, n=24)
+        ch = ChannelParams(loss_rate=0.2, distance=100.0, detector_efficiency=0.65, dark_count=0.0)
+        tracemalloc.start()
+        try:
+            tally = run_rounds(pp, ch, SimConfig(rounds=montecarlo.CHUNK_SIZE, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tally.success == 0
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("record,run,counts", PINNED, ids=["n3-0km-mu1", "n4-full-random-offsets"])
     def test_numpy_kernel_tallies_hold_on_the_baseline_path(self, record, run, counts):
         # the pins were recorded where numpy dispatches its AVX-512
@@ -569,7 +611,7 @@ class TestBracketTable:
         arrival = transmittance(ch) * pp.signal_intensity
         setting = montecarlo._stdlib_setting(pp.slice_count, arrival, ch.dark_count, (0.0, 0.0), (0, 0))
         rng, candidates = CountingRandom(1), 40_000
-        montecarlo._draw_stdlib(rng, candidates, 3, _candidate_bound(arrival, ch.dark_count), *setting)
+        montecarlo._draw_stdlib(rng, candidates, 3, _candidate_bound(arrival, ch.dark_count), {}, *setting)
         # one uniform per candidate, two per branch it reaches
         branch_draws = (rng.uniforms - candidates) // 2
         assert branch_draws > candidates
