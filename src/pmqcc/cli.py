@@ -11,7 +11,8 @@ as a machine-readable JSON object on stderr.
 function, ``_setup``, which runs the distance-free checks in one order,
 so a config fails each of them with the same error before any output; a
 curve row whose rate then fails at its own distance is flagged
-``error:<type>``.
+``error:<type>``.  ``curve`` and ``optimize`` search only through
+``_search``, which decides what each protocol's search scores.
 
 A process imports only the layers its command runs: the decoy
 estimator, the optimizers and the simulator are imported inside the
@@ -177,19 +178,19 @@ def parse_boundaries(cfg: dict) -> tuple:
     return ("left" in marks, "right" in marks)
 
 
-def _setup(cfg: dict, protocol: str, search: str = "none") -> tuple:
+def _setup(cfg: dict, protocol: str, targets: tuple = ()) -> tuple:
     """(protocol record, channel, broken ends) of a command, after every
     check that holds at every distance, in one order: the record, the
     channel, the boundaries of any protocol but ``decoy-lower``, the
     slice count and, unless the decoys are searched, the decoy set of
-    ``decoy-lower``.  ``search`` (``none``, ``signal``, ``decoys`` or
-    ``signal+decoys``) names what an optimizer picks: the record holds
-    placeholders there, mu = 1 and M = 4 for the signal, no decoys."""
+    ``decoy-lower``.  ``targets`` names the searches of ``_search`` that
+    pick fields: the record holds placeholders there, mu = 1 and M = 4
+    for ``"signal"``, no decoys for ``"decoys"``."""
     from .keyrate import rate_constants
 
-    if "signal" in search:
+    if "signal" in targets:
         cfg = {**cfg, "mu": 1.0, "slices": 4}
-    if "decoys" in search:
+    if "decoys" in targets:
         cfg = {**cfg, "decoys": ()}
     pp = build_protocol(cfg)
     ch = build_channel(cfg)
@@ -197,11 +198,28 @@ def _setup(cfg: dict, protocol: str, search: str = "none") -> tuple:
     if protocol != "decoy-lower":
         ends = parse_boundaries(cfg)
     rate_constants(pp, sliced=protocol != "pmqcc-star")
-    if protocol == "decoy-lower" and "decoys" not in search:
+    if protocol == "decoy-lower" and "decoys" not in targets:
         from .decoy import check_decoy_set
 
         check_decoy_set(pp)
     return pp, ch, ends
+
+
+def _search(target: str, protocol: str, pp: ProtocolParams, ch: ChannelParams, ends: tuple):
+    """The ``OptimizationResult`` of the ``"signal"`` or ``"decoys"`` search
+    from ``pp`` at ``ch``.  The signal search scores the exact rate of
+    ``protocol`` (``pmqcc`` for ``decoy-lower``); the decoy search scores
+    the certified rate of the symmetric chain, so it takes no other one."""
+    from .optimize import optimize_decoys, optimize_signal
+
+    if target == "signal":
+        objective = "pmqcc" if protocol == "decoy-lower" else protocol
+        return optimize_signal(ch, pp.n_parties, objective, ec_efficiency=pp.ec_efficiency,
+                               signal_phase_misalignment=pp.signal_phase_misalignment, boundaries=ends)
+    if protocol not in ("pmqcc", "decoy-lower"):
+        raise ConfigError(f"the decoy search certifies the pmqcc chain, not --protocol {protocol}")
+    return optimize_decoys(ch, pp.n_parties, pp.signal_intensity, pp.slice_count,
+                           ec_efficiency=pp.ec_efficiency)
 
 
 def compute_rate(protocol: str, pp: ProtocolParams, ch: ChannelParams, ends: tuple):
@@ -242,34 +260,23 @@ def _zero_row(length: float, mu: float, slices: int, flag: str) -> str:
 
 
 def _curve_row(
-    length: float, protocol: str, search: str, fixed: ProtocolParams, channel: ChannelParams, ends: tuple
+    length: float, protocol: str, targets: tuple, fixed: ProtocolParams, channel: ChannelParams, ends: tuple
 ) -> str:
     """One CSV row: the rate of ``fixed`` and ``channel``, the record and
-    the channel of ``_setup``, at ``length`` with the fields ``search``
-    names picked there."""
+    the channel of ``_setup``, at ``length`` after each of ``targets`` is
+    searched there; a search that fails ends it ``infeasible``."""
     ch = ChannelParams(channel.loss_rate, length, channel.detector_efficiency, channel.dark_count)
     pp = fixed
     try:
-        if search != "none":
-            from .optimize import optimize_decoys, optimize_signal
-
-            objective = protocol if protocol != "decoy-lower" else "pmqcc"
-            result = optimize_signal(
-                ch, pp.n_parties, objective, ec_efficiency=pp.ec_efficiency,
-                signal_phase_misalignment=pp.signal_phase_misalignment, boundaries=ends,
-            )
+        for target in targets:
+            result = _search(target, protocol, pp, ch, ends)
             if result.flagged_zero:
-                return _zero_row(length, 0, 0, "infeasible")
+                mu, slices = (0, 0) if target == "signal" else (pp.signal_intensity, pp.slice_count)
+                return _zero_row(length, mu, slices, "infeasible")
             best = result.best_params
+            decoys = best.decoy_intensities if target == "decoys" else pp.decoy_intensities
             pp = ProtocolParams(pp.n_parties, best.signal_intensity, best.slice_count,
-                                pp.ec_efficiency, pp.decoy_intensities, pp.signal_phase_misalignment)
-            if search == "signal+decoys":
-                dec = optimize_decoys(
-                    ch, pp.n_parties, pp.signal_intensity, pp.slice_count, ec_efficiency=pp.ec_efficiency
-                )
-                if dec.flagged_zero:
-                    return _zero_row(length, pp.signal_intensity, pp.slice_count, "infeasible")
-                pp = dec.best_params
+                                pp.ec_efficiency, decoys, pp.signal_phase_misalignment)
         report = compute_rate(protocol, pp, ch, ends)
     except PMQCCError as exc:
         return _zero_row(length, 0, 0, f"error:{type(exc).__name__}")
@@ -299,8 +306,9 @@ def cmd_curve(args) -> int:
         raise ConfigError("--optimize signal+decoys needs --protocol decoy-lower")
     # checked once, at l-min: a config that rate rejects fails here with the
     # same error instead of flagging every row
-    fixed, ch, ends = _setup({**cfg, "distance_km": args.l_min}, args.protocol, args.optimize)
-    rows = (_curve_row(length, args.protocol, args.optimize, fixed, ch, ends) for length in lengths)
+    targets = () if args.optimize == "none" else tuple(args.optimize.split("+"))
+    fixed, ch, ends = _setup({**cfg, "distance_km": args.l_min}, args.protocol, targets)
+    rows = (_curve_row(length, args.protocol, targets, fixed, ch, ends) for length in lengths)
     _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0
 
@@ -347,19 +355,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .optimize import optimize_decoys, optimize_signal
-
     cfg = load_config(args.config)
-    pp, ch, ends = _setup(cfg, args.protocol, args.target)
-    if args.target == "signal":
-        result = optimize_signal(
-            ch, pp.n_parties, args.protocol, ec_efficiency=pp.ec_efficiency,
-            signal_phase_misalignment=pp.signal_phase_misalignment, boundaries=ends,
-        )
-    else:
-        result = optimize_decoys(
-            ch, pp.n_parties, pp.signal_intensity, pp.slice_count, ec_efficiency=pp.ec_efficiency
-        )
+    pp, ch, ends = _setup(cfg, args.protocol, (args.target,))
+    result = _search(args.target, args.protocol, pp, ch, ends)
     payload = {
         "target": args.target,
         "best_rate": result.best_rate,

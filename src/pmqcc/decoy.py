@@ -245,9 +245,18 @@ def phase_error_upper(
     if q_mu <= 0.0:
         raise ParameterError("phase_error_upper needs a positive signal gain")
     t = (n_parties - 1) * signal_intensity
+    if t == math.inf:
+        # every Poisson weight is 0 in the limit; e^-t t^m would be nan
+        return 1.0
     bound = 1.0 - math.exp(-t) * q_vacuum / q_mu
     for m, y_l in sorted(y_lower.items()):
-        bound -= math.exp(-t) * t**m / math.factorial(m) * y_l / q_mu
+        try:
+            weight = math.exp(-t) * t**m / math.factorial(m)
+        except OverflowError:
+            # t**m (or m!) is past the float range, where the weight is 0
+            # unless m is near t: take it in logs
+            weight = math.exp(m * math.log(t) - t - math.lgamma(m + 1))
+        bound -= weight * y_l / q_mu
     return float(min(max(bound, 0.0), 1.0))
 
 

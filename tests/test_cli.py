@@ -1,11 +1,13 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from pmqcc.cli import main
+from pmqcc.cli import PROTOCOLS, _fmt, main
+from pmqcc.decoy import n_cut_for
 
 TABLE_CONFIG = {
     "parties": 3,
@@ -171,6 +173,51 @@ class TestRateCommand:
         code, out, _ = run_cli(["rate", cfg, "--protocol", "reduced"], capsys)
         assert code == 0
         assert json.loads(out)["rate"] == pytest.approx(1.7060e-7, rel=1e-3)
+
+    # t**2 at t = 2 mu = 1.4e154 overflows: rate ended in an OverflowError
+    # traceback (exit 1), and curve aborted its whole run; t = 2e308 is
+    # inf itself, and e^-t t^2 was nan (exit 2 from binary_entropy)
+    @pytest.mark.parametrize("mu", [7e153, 1e308])
+    def test_decoy_lower_past_the_float_range_of_the_poisson_weight(self, tmp_path, capsys, mu):
+        cfg = write_config(tmp_path, {**GOLDEN_N3, "mu": mu})
+        code, out, err = run_cli(["rate", cfg, "--protocol", "decoy-lower"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["rate"], payload["phase_error"]) == (0.0, 0.5)
+        code, out, err = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0",
+                                  "--l-max", "100", "--l-step", "50"], capsys)
+        assert (code, err) == (0, "")
+        assert [row.split(",")[1] for row in out.splitlines()[1:]] == [_fmt(0.0)] * 3
+
+    def test_exits_cleanly_across_the_domain(self, tmp_path, capsys):
+        # finite configs drawn far past the physical range: every protocol
+        # computes a finite report or fails with a typed error (exit 2 or 3)
+        rng = random.Random(2026)
+        failures = []
+        for _ in range(200):
+            parties = rng.randint(2, 20)
+            top, ratio = 10.0 ** rng.uniform(-6, 0), rng.uniform(0.05, 0.7)
+            cfg = {
+                **TABLE_CONFIG,
+                "parties": parties,
+                "mu": 10.0 ** rng.uniform(-300, 300),
+                "slices": rng.randint(3, 64),
+                "distance_km": rng.uniform(0.0, 1e5),
+                "detector_efficiency": rng.uniform(0.01, 1.0),
+                "dark_count": rng.uniform(0.0, 0.999),
+                "decoys": [top * ratio**k for k in range(n_cut_for(parties) + 1)] + [0.0],
+                "boundaries": rng.choice([[], ["left"], ["right"], ["left", "right"]]),
+            }
+            path = write_config(tmp_path, cfg)
+            for protocol in PROTOCOLS:
+                try:
+                    code, out, _ = run_cli(["rate", path, "--protocol", protocol], capsys)
+                except Exception as exc:
+                    failures.append((protocol, cfg, repr(exc)))
+                    continue
+                if code not in (0, 2, 3) or "nan" in out or "inf" in out:
+                    failures.append((protocol, cfg, code, out))
+        assert failures == []
 
 
 class TestCurveCommand:
@@ -540,7 +587,34 @@ class TestOptimizeCommand:
         code, out, err = run_cli(["curve", cfg, "--protocol", "decoy-lower", "--l-min", "0",
                                   "--l-max", "0", "--l-step", "10", "--optimize", "signal+decoys"], capsys)
         assert (code, err) == (0, "")
-        assert out.splitlines()[1].endswith(",infeasible")
+        # the decoy search failed: the row keeps the signal search's optimum
+        at_0_km = write_config(tmp_path, {**TABLE_CONFIG, "parties": 18, "distance_km": 0.0}, "at0.json")
+        signal = json.loads(run_cli(["optimize", at_0_km, "--target", "signal"], capsys)[1])
+        assert out.splitlines()[1].split(",") == [
+            *[_fmt(0.0)] * 5, _fmt(signal["mu"]), str(signal["M"]), "infeasible"
+        ]
+
+    @pytest.mark.parametrize("protocol,optimize", [
+        ("pmqcc", "signal"), ("decoy-lower", "signal"), ("decoy-lower", "signal+decoys"),
+    ])
+    def test_failed_signal_search_gives_a_zero_row(self, tmp_path, capsys, protocol, optimize):
+        cfg = write_config(tmp_path, GOLDEN_N3)
+        code, out, err = run_cli(["curve", cfg, "--protocol", protocol, "--l-min", "10000",
+                                  "--l-max", "10000", "--l-step", "10", "--optimize", optimize], capsys)
+        assert (code, err) == (0, "")
+        # no mu or M is known: the row prints 0 for both
+        assert out.splitlines()[1].split(",") == [_fmt(10000), *[_fmt(0)] * 5, "0", "infeasible"]
+
+    @pytest.mark.parametrize("protocol", ["reduced", "pmqcc-star"])
+    def test_decoy_search_refuses_what_it_cannot_certify(self, tmp_path, capsys, protocol):
+        # the search certifies the symmetric pmqcc chain: these protocols
+        # used to print the bytes of --protocol pmqcc
+        cfg = write_config(tmp_path, {**GOLDEN_N3, "distance_km": 150.0, "mu": 0.104815,
+                                      "boundaries": ["left", "right"]})
+        code, out, err = run_cli(["optimize", cfg, "--target", "decoys", "--protocol", protocol], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "ConfigError"
+        assert run_cli(["optimize", cfg, "--target", "decoys"], capsys)[0] == 0
 
     def test_infeasible_flagged_zero_exit_0(self, tmp_path, capsys):
         cfg = write_config(

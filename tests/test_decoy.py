@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from pmqcc import (
@@ -276,6 +277,30 @@ class TestPhaseErrorUpper:
     def test_zero_gain_rejected(self):
         with pytest.raises(ParameterError):
             phase_error_upper({2: 0.1}, 0.1, 0.0, 0.0, 3)
+
+    def test_finite_weights_are_the_direct_product(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            n = rng.randint(2, 20)
+            mu, q_mu, q_vacuum = 10.0 ** rng.uniform(-4, 2), rng.uniform(1e-9, 1.0), rng.uniform(0.0, 1e-3)
+            y_lower = {m: rng.random() for m in range(2, n_cut_for(n) + 1, 2)}
+            t = (n - 1) * mu
+            expected = 1.0 - math.exp(-t) * q_vacuum / q_mu
+            for m, y_l in sorted(y_lower.items()):
+                expected -= math.exp(-t) * t**m / math.factorial(m) * y_l / q_mu
+            assert phase_error_upper(y_lower, mu, q_mu, q_vacuum, n) == min(max(expected, 0.0), 1.0)
+
+    @pytest.mark.parametrize("t, m", [(1.4e154, 2), (150.0, 150), (200.0, 180)])
+    def test_weight_past_the_float_range_of_t_to_the_m(self, t, m):
+        # t**m overflows (and 180! exceeds the float range); the Poisson
+        # weight e^-t t^m / m! itself is 0 or of order 1/sqrt(t)
+        weight = 1.0 - phase_error_upper({m: 1.0}, t, 1.0, 0.0, 2)
+        exact = mpmath.exp(-t) * mpmath.mpf(t) ** m / mpmath.factorial(m)
+        assert weight == pytest.approx(float(exact), rel=1e-11, abs=1e-300)
+
+    def test_weight_at_an_infinite_t(self):
+        # t = 2 * 1e308 overflows to inf, where every weight is 0
+        assert phase_error_upper({2: 1.0}, 1e308, 1.0, 0.5, 3) == 1.0
 
 
 class TestRateLower:
