@@ -1,15 +1,53 @@
 """Protocol-parameter optimization at fixed channel parameters.
 
-``optimize_signal`` runs a deterministic coordinate search: an exhaustive
-integer grid over the slice count M (all integers, since the analytic
-prefactor and misalignment accept odd M) and, per M, a coarse log grid
-over the signal intensity followed by golden-section refinement.  The
-coarse grid protects the refinement from the zero-rate plateaus that
-surround the feasible window.  Each evaluation calls the two steps of the
-float rate kernel: the intensity terms (gain, phase error and its
-entropy), kept per intensity for the whole search and shared by every
-M, and the slice step with the constants hoisted per M.  The optimum is
-re-evaluated through the full rate report.
+``optimize_signal`` runs a deterministic coordinate search: per slice
+count M (all integers, since the analytic prefactor and misalignment
+accept odd M), a coarse log grid over the signal intensity followed by
+golden-section refinement.  The coarse grid protects the refinement from
+the zero-rate plateaus that surround the feasible window.  Each
+evaluation calls the two steps of the float rate kernel: the intensity
+terms (gain, phase error and its entropy), kept per intensity for the
+whole search and shared by every M, and the slice step with the
+constants hoisted per M.  The optimum is re-evaluated through the full
+rate report.
+
+Most slice counts cannot win, and the search skips them unscored.  With
+G(mu) the rate at prefactor 1 and e_delta = 0,
+
+    max(R(M, mu), 0) <= (2/M)^(N-1) max(G(mu), 0)   for every (M, mu):
+
+e_delta(M) >= 0, so the branch QBER (p_d + a e_delta) e^-a / Q is at
+least its e_delta = 0 value, both are <= 1/2 for M >= 3, and H(E_N)
+rises with the QBER there, so the leak at M is at least the leak of G.
+The search maximizes G first, over the same grid and intensity terms,
+and skips every M with (2/M)^(N-1) * max G * ``CEILING_SLACK`` not above
+the best rate so far.  A skipped M could at best tie, and ties go to the
+first M, so the search returns what scoring every M would, in any order
+of ``m_values``.  Where G is not positive on the coarse grid, neither is
+any R(M, .) there, pointwise: every M is skipped and the search reports
+no rate after one coarse grid.
+
+``CEILING_SLACK`` covers the gap between max G, which the coarse grid
+and golden section only estimate, and the supremum of G.  The golden
+section leaves the maximizer within MU_TOL/2 of the point it returns, so
+the estimate falls short by about kappa/2 (MU_TOL/2)^2 relative, where
+kappa = |G''|/G at the maximum grows like (N-1)/mu^2.  Measured with
+p_d <= 1e-4, the shortfall is at most 2e-5 for N <= 12 (0-300 km) and
+1.2e-4 at N = 30 (0-1 km), against a slack of 1e-2.  From N ~ 35 the
+top of G is jagged at the rounding of its margin 1 - f H(E_N) - H(E_X),
+and the estimate can fall short of sup G by a factor of ~10 (N = 40-88
+at 0 km).  What the skipping needs, though, is only that no R(M, .)
+exceeds ``CEILING_SLACK`` (2/M)^(N-1) max G, with max G as estimated,
+and the margin at M sits strictly below the margin of G: over the draws
+measured, the largest R(M, .) stayed at or below 0.998 of
+(2/M)^(N-1) max G for N <= 12 (0-400 km) and 0.40 of it for N = 13-91
+(0-3 km).
+
+With the default 4..64 the search scores M up to 1.5-2.5 times the
+optimal M* and skips the rest: 4..20 at N = 3, 50 km, where M* = 13, and
+4..45 at N = 8, 0 km, where M* = 21.  The smaller the margin at M*
+against that of G, the later the skipping starts; at N = 12, 0 km it
+skips no M.
 
 ``optimize_decoys`` maximizes the certified rate lower bound over the
 decoy intensity triple-or-more in log space by coordinate descent from a
@@ -48,6 +86,9 @@ _LOG_LO, _LOG_HI = map(math.log10, MU_BOUNDS)
 COARSE_GRID = tuple(
     10.0 ** (_LOG_LO + i * ((_LOG_HI - _LOG_LO) / (COARSE_POINTS - 1))) for i in range(COARSE_POINTS)
 )
+# factor on the estimated maximum of the slice-free rate G that makes it
+# a ceiling for every slice count (module docstring)
+CEILING_SLACK = 1.0 + 1e-2
 
 # starting points and coordinate sweeps per start of the decoy search
 DECOY_RESTARTS = 3
@@ -128,7 +169,9 @@ def optimize_signal(
 
     For the starred objective the slice count is irrelevant (prefactor 1,
     misalignment from the signal-mode parameter), so only the intensity
-    is searched.
+    is searched.  Sliced, every M in ``m_values`` is validated, and an M
+    whose ceiling cannot beat the best rate so far is skipped unscored
+    (module docstring).
     """
     check_objective(objective)
     sliced = objective != "pmqcc-star"
@@ -144,25 +187,36 @@ def optimize_signal(
             signal_phase_misalignment=signal_phase_misalignment,
         )
 
-    evaluations = 0
-    best = (0.0, None, None)  # rate, mu, M
     # mu -> intensity terms: every M scores the same coarse grid, and
     # golden-section paths of adjacent M coincide for a while
     terms_at = {}
 
-    slice_grid = list(m_values) if sliced else [13]
-    for m in slice_grid:
-        # validates the fixed parameters and M once, as every rate at M would
-        prefactor, misalignment = rate_constants(params(MU_BOUNDS[1], m), sliced)
-
-        def rate_at(mu: float) -> float:
+    def rate_at(prefactor: float, misalignment: float):
+        def rate(mu: float) -> float:
             terms = terms_at.get(mu)
             if terms is None:
                 terms = terms_at[mu] = intensity_terms(n_parties, mu, ch.dark_count, eta, ends)
             raw = slice_rate(terms, ec_efficiency, prefactor, misalignment, sliced)[0]
             return max(raw, 0.0)
 
-        mu, rate, used = _maximize_scalar(rate_at)
+        return rate
+
+    slice_grid = list(m_values) if sliced else [13]
+    # validates the fixed parameters and every M, skipped or not, as every
+    # rate at M would
+    constants = [rate_constants(params(MU_BOUNDS[1], m), sliced) for m in slice_grid]
+    evaluations = 0
+    ceiling = math.inf
+    if sliced and constants:
+        # the rate at prefactor 1 and e_delta = 0 bounds every R(M, .) / P_M
+        _, top, evaluations = _maximize_scalar(rate_at(1.0, 0.0))
+        ceiling = top * CEILING_SLACK
+
+    best = (0.0, None, None)  # rate, mu, M
+    for m, (prefactor, misalignment) in zip(slice_grid, constants):
+        if prefactor * ceiling <= best[0]:
+            continue  # M cannot beat the best: at most a tie, which M loses
+        mu, rate, used = _maximize_scalar(rate_at(prefactor, misalignment))
         evaluations += used
         if mu is not None and rate > best[0]:
             best = (rate, mu, m)

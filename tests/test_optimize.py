@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from pmqcc import (
     rate_pmqcc_star,
     rate_reduced,
 )
+from pmqcc.core import transmittance
 from pmqcc.decoy import n_cut_for
 from pmqcc.optimize import COARSE_GRID, COARSE_POINTS, DECOY_RESTARTS, MU_BOUNDS
 from tests.conftest import bench_channel_at
@@ -25,14 +27,16 @@ from tests.conftest import bench_channel_at
 # (N, km, objective, options) -> repr-exact (best_rate, mu, M, evaluations),
 # recorded before the signal search moved onto the float rate kernel; the
 # two 0 km pins moved in their last bits when the coarse grid stopped
-# copying numpy's geomspace bits
+# copying numpy's geomspace bits.  The sliced counts fell (3471 -> 987,
+# 3394 -> 1786, 3406 -> 1241, 3423 -> 975) when the search began to skip
+# the slice counts that cannot win; no (rate, mu, M) moved
 SIGNAL_PINS = [
     (3, 0.0, "pmqcc-star", {}, (0.004662954994628381, 0.32228186275069476, 13, 58)),
     (4, 0.0, "pmqcc-star", {}, (0.00036245414901835203, 0.3281938145491478, 13, 58)),
-    (3, 50.0, "pmqcc", {}, (2.6989203981946936e-07, 0.13325153946430002, 13, 3471)),
-    (6, 5.0, "pmqcc", {}, (3.074864647534463e-13, 0.10112536483043255, 18, 3394)),
-    (4, 20.0, "reduced", {"boundaries": (True, False)}, (3.968709193709239e-09, 0.10133041148481194, 15, 3406)),
-    (3, 100.0, "reduced", {}, (1.6151632361571763e-09, 0.1031781854365203, 13, 3423)),
+    (3, 50.0, "pmqcc", {}, (2.6989203981946936e-07, 0.13325153946430002, 13, 987)),
+    (6, 5.0, "pmqcc", {}, (3.074864647534463e-13, 0.10112536483043255, 18, 1786)),
+    (4, 20.0, "reduced", {"boundaries": (True, False)}, (3.968709193709239e-09, 0.10133041148481194, 15, 1241)),
+    (3, 100.0, "reduced", {}, (1.6151632361571763e-09, 0.1031781854365203, 13, 975)),
     (5, 10.0, "pmqcc-star", {"signal_phase_misalignment": 0.015}, (1.0579727209971773e-08, 0.04747187828944102, 13, 54)),
 ]
 
@@ -62,10 +66,18 @@ class TestOptimizeSignal:
         assert result.best_params.signal_intensity == pytest.approx(0.1059, abs=5e-3)
 
     def test_infeasible_channel_flagged(self):
+        # the slice-free rate is 0 on the whole coarse grid, so is every
+        # sliced one: one grid decides the search
         result = optimize_signal(bench_channel_at(10_000.0), 3, m_values=range(10, 20))
         assert result.flagged_zero
         assert result.best_rate == 0.0
         assert result.best_params is None
+        assert result.evaluations == COARSE_POINTS
+
+    def test_every_slice_count_is_validated_skipped_or_not(self):
+        # 64.5 would be skipped by the bound at 50 km, and is still refused
+        with pytest.raises(ParameterError):
+            optimize_signal(bench_channel_at(50.0), 3, m_values=[13, 64.5])
 
     def test_monotone_in_distance(self):
         rates = [
@@ -99,9 +111,9 @@ class TestOptimizeSignal:
         result = optimize_signal(bench_channel_at(50.0), 3)
         search, reevaluation = seen[:-1], seen[-1]
         assert reevaluation == result.best_params.signal_intensity
-        assert len(search) == len(set(search)) == 701
+        assert len(search) == len(set(search)) == 287
         assert set(COARSE_GRID) <= set(search)
-        assert result.evaluations == 3471 > 4 * len(search)
+        assert result.evaluations == 987 > 3 * len(search)
 
     def test_coarse_grid_is_geometric_over_the_bounds(self):
         assert len(COARSE_GRID) == COARSE_POINTS
@@ -113,6 +125,80 @@ class TestOptimizeSignal:
     def test_bad_objective(self):
         with pytest.raises(ParameterError):
             optimize_signal(bench_channel_at(50.0), 3, "bogus")
+
+    def test_skipping_slice_counts_changes_no_optimum(self):
+        # the search that skips the slice counts its ceiling rules out
+        # returns, repr for repr, the first strict maximum over every M
+        # scored alone; and every M's rate is below (2/M)^(N-1) max G
+        # even without the slack, the inequality the skipping rests on
+        results = []
+        for ch, n, objective, options in EXHAUSTIVE_CONFIGS:
+            result = optimize_signal(ch, n, objective, **options)
+            singles = [
+                (m, optimize_signal(ch, n, objective, m_values=[m], **options)) for m in SLICE_COUNTS
+            ]
+            best = None
+            for _, single in singles:
+                if not single.flagged_zero and (best is None or single.best_rate > best.best_rate):
+                    best = single
+            assert summary(result) == summary(best), (ch, n, objective, options)
+            top = slice_free_maximum(ch, n, objective, options)
+            for m, single in singles:
+                assert single.best_rate <= (2.0 / m) ** (n - 1) * top, (ch, n, objective, options, m)
+            results.append(result)
+        # the draws hold infeasible rows, subnormal rates and skipped M
+        assert any(r.flagged_zero for r in results)
+        assert any(0.0 < r.best_rate < sys.float_info.min for r in results)
+        assert any(
+            not r.flagged_zero and r.evaluations < len(SLICE_COUNTS) * COARSE_POINTS for r in results
+        )
+
+
+SLICE_COUNTS = range(4, 65)
+SEARCH_SHAPES = [
+    ("pmqcc", {}),
+    ("reduced", {"boundaries": (False, True)}),
+    ("reduced", {"boundaries": (True, False)}),
+    ("reduced", {"boundaries": (True, True)}),
+]
+
+
+def exhaustive_configs() -> list:
+    """Seeded signal searches: N=2-12 at 0-320 km, past where the rate
+    reaches 0 for p_d > 0, and N=80-88 at 0 km, where rates run down to
+    subnormals; p_d 0, the bench's 7.2e-8 or log-uniform over 1e-9-1e-4."""
+    rng = random.Random(24)
+    configs = []
+    for n in list(range(2, 13)) * 2 + [80, 83, 85, 88]:
+        km = 0.0 if n >= 80 else round(rng.uniform(0.0, 320.0), 3)
+        pd = rng.choice([0.0, 7.2e-8, float(f"{10 ** rng.uniform(-9.0, -4.0):.3g}")])
+        objective, options = rng.choice(SEARCH_SHAPES)
+        configs.append((ChannelParams(0.2, km, 0.65, pd), n, objective, options))
+    return configs
+
+
+EXHAUSTIVE_CONFIGS = exhaustive_configs()
+
+
+def slice_free_maximum(ch, n, objective, options) -> float:
+    """max G, G(mu) the rate at prefactor 1 and e_delta = 0, as the
+    signal search estimates it."""
+    eta = transmittance(ch)
+    ends = options.get("boundaries", (False, False))
+
+    def slice_free(mu: float) -> float:
+        terms = pmqcc.keyrate.intensity_terms(n, mu, ch.dark_count, eta, ends)
+        return max(pmqcc.keyrate.slice_rate(terms, 1.16, 1.0, 0.0, True)[0], 0.0)
+
+    return pmqcc.optimize._maximize_scalar(slice_free)[1]
+
+
+def summary(result) -> tuple:
+    """repr-exact (best_rate, mu, M, flagged_zero) of a signal search."""
+    if result is None or result.flagged_zero:
+        return repr(0.0), None, None, True
+    best = result.best_params
+    return repr(result.best_rate), repr(best.signal_intensity), best.slice_count, False
 
 
 def shorten_decoy_search(monkeypatch, restarts, sweeps):
