@@ -10,15 +10,17 @@ and A_x = e^{t_x} Q_x - Q_0, the observed gains obey
 To lower-bound Y_m the ladder's rung combines the A_x of the m+1
 smallest nonzero intensities with closed-form coefficients that cancel
 the orders {1..m-1, m+1} (the standard decoy method: Ma, Qi, Zhao & Lo,
-PRA 72, 012326, 2005).  The combination has a positive coefficient on
-Y_m and negative ones on every higher order, so dropping those orders
-can only lower the estimate.  For three nonzero decoys the m=2 rung is
-the three-party closed form the test suite keeps as an oracle.  The
-ladder's gain-free half (``_ladder``), which ``check_decoy_set`` runs
-once for every distance, checks the decoys' spacing and float range and
-asserts each rung's sign pattern again on the floats; its gain half
-(``_rung_bounds``) rejects an ill-conditioned combination.  Both raise
-``DegenerateGeometryError`` rather than return an unsafe bound.
+PRA 72, 012326, 2005).  In exact arithmetic the combination has a
+positive coefficient on Y_m and negative ones on every higher order for
+any distinct positive intensities, so dropping those orders can only
+lower the estimate.  The floats add only the rounding of the
+coefficients and of the dot, and one term, (3m+8) eps sum_i |c_i A_i|,
+charges it.  For three nonzero decoys the m=2 rung is the three-party
+closed form the test suite keeps as an oracle.  The ladder's gain-free
+half (``_ladder``), which ``check_decoy_set`` runs once for every
+distance, checks the decoys' spacing and float range; its gain half
+(``_rung_bounds``) forms the bounds.  Both raise
+``DegenerateGeometryError`` where the floats cannot carry a rung.
 
 The ladder runs on plain floats.  Its dot products sum the float
 products with one rounding (``_dot``), so a bound does not depend on the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 from .core import ChannelParams, ProtocolParams, Record, transmittance
 from .errors import (
@@ -54,9 +57,6 @@ __all__ = [
 # adjacent intensities closer than this (relatively) make the rung's
 # difference products collapse
 MIN_RELATIVE_SEPARATION = 1e-3
-# cap on sum(|c_i| A_i) / |G|: beyond this the combination has cancelled
-# away too many digits to certify anything
-MAX_CONDITION = 1e9
 
 
 class DecoyGains(Record):
@@ -109,72 +109,59 @@ def simulate_decoy_gains(pp: ProtocolParams, ch: ChannelParams) -> DecoyGains:
 
 
 def _dot(c, x) -> float:
-    """sum(c_i x_i): the float products summed with one rounding.  A sum
-    beyond the float range certifies nothing."""
+    """sum(c_i x_i): the float products summed with one rounding.  A
+    product or a sum beyond the float range certifies nothing."""
     try:
-        return math.fsum(map(operator.mul, c, x))
-    except OverflowError:
+        total = math.fsum(map(operator.mul, c, x))
+        if math.isinf(total):
+            raise OverflowError
+    except (OverflowError, ValueError):  # ValueError: inf - inf
         raise DegenerateGeometryError("decoy combination overflows") from None
+    return total
 
 
-def _powers(ts, k: int) -> list:
-    """t**k for each t.  Intensities far above any signal overflow the
-    checked orders."""
+def _rung_combination(ts) -> tuple:
+    """The Y_m rung over the m + 1 intensities ts (descending),
+    m = len(ts) - 1: (c, m! 2^(-e m)), with 2^e the power of two of
+    ``math.frexp(t_max)`` and c in closed form on the nodes s_i = t_i 2^-e,
+
+        c_i = -(sum_{j != i} s_j) / (s_i prod_{j != i} (s_i - s_j)).
+
+    With S = sum_j s_j and h_r the complete homogeneous symmetric
+    polynomial of degree r in the s_j (h_0 = 1, h_r = 0 for r < 0), the
+    order-k coefficient is sum_i c_i t_i^k = 2^(e k) (h_{k-m} - S h_{k-m-1}):
+    0 for k in {1..m-1, m+1}, 2^(e m) for k = m, and negative for every
+    k >= m + 2, since S h_{r-1} holds every monomial of h_r and more.  So
+    Y_m >= m! 2^(-e m) sum_i c_i A_i on any distinct positive nodes, for
+    odd m as for even.  The power of two keeps the s_i exact and below 1,
+    so each difference rounds once and c_i carries 3m roundings
+    (``_rung_bounds``), and the factor is exact up to m = 22.  A factor or
+    a difference product past the normal float range certifies nothing."""
+    m, exponent = len(ts) - 1, math.frexp(ts[0])[1]
     try:
-        return [t**k for t in ts]
+        factor = math.ldexp(math.factorial(m), -exponent * m)
     except OverflowError:
-        raise DegenerateGeometryError(f"decoy intensities too large: t**{k} overflows") from None
-
-
-def _rung_combination(ts) -> list:
-    """Coefficients c of the Y_m rung over the m + 1 intensities ts
-    (descending), m = len(ts) - 1, in closed form:
-
-        c_i = -(sum_{j != i} t_j) / (t_i prod_{j != i} (t_i - t_j)).
-
-    With S = sum_j t_j and h_r the complete homogeneous symmetric
-    polynomial of degree r in the t_j (h_0 = 1, h_r = 0 for r < 0), the
-    order-k coefficient is sum_i c_i t_i^k = h_{k-m} - S h_{k-m-1}: 0 for
-    k in {1..m-1, m+1}, 1 for k = m, and negative for every k >= m + 2,
-    since S h_{r-1} holds every monomial of h_r and more; and c_0 < 0.
-    So dropping the orders above m can only lower the bound, for odd m as
-    for even.  c is evaluated on s_i = t_i / t_max, which scales it by
-    t_max^m to O(1); a difference product that under- or overflows
-    certifies nothing."""
-    t_max = ts[0]
-    s = [t / t_max for t in ts]
+        factor = math.inf
+    if not sys.float_info.min <= factor < math.inf:
+        raise DegenerateGeometryError(f"rung factor {m}! * 2**{-exponent * m} under- or overflows")
+    s = [math.ldexp(t, -exponent) for t in ts]
     c = []
     for i, si in enumerate(s):
         others = s[:i] + s[i + 1:]
         den = si * math.prod([si - sj for sj in others])
-        c.append(-sum(others) / den if den else math.nan)
+        c.append(-sum(others) / den if abs(den) >= sys.float_info.min else math.nan)
     if not all(map(math.isfinite, c)):
         raise DegenerateGeometryError("rung combination collapsed: a difference product under- or overflows")
-    return c
-
-
-def _order_scale(t_max: float, k: int) -> float:
-    """t_max**k, the scale of the order-k sign guard.  Tiny intensities
-    underflow it to 0 within the checked orders, and a guard that cannot
-    be evaluated certifies nothing."""
-    scale = t_max**k
-    if not scale:
-        raise DegenerateGeometryError(
-            f"decoy intensities too small to check the order-{k} sign: {t_max}**{k} underflows"
-        )
-    return scale
+    return c, factor
 
 
 def _ladder(intensities, scale: float, n_cut: int) -> tuple:
     """The gain-free half of the ladder on the nonzero intensities x
-    (descending), t = scale * x: (e^t, {m: (c, g_m)}) over the n_cut + 1
-    smallest t, with each even rung's combination c and order-m
-    coefficient g_m, after checking the spacing of those t and, on the
-    floats, the signs that make dropping the higher orders safe, up to
-    an order set by the largest t and for k -> infinity.  g_m uses
-    ``_dot``; a one-sided sign guard needs only a plain float sum."""
-    t_top = scale * intensities[0]
-    check_orders = max(int(math.ceil(t_top + 12.0 * math.sqrt(t_top) + 30.0)), n_cut + 20)
+    (descending), t = scale * x: (e^t, {m: (c, factor)}) over the
+    n_cut + 1 smallest t, with each even rung from ``_rung_combination``,
+    after checking the spacing of those t and the float range of e^t.
+    No check reads the float coefficients: their signs hold exactly, and
+    ``_rung_bounds`` charges their rounding."""
     ts = [scale * x for x in intensities[-(n_cut + 1):]]
     for hi, lo in zip(ts, ts[1:]):
         if hi <= lo or (hi - lo) / hi < MIN_RELATIVE_SEPARATION:
@@ -183,40 +170,30 @@ def _ladder(intensities, scale: float, n_cut: int) -> tuple:
         exps = [math.exp(t) for t in ts]
     except OverflowError:
         raise DegenerateGeometryError(f"decoy intensities too large: e**{ts[0]} overflows") from None
-    rungs = {}
-    for m in range(2, n_cut + 1, 2):
-        rung = ts[-(m + 1):]
-        c = _rung_combination(rung)
-        g_m = _dot(c, _powers(rung, m)) / math.factorial(m)
-        if g_m <= 0.0:
-            raise DegenerateGeometryError("rung denominator collapsed to 0")
-        # normalized comparison scale: psi_k = phi_k k! / t_max^k is O(1)
-        psi_m = g_m * math.factorial(m) / _order_scale(rung[0], m)
-        for k in range(m + 2, check_orders + 1):
-            psi_k = sum(map(operator.mul, c, _powers(rung, k))) / _order_scale(rung[0], k)
-            if psi_k > 1e-9 * psi_m:
-                raise DegenerateGeometryError(f"order-{k} rung coefficient has the unsafe sign")
-        # the k -> infinity sign is carried by the largest intensity
-        if c[0] > 0.0:
-            raise DegenerateGeometryError("asymptotic rung coefficient has the unsafe sign")
-        rungs[m] = (c, g_m)
-    return exps, rungs
+    return exps, {m: _rung_combination(ts[-(m + 1):]) for m in range(2, n_cut + 1, 2)}
 
 
 def _rung_bounds(ladder: tuple, g: DecoyGains) -> dict:
-    """The gain half: Y_m^L = sum_i c_i A_i / g_m (by ``_dot``) for each
-    rung of ``ladder`` (``_ladder`` on g's intensities), after a one-sided
-    check of the cancellation in the numerator."""
+    """The gain half: for each rung (c, factor) of ``ladder`` (``_ladder``
+    on g's intensities), with both sums by ``_dot``,
+
+        Y_m^L = factor (sum_i c_i A_i - (3m+8) eps sum_i |c_i A_i|),
+
+    rounded down one ulp and clamped to [0, 1].  The c_i carry 3m
+    roundings and the dot two more, so the float sum is off the exact
+    rung's by at most ~(3m+2) eps/2 sum_i |c_i A_i|.  The term charges
+    twice that, which also covers its own rounding, the subtraction's and
+    (above m = 22) m!'s; the ulp covers the product.  Products below the
+    normal floats round by an absolute half ulp, so the term never
+    charges less than on the smallest normal sum."""
     exps, rungs = ladder
     a_values = [e * q - g.vacuum_gain for e, q in zip(exps, g.gains[-len(exps):])]
     y_lower = {}
-    for m, (c, g_m) in rungs.items():
+    for m, (c, factor) in rungs.items():
         a = a_values[-(m + 1):]
-        num = _dot(c, a)
-        num_abs = sum(abs(ci) * max(ai, 0.0) for ci, ai in zip(c, a))
-        if num != 0.0 and num_abs / abs(num) > MAX_CONDITION:
-            raise DegenerateGeometryError(f"rung too ill-conditioned (cancellation {num_abs / abs(num):.1e})")
-        y_lower[m] = min(max(num / g_m, 0.0), 1.0)
+        num_abs = max(_dot(map(abs, c), map(abs, a)), sys.float_info.min)
+        y = factor * (_dot(c, a) - (3 * m + 8) * sys.float_info.epsilon * num_abs)
+        y_lower[m] = min(max(math.nextafter(y, -math.inf), 0.0), 1.0)
     return y_lower
 
 

@@ -17,7 +17,8 @@ class ParameterError(PMQCCError, ValueError):
 
 class DegenerateGeometryError(PMQCCError, ArithmeticError):
     """Decoy intensities too close, too small or too large for a safe
-    yield bound: a rung's combination or its sign check is unusable."""
+    yield bound: a rung's combination, its scale or its dot is past the
+    float range."""
 
 
 class InsufficientIntensitiesError(PMQCCError, ValueError):

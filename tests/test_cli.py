@@ -142,17 +142,18 @@ class TestRateCommand:
         assert json.loads(out)["rate"] == pytest.approx(1.7327e-11, rel=5e-3)
 
     def test_underflowing_decoys_exit_3(self, tmp_path, capsys):
-        # the ladder's sign guard used to divide by an underflowed t_max**k
-        # and end in a ZeroDivisionError traceback
+        # the ladder's sign guard divided by an underflowed t_max**k, first
+        # in a ZeroDivisionError traceback and then with exit 3; the rung
+        # takes no such power, and these decoys certify a clamped 0
         cfg = write_config(tmp_path, {
             **TABLE_CONFIG, "parties": 6, "distance_km": 10.0, "mu": 0.1,
             "decoys": [1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 0.0],
         })
         code, out, err = run_cli(["rate", cfg, "--protocol", "decoy-lower"], capsys)
-        assert (code, out) == (3, "")
-        error = json.loads(err)["error"]
-        assert error["type"] == "DegenerateGeometryError"
-        assert "underflows" in error["message"]
+        assert (code, err) == (0, "")
+        certified, exact = json.loads(out), json.loads(run_cli(["rate", cfg], capsys)[1])
+        assert (certified["rate"], certified["clamped"]) == (0.0, True)
+        assert certified["rate"] <= exact["rate"]
 
     @pytest.mark.parametrize("mu", [0.0857, 1e-3])
     def test_two_slices_exit_2(self, tmp_path, capsys, mu):
@@ -342,10 +343,12 @@ class TestCurveCommand:
         pytest.param([0.0204583, 0.0182017, 9.27216e-5], "InsufficientIntensitiesError", id="no-vacuum"),
         pytest.param([0.0204583, 0.0182017, 0.0], "InsufficientIntensitiesError", id="two-nonzero"),
         pytest.param([0.02, 0.019999, 0.001, 0.0], "DegenerateGeometryError", id="close-decoys"),
-        # no distance certifies these either: t_max**28 underflows, t**162
-        # and e**1600 overflow
-        pytest.param([1e-12, 5e-13, 1e-13, 0.0], "DegenerateGeometryError", id="tiny-decoys"),
-        pytest.param([40.0, 30.0, 20.0, 0.0], "DegenerateGeometryError", id="power-overflow"),
+        # e**1600 overflows at any distance.  t_max**28 underflowed and
+        # t**162 overflowed in per-order sign guards, which rejected the
+        # next two sets; the rung takes neither power, and each certifies
+        # a clamped 0 (error None)
+        pytest.param([1e-12, 5e-13, 1e-13, 0.0], None, id="tiny-decoys"),
+        pytest.param([40.0, 30.0, 20.0, 0.0], None, id="power-overflow"),
         pytest.param([800.0, 700.0, 600.0, 0.0], "DegenerateGeometryError", id="exp-overflow"),
     ])
     def test_decoy_set_that_rate_rejects_exits_3(self, tmp_path, capsys, optimize, decoys, error):
@@ -360,10 +363,18 @@ class TestCurveCommand:
         target = "signal" if optimize == "signal" else "decoys"
         opt = run_cli(["optimize", cfg, "--target", target], capsys)
         pmqcc = run_cli(["rate", cfg], capsys)
+        assert (opt[0], opt[2]) == (pmqcc[0], pmqcc[2]) == (0, "")
+        if error is None:
+            assert (rate[0], rate[2], curve[0], curve[2]) == (0, "", 0, "")
+            certified = json.loads(rate[1])
+            assert (certified["rate"], certified["clamped"]) == (0.0, True)
+            assert certified["rate"] <= json.loads(pmqcc[1])["rate"]
+            assert [row.split(",")[1::6] for row in curve[1].splitlines()[1:]] == [
+                ["0.00000000000e+00", "clamped"]] * 3
+            return
         assert rate[:2] == (3, "")
         assert json.loads(rate[2])["error"]["type"] == error
         assert curve == rate
-        assert (opt[0], opt[2]) == (pmqcc[0], pmqcc[2]) == (0, "")
 
     def test_decoy_set_is_checked_before_the_boundaries(self, tmp_path, capsys):
         # rate --protocol decoy-lower never reads the boundaries
@@ -399,8 +410,9 @@ class TestCurveCommand:
         assert rows[1].endswith(",0,error:ParameterError")
 
     def test_ill_conditioned_rung_keeps_row_flag(self, tmp_path, capsys):
-        # the ladder's cancellation guard reads the gains, so a decoy set it
-        # rejects at 200 km still certifies the 0 km row
+        # the Y_4 rung cancels 1.1e9-fold at 200 km, where a cancellation
+        # guard used to flag the row error:DegenerateGeometryError; its
+        # rounding term now leaves no rate there, and the 0 km row certifies
         cfg = write_config(tmp_path, {
             **TABLE_CONFIG, "parties": 5, "mu": 0.1,
             "decoys": [0.005, 0.00495, 0.0049005, 0.004851495, 0.00480298, 0.0],
@@ -410,7 +422,8 @@ class TestCurveCommand:
         assert (code, err) == (0, "")
         rows = out.splitlines()[1:]
         assert rows[0].endswith(",13,ok")
-        assert rows[1].endswith(",0,error:DegenerateGeometryError")
+        assert rows[1].startswith("2.00000000000e+02,0.00000000000e+00,")
+        assert rows[1].endswith(",13,clamped")
 
     def test_optimized_point_matches_benchmark(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {k: v for k, v in TABLE_CONFIG.items() if k not in ("mu", "slices")})

@@ -31,8 +31,8 @@ from tests.enumeration import enumerated_yields, poisson_weight, yield_probabili
 from tests.three_party_ladder import y2_lower_3party
 
 ANCHOR_DECOYS = (0.0204583, 0.0182017, 9.27216e-5)
-# seven nonzero decoys for N=6, so small that t_max**k underflows to 0
-# within the sign guard's checked orders
+# seven nonzero decoys for N=6, so small that every rung certifies 0 at
+# 10 km (t_max**k underflowed in a per-order sign guard before)
 TINY_DECOYS = (1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 0.0)
 # five nonzero decoys 1 % apart for N=5: spaced widely enough for the
 # ladder, but the Y_4 rung cancels away its digits once the gains shrink
@@ -179,8 +179,11 @@ class TestLadderArithmetic:
                 assert _dot(c, x) == float(exact)
 
     # c0: the smallest intensity's difference product, 1e-250 * 1e-200,
-    # underflows to 0; c1: a NaN intensity makes every coefficient NaN
-    @pytest.mark.parametrize("ts", [[1.0, 1e-200, 1e-250], [1.0, math.nan]], ids=["c0", "c1"])
+    # underflows to 0; c1: a NaN intensity makes every coefficient NaN;
+    # c2: 5e-162 * 4.5e-161 is subnormal, with too few bits to bound the
+    # rounding of c
+    @pytest.mark.parametrize("ts", [[1.0, 1e-200, 1e-250], [1.0, math.nan], [1.0, 1e-160, 1e-161]],
+                             ids=["c0", "c1", "c2"])
     def test_a_collapsed_combination_raises_a_typed_error(self, ts):
         with pytest.raises(DegenerateGeometryError, match="collapsed"):
             _rung_combination(ts)
@@ -188,6 +191,10 @@ class TestLadderArithmetic:
     def test_a_sum_beyond_the_float_range_raises_a_typed_error(self):
         with pytest.raises(DegenerateGeometryError, match="overflows"):
             _dot([1.0, 1.0], [1e308, 1e308])
+        # products past the range, of one sign and of both
+        for c in ([1e300, 1.0], [1e300, -1e300]):
+            with pytest.raises(DegenerateGeometryError, match="overflows"):
+                _dot(c, [1e300, 1e300])
 
 
 def exact_rung(ts) -> list:
@@ -214,12 +221,56 @@ ACCURACY_CONFIGS = [
 ]
 
 
+def ladder_values(pp: ProtocolParams, ch: ChannelParams) -> tuple:
+    """The float t and A = e^t Q - Q_0 of the n_cut + 1 smallest nonzero
+    decoys, as the ladder forms them on honest gains."""
+    g = simulate_decoy_gains(pp, ch)
+    n_cut = n_cut_for(pp.n_parties)
+    ts = [(pp.n_parties - 1) * x for x in g.intensities[-(n_cut + 1):]]
+    a_values = [math.exp(t) * q - g.vacuum_gain for t, q in zip(ts, g.gains[-(n_cut + 1):])]
+    return ts, a_values
+
+
+def exact_rung_terms(ts, a_values, m: int) -> list:
+    """m! c_i A_i of the Y_m rung in exact arithmetic on the float t and A."""
+    c = exact_rung([Fraction(t) for t in ts[-(m + 1):]])
+    return [math.factorial(m) * ci * Fraction(a) for ci, a in zip(c, a_values[-(m + 1):])]
+
+
+def geometric_decoy_sets(seed: int, count: int) -> list:
+    """(N, nonzero decoys, km): N=3-12 with the n_cut + 1 decoys in a
+    geometric run, adjacent ones 0.3-200 % apart (log-uniform), the
+    largest 1e-3 to 1, at 0-200 km."""
+    rng = random.Random(seed)
+    sets = []
+    for _ in range(count):
+        n = rng.randint(3, 12)
+        ratio = 1.0 + 10.0 ** rng.uniform(math.log10(0.003), math.log10(2.0))
+        top = 10.0 ** rng.uniform(-3.0, 0.0)
+        sets.append((n, tuple(top / ratio**j for j in range(n_cut_for(n) + 1)), rng.uniform(0.0, 200.0)))
+    return sets
+
+
+# sets that per-order float guards used to reject: N=8 decoys 0.13 %
+# apart, the tiny N=6 set, the clustered N=5 set far out, and N=3
+# decoys whose t**162 overflowed
+GUARDED_DECOY_SETS = [
+    *((8, tuple(round(top * (1.0 - 0.0013) ** j, 12) for j in range(9)), km)
+      for top in (1.8, 12.85) for km in (0.0, 100.0)),
+    (6, TINY_DECOYS[:-1], 10.0),
+    (5, CLUSTERED_DECOYS[:-1], 200.0),
+    (3, (40.0, 30.0, 20.0), 10.0),
+]
+
+
 class TestRungCombination:
     @pytest.mark.parametrize("m", range(2, 9))
     def test_exact_identities(self, m):
         # orders {1..m-1, m+1} cancel, order m has coefficient 1, every
         # higher order and the largest intensity's coefficient are negative;
-        # the float combination on t / t_max is the same vector scaled
+        # the float combination is the exact one on t 2^-e, 2^e the power of
+        # two of t_max: exact nodes, so Sum c_i t_i^m = 2^(e m), c_i within
+        # its 3m roundings, and the factor exactly m! 2^(-e m)
         rng = random.Random(m)
         for _ in range(20):
             scale = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
@@ -231,29 +282,51 @@ class TestRungCombination:
             assert all(order(k) < 0 for k in range(m + 2, m + 11))
             assert c[0] < 0
             floats = [float(t) for t in ts]
-            expected = exact_rung([Fraction(t) / Fraction(floats[0]) for t in floats])
-            for got, want in zip(_rung_combination(floats), expected):
-                assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
+            power = Fraction(2) ** math.frexp(floats[0])[1]
+            expected = exact_rung([Fraction(t) / power for t in floats])
+            assert sum(ci * Fraction(t) ** m for ci, t in zip(expected, floats)) == power**m
+            tolerance = (3 * m + 1) * Fraction(sys.float_info.epsilon) / 2
+            got, factor = _rung_combination(floats)
+            assert Fraction(factor) == math.factorial(m) / power**m
+            for ci, want in zip(got, expected):
+                assert abs(Fraction(ci) - want) <= tolerance * abs(want)
 
     @pytest.mark.parametrize("n, mu, decoys, km", ACCURACY_CONFIGS)
     def test_bounds_are_within_four_condition_numbers_of_exact(self, n, mu, decoys, km):
-        # against the exact rung on the same float t and A, each bound is
-        # off by at most 4 kappa eps, kappa = sum|c_i A_i| / |sum c_i A_i|
+        # one-sided against the exact rung on the same float t and A: no
+        # bound above it, and none further below than the rounding term,
+        # (3m+8) kappa eps, plus 2 kappa eps, kappa = sum|c_i A_i| /
+        # |sum c_i A_i| (the test keeps the name of the two-sided 4 kappa
+        # eps envelope it replaced)
         pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=13,
                             decoy_intensities=decoys + (0.0,))
-        g = simulate_decoy_gains(pp, bench_channel_at(km))
-        n_cut = n_cut_for(n)
-        y_lower = yields_lower_general(g, float(n - 1), n_cut).y_lower
-        ts = [(n - 1) * x for x in g.intensities[-(n_cut + 1):]]
-        a_values = [math.exp(t) * q - g.vacuum_gain for t, q in zip(ts, g.gains[-(n_cut + 1):])]
+        ch = bench_channel_at(km)
+        y_lower = decoy_bounds(pp, ch).y_lower
+        ts, a_values = ladder_values(pp, ch)
         for m, bound in y_lower.items():
-            c = exact_rung([Fraction(t) for t in ts[-(m + 1):]])
-            terms = [ci * Fraction(a) for ci, a in zip(c, a_values[-(m + 1):])]
-            exact = math.factorial(m) * sum(terms)
-            kappa = sum(map(abs, terms)) / abs(sum(terms))
+            terms = exact_rung_terms(ts, a_values, m)
+            exact = sum(terms)
+            kappa = sum(map(abs, terms)) / abs(exact)
             clamped = min(max(exact, Fraction(0)), Fraction(1))
-            assert abs(Fraction(bound) - clamped) <= 4 * kappa * Fraction(sys.float_info.epsilon) * abs(exact)
-        assert 0 < y_lower[n_cut] < 1
+            slack = (3 * m + 10) * kappa * Fraction(sys.float_info.epsilon) * abs(exact)
+            assert clamped - slack <= Fraction(bound) <= clamped
+        assert 0 < y_lower[n_cut_for(n)] < 1
+
+    def test_no_bound_above_the_exact_rung(self):
+        # every rung of 600 seeded geometric sets and of sets that per-order
+        # float guards used to reject certifies at most the exact rung on
+        # the same float t and A, clamped to [0, 1]
+        rungs = Counter()
+        for n, decoys, km in [*geometric_decoy_sets(26, 600), *GUARDED_DECOY_SETS]:
+            pp = ProtocolParams(n_parties=n, signal_intensity=decoys[0], slice_count=13,
+                                decoy_intensities=(*decoys, 0.0))
+            ch = bench_channel_at(km)
+            ts, a_values = ladder_values(pp, ch)
+            for m, bound in decoy_bounds(pp, ch).y_lower.items():
+                exact = sum(exact_rung_terms(ts, a_values, m))
+                assert Fraction(bound) <= min(max(exact, Fraction(0)), Fraction(1))
+                rungs["positive" if bound > 0.0 else "zero"] += 1
+        assert rungs.total() >= 2000 and rungs["positive"] > 0
 
 
 class TestPhaseErrorUpper:
@@ -362,51 +435,74 @@ class TestRateLower:
         assert rate_lower(pp, ch).phase_error == 0.5
 
     def test_underflowing_decoys_raise_a_typed_error(self):
-        # the sign guard divides by t_max**k, and used to raise a bare
-        # ZeroDivisionError here
+        # t_max**k underflowed in the per-order sign guards, which first
+        # raised a bare ZeroDivisionError here and then a typed error; the
+        # rung needs no such power, and each one certifies 0
         pp = ProtocolParams(n_parties=6, signal_intensity=0.1, slice_count=13,
                             decoy_intensities=TINY_DECOYS)
-        with pytest.raises(DegenerateGeometryError, match="underflows"):
-            rate_lower(pp, bench_channel_at(10.0))
+        ch = bench_channel_at(10.0)
+        assert decoy_bounds(pp, ch).y_lower == {2: 0.0, 4: 0.0, 6: 0.0}
+        report = rate_lower(pp, ch)
+        assert (report.rate, report.clamped) == (0.0, True)
+        assert report.rate <= rate_pmqcc(pp, ch).rate
 
     def test_cancellation_guard_depends_on_the_distance(self):
-        # the one ladder guard that reads the gains: the same decoy set
-        # certifies at 0 km and is too ill-conditioned at 200 km
+        # the Y_4 rung cancels 2.7e8-fold at 0 km and 1.1e9-fold at 200 km
+        # (a cancellation cap of 1e9 used to reject the latter): the
+        # rounding term lowers the 0 km bound by 1.2e-6 relative, and
+        # leaves no rate at 200 km
         pp = ProtocolParams(n_parties=5, signal_intensity=0.1, slice_count=13,
                             decoy_intensities=CLUSTERED_DECOYS)
-        assert rate_lower(pp, bench_channel_at(0.0)).rate == pytest.approx(3.64305952706e-11, rel=1e-11)
-        with pytest.raises(DegenerateGeometryError, match="ill-conditioned"):
-            rate_lower(pp, bench_channel_at(200.0))
+        near, far = bench_channel_at(0.0), bench_channel_at(200.0)
+        assert rate_lower(pp, near).rate == pytest.approx(3.64172770906e-11, rel=1e-11)
+        assert rate_lower(pp, near).rate <= rate_pmqcc(pp, near).rate
+        report = rate_lower(pp, far)
+        assert (report.rate, report.clamped) == (0.0, True)
+        assert report.rate <= rate_pmqcc(pp, far).rate
 
-    @pytest.mark.parametrize("top, message", [
-        (1.8, "rung denominator collapsed to 0"),
-        (12.85, "order-155 rung coefficient has the unsafe sign"),
-    ], ids=["denominator", "order-sign"])
-    def test_clustered_decoys_fail_a_gain_free_guard(self, top, message):
-        # N=8, nine nonzero decoys 0.13 % apart: the rung's float
-        # combination cancels so far that g_m, or an order-k sign, is noise,
-        # whatever the distance
+    @pytest.mark.parametrize("top", [1.8, 12.85], ids=["denominator", "order-sign"])
+    def test_clustered_decoys_fail_a_gain_free_guard(self, top):
+        # N=8, nine nonzero decoys 0.13 % apart: the float g_m (top 1.8) or
+        # the order-155 sign (top 12.85) used to be noise and reject the
+        # set; no guard reads them now, and every rung certifies 0
         decoys = tuple(round(top * (1.0 - 0.0013) ** j, 12) for j in range(9))
         pp = ProtocolParams(n_parties=8, signal_intensity=0.1, slice_count=13,
                             decoy_intensities=(*decoys, 0.0))
-        with pytest.raises(DegenerateGeometryError, match=message):
-            check_decoy_set(pp)
-        with pytest.raises(DegenerateGeometryError, match=message):
-            rate_lower(pp, bench_channel_at(0.0))
+        ch = bench_channel_at(0.0)
+        check_decoy_set(pp)
+        assert decoy_bounds(pp, ch).y_lower == {2: 0.0, 4: 0.0, 6: 0.0, 8: 0.0}
+        report = rate_lower(pp, ch)
+        assert (report.rate, report.clamped) == (0.0, True)
+        assert report.rate <= rate_pmqcc(pp, ch).rate
 
     def test_overflowing_decoys_raise_a_typed_error(self):
-        for decoys in ((40.0, 30.0, 20.0, 0.0), (800.0, 700.0, 600.0, 0.0)):
-            pp = ProtocolParams(n_parties=3, signal_intensity=1000.0, slice_count=13,
-                                decoy_intensities=decoys)
-            with pytest.raises(DegenerateGeometryError, match="overflows"):
-                rate_lower(pp, bench_channel_at(10.0))
+        # e**1600 overflows; t = 80 is in range now that no sign guard
+        # takes t**162, and certifies 0.  The raw rate there is +0 (H(1/2)
+        # is 1 and H(E_N) falls below the rounding of 1), so it is not
+        # clamped
+        pp = ProtocolParams(n_parties=3, signal_intensity=1000.0, slice_count=13,
+                            decoy_intensities=(800.0, 700.0, 600.0, 0.0))
+        with pytest.raises(DegenerateGeometryError, match="overflows"):
+            rate_lower(pp, bench_channel_at(10.0))
+        # e**708 is in range, but its product with the rung's c_i is not
+        pp = ProtocolParams(n_parties=3, signal_intensity=1000.0, slice_count=13,
+                            decoy_intensities=(354.0, 353.0, 1.0, 0.0))
+        with pytest.raises(DegenerateGeometryError, match="combination overflows"):
+            rate_lower(pp, bench_channel_at(10.0))
+        pp = ProtocolParams(n_parties=3, signal_intensity=1000.0, slice_count=13,
+                            decoy_intensities=(40.0, 30.0, 20.0, 0.0))
+        ch = bench_channel_at(10.0)
+        assert decoy_bounds(pp, ch).y_lower == {2: 0.0}
+        report = rate_lower(pp, ch)
+        assert (report.rate, report.clamped) == (0.0, False)
+        assert report.rate <= rate_pmqcc(pp, ch).rate
 
     def test_random_decoy_sets_fail_typed_only(self):
         # N=3-8, decoys log-uniform from 1e-16 up to the signal: every
         # draw certifies a rate no higher than the exact one or raises a
-        # PMQCCError.  The distance-free check raises exactly when the rate
-        # fails on anything but the gain-dependent cancellation guard, and
-        # with the same message
+        # PMQCCError.  No ladder check reads the gains, so the
+        # distance-free check raises exactly when the rate does, with the
+        # same error
         rng = random.Random(1016)
         outcomes = Counter()
         for _ in range(600):
@@ -428,7 +524,7 @@ class TestRateLower:
                 rate = rate_lower(pp, ch).rate
             except PMQCCError as exc:
                 outcomes[type(exc).__name__] += 1
-                assert checked == (None if "ill-conditioned" in str(exc) else repr(exc))
+                assert checked == repr(exc)
                 continue
             assert checked is None
             assert rate <= rate_pmqcc(pp, ch).rate

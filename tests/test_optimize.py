@@ -237,8 +237,9 @@ class TestOptimizeDecoys:
         assert result.best_rate == rate_lower(result.best_params, ch).rate
 
     def test_underflowing_search_scores_zero(self, monkeypatch):
-        # every start at this signal puts the decoys where t_max**k
-        # underflows; the ladder's typed error scores each point 0
+        # every start at this signal puts the decoys at 1e-11 down to
+        # ~2e-16, where t_max**k used to underflow in a sign guard; each
+        # point now certifies 0
         shorten_decoy_search(monkeypatch, 1, 2)
         result = optimize_decoys(bench_channel_at(10.0), 6, 1e-11, 13)
         assert result.flagged_zero and result.best_rate == 0.0 and result.evaluations > 0
