@@ -27,7 +27,7 @@ _MODULE_OF = {
     **dict.fromkeys(
         ("DegenerateGeometryError", "InsufficientDataError", "InsufficientIntensitiesError",
          "ParameterError", "PMQCCError"),
-        "errors",
+        "core",
     ),
     **dict.fromkeys(("branch_gain_avg", "branch_qber_avg"), "interference"),
     **dict.fromkeys(

@@ -16,10 +16,10 @@ curve row whose rate then fails at its own distance is flagged
 
 A process imports only the layers its command runs: the decoy
 estimator, the optimizers and the simulator are imported inside the
-commands that use them, so a plain rate loads ``core``, ``errors``,
-``interference`` and ``keyrate`` alone.  The rate layers are imported
-inside the functions that run them too, so ``simulate`` loads ``core``,
-``errors`` and ``montecarlo`` alone.
+commands that use them, so a plain rate loads ``core``, ``interference``
+and ``keyrate`` alone.  The rate layers are imported inside the
+functions that run them too, so ``simulate`` loads ``core`` and
+``montecarlo`` alone.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import json
 import math
 import sys
 
-from .core import OBJECTIVES, ChannelParams, ProtocolParams
-from .errors import ParameterError, PMQCCError
+from .core import OBJECTIVES, ChannelParams, ParameterError, PMQCCError, ProtocolParams
 
 __all__ = ["main"]
 
@@ -49,6 +48,16 @@ CONFIG_KEYS = {*INT_KEYS, *FLOAT_KEYS, "decoys", "boundaries", "mode"}
 PROTOCOLS = (*OBJECTIVES, "decoy-lower")
 
 CSV_HEADER = "L_km,rate,gain,qber_max,phase_error,mu,M,flag"
+
+
+def _csv_row(length: float, mu: float, slices: int, flag: str, report=None) -> str:
+    """A curve row in the columns of ``CSV_HEADER``: the rate, gain,
+    largest marginal QBER and phase error of ``report``, or zeros."""
+    values = (0, 0, 0, 0)
+    if report is not None:
+        values = (report.rate, report.gain, max(report.marginal_qbers), report.phase_error)
+    return ",".join([*map(_fmt, (length, *values, mu)), str(slices), flag])
+
 
 # the most rows a curve may have; a wider range fails before any row is
 # computed rather than running until it is killed
@@ -86,14 +95,28 @@ def _dump_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+def _fields(record) -> dict:
+    """A record's fields by name, as its ``__slots__`` list them."""
+    return {name: getattr(record, name) for name in record.__slots__}
+
+
 class ConfigError(ParameterError):
     """Configuration file failed validation."""
+
+
+def _finite(literal: str) -> float:
+    """A JSON number or constant (``NaN``, ``Infinity``) as a float, which
+    must be finite: the echoed config has to stay JSON."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {literal}")
+    return value
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -248,15 +271,9 @@ def cmd_rate(args) -> int:
     cfg = load_config(args.config)
     pp, ch, ends = _setup(cfg, args.protocol)
     report = compute_rate(args.protocol, pp, ch, ends)
-    fields = {name: getattr(report, name) for name in report.__slots__}
-    payload = {"protocol": args.protocol, **fields, "config": cfg}
+    payload = {"protocol": args.protocol, **_fields(report), "config": cfg}
     _emit(_dump_json(payload) + "\n", args.out)
     return 0
-
-
-def _zero_row(length: float, mu: float, slices: int, flag: str) -> str:
-    """Curve row with zero rate, gain, QBER and phase error."""
-    return f"{_fmt(length)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(0)},{_fmt(mu)},{slices},{flag}"
 
 
 def _curve_row(
@@ -272,20 +289,16 @@ def _curve_row(
             result = _search(target, protocol, pp, ch, ends)
             if result.flagged_zero:
                 mu, slices = (0, 0) if target == "signal" else (pp.signal_intensity, pp.slice_count)
-                return _zero_row(length, mu, slices, "infeasible")
+                return _csv_row(length, mu, slices, "infeasible")
             best = result.best_params
             decoys = best.decoy_intensities if target == "decoys" else pp.decoy_intensities
             pp = ProtocolParams(pp.n_parties, best.signal_intensity, best.slice_count,
                                 pp.ec_efficiency, decoys, pp.signal_phase_misalignment)
         report = compute_rate(protocol, pp, ch, ends)
     except PMQCCError as exc:
-        return _zero_row(length, 0, 0, f"error:{type(exc).__name__}")
+        return _csv_row(length, 0, 0, f"error:{type(exc).__name__}")
     flag = "clamped" if report.clamped else "ok"
-    return (
-        f"{_fmt(length)},{_fmt(report.rate)},{_fmt(report.gain)},"
-        f"{_fmt(max(report.marginal_qbers))},{_fmt(report.phase_error)},"
-        f"{_fmt(pp.signal_intensity)},{pp.slice_count},{flag}"
-    )
+    return _csv_row(length, pp.signal_intensity, pp.slice_count, flag, report)
 
 
 def cmd_curve(args) -> int:
@@ -349,7 +362,7 @@ def cmd_simulate(args) -> int:
             "empirical": est.pair_qbers[m],
             "sigma": sigma(est.pair_qbers[m], ana, tally.success),
         }
-    payload = {"config": cfg, "tally": tally.to_dict(), "comparison": comparison}
+    payload = {"config": cfg, "tally": _fields(tally), "comparison": comparison}
     _emit(_dump_json(payload) + "\n", args.out)
     return 0
 

@@ -9,15 +9,22 @@ Conventions used throughout the package:
   emits; the two chain-end parties emit half of it.  The total virtual
   intensity of the N-party interference network is then (N-1)*mu.
 * Entropies are binary, in bits, with the 0*log0 = 0 convention.
+* Errors: ``ParameterError`` covers invalid inputs (domain violations,
+  malformed configuration); every other ``PMQCCError`` signals a failure
+  *during* an otherwise well-posed computation.  The CLI maps the two
+  groups onto distinct exit codes.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ParameterError
-
 __all__ = [
+    "PMQCCError",
+    "ParameterError",
+    "DegenerateGeometryError",
+    "InsufficientIntensitiesError",
+    "InsufficientDataError",
     "Record",
     "ProtocolParams",
     "ChannelParams",
@@ -31,6 +38,28 @@ _LN2 = math.log(2.0)
 # the rate objectives of ``keyrate.objective_rate``, the command line and
 # the signal optimizer
 OBJECTIVES = ("pmqcc", "pmqcc-star", "reduced")
+
+
+class PMQCCError(Exception):
+    """Base class for all package-specific errors."""
+
+
+class ParameterError(PMQCCError, ValueError):
+    """A parameter is outside its physical or structural domain."""
+
+
+class DegenerateGeometryError(PMQCCError, ArithmeticError):
+    """Decoy intensities too close, too small or too large for a safe
+    yield bound: a rung's combination, its scale or its dot is past the
+    float range."""
+
+
+class InsufficientIntensitiesError(PMQCCError, ValueError):
+    """Not enough decoy intensities to run the requested estimation ladder."""
+
+
+class InsufficientDataError(PMQCCError, RuntimeError):
+    """A tally holds too few events to support the requested estimate."""
 
 
 class Record:

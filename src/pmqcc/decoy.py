@@ -33,11 +33,14 @@ import math
 import operator
 import sys
 
-from .core import ChannelParams, ProtocolParams, Record, transmittance
-from .errors import (
+from .core import (
+    ChannelParams,
     DegenerateGeometryError,
     InsufficientIntensitiesError,
     ParameterError,
+    ProtocolParams,
+    Record,
+    transmittance,
 )
 from .interference import branch_gain_avg
 from .keyrate import RateReport, key_rate

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .core import intrinsic_misalignment
-from .errors import ParameterError
+from .core import ParameterError, intrinsic_misalignment
 
 __all__ = ["branch_gain_avg", "branch_qber_avg"]
 

@@ -45,13 +45,14 @@ import math
 from .core import (
     OBJECTIVES,
     ChannelParams,
+    InsufficientDataError,
+    ParameterError,
     ProtocolParams,
     Record,
     binary_entropy,
     intrinsic_misalignment,
     transmittance,
 )
-from .errors import InsufficientDataError, ParameterError
 from .interference import branch_gain_avg, sliced_qber_at_gain
 
 __all__ = [

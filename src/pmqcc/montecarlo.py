@@ -70,8 +70,7 @@ import os
 import random
 from typing import TYPE_CHECKING
 
-from .core import ChannelParams, ProtocolParams, Record, transmittance
-from .errors import InsufficientDataError, ParameterError
+from .core import ChannelParams, InsufficientDataError, ParameterError, ProtocolParams, Record, transmittance
 
 if TYPE_CHECKING:  # imported at run time only by the runs that take the numpy kernel
     import numpy as np
@@ -166,38 +165,20 @@ class SimTally(Record):
             sifting_probability, seed, mode,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_parties": self.n_parties,
-            "slice_count": self.slice_count,
-            "sent": self.sent,
-            "sifted": self.sifted,
-            "success": self.success,
-            "pattern_counts": {k: self.pattern_counts[k] for k in sorted(self.pattern_counts)},
-            "pair_errors": {str(k): self.pair_errors[k] for k in sorted(self.pair_errors)},
-            "sifting_probability": self.sifting_probability,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
-
 
 class EmpiricalEstimates(Record):
-    """Point estimates with Wilson-interval half-widths (z = 1).
+    """Point estimates of the gain and of the per-pair QBERs, with no
+    intervals: ``simulate`` gives their distance from
+    ``tally_expectation`` in binomial standard errors.
 
     There is no phase-error estimate: the phase error is a counterfactual
     X-basis quantity with no empirical estimator in this simulation.
     """
 
-    __slots__ = ("gain", "gain_halfwidth", "pair_qbers", "pair_halfwidths")
+    __slots__ = ("gain", "pair_qbers")
 
-    def __init__(self, gain: float, gain_halfwidth: float, pair_qbers: dict, pair_halfwidths: dict):
-        super().__init__(gain, gain_halfwidth, pair_qbers, pair_halfwidths)
-
-
-def _wilson(successes: int, trials: int) -> float:
-    """Half-width of the z = 1 Wilson score interval of ``successes`` in ``trials``."""
-    p = successes / trials
-    return math.sqrt(p * (1.0 - p) / trials + 1.0 / (4 * trials * trials)) / (1.0 + 1.0 / trials)
+    def __init__(self, gain: float, pair_qbers: dict):
+        super().__init__(gain, pair_qbers)
 
 
 def _branch_probabilities(arrival: float, dark_count: float, phase_delta: np.ndarray):
@@ -549,20 +530,11 @@ def run_rounds(
 
 
 def estimate(tally: SimTally) -> EmpiricalEstimates:
-    """Empirical gain and per-pair QBERs with Wilson half-widths."""
+    """Empirical gain and per-pair QBERs."""
     if tally.sifted == 0 or tally.success == 0:
         raise InsufficientDataError("tally holds no successful events to estimate from")
-    gain = tally.success / tally.sifted
-    gain_half = _wilson(tally.success, tally.sifted)
-    qbers = {}
-    halves = {}
-    for p in range(2, tally.n_parties + 1):
-        errs = tally.pair_errors.get(p, 0)
-        qbers[p] = errs / tally.success
-        halves[p] = _wilson(errs, tally.success)
-    return EmpiricalEstimates(
-        gain=gain, gain_halfwidth=gain_half, pair_qbers=qbers, pair_halfwidths=halves
-    )
+    qbers = {p: tally.pair_errors.get(p, 0) / tally.success for p in range(2, tally.n_parties + 1)}
+    return EmpiricalEstimates(gain=tally.success / tally.sifted, pair_qbers=qbers)
 
 
 GAUSS_LEGENDRE_ORDER = 32

@@ -8,8 +8,9 @@ the zero-rate plateaus that surround the feasible window.  Each
 evaluation calls the two steps of the float rate kernel: the intensity
 terms (gain, phase error and its entropy), kept per intensity for the
 whole search and shared by every M, and the slice step with the
-constants hoisted per M.  The optimum is re-evaluated through the full
-rate report.
+constants hoisted per M.  The signal optimum is re-evaluated through the
+full rate report.  Both searches score a rate below the smallest normal
+float as 0: a subnormal rate has lost most of its digits to underflow.
 
 Most slice counts cannot win, and the search skips them unscored.  With
 G(mu) the rate at prefactor 1 and e_delta = 0,
@@ -63,19 +64,21 @@ how the ladder's sums round.
 from __future__ import annotations
 
 import math
+import sys
 
-from .core import ChannelParams, ProtocolParams, Record, transmittance
+from .core import ChannelParams, DegenerateGeometryError, ProtocolParams, Record, transmittance
 from .decoy import n_cut_for, rate_lower
-from .errors import DegenerateGeometryError
 from .keyrate import check_objective, intensity_terms, objective_rate, rate_constants, slice_rate
 
-# not called here: re-exported for callers that reach the objectives'
-# rates through this module (bench/test_bench.py)
-from .keyrate import rate_pmqcc, rate_pmqcc_star, rate_reduced  # noqa: F401
+# not called here: re-exported for callers that reach the rate through
+# this module (bench/test_bench.py)
+from .keyrate import rate_pmqcc  # noqa: F401
 
 __all__ = ["OptimizationResult", "optimize_signal", "optimize_decoys"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the smallest rate a search scores above 0
+_TINY = sys.float_info.min
 
 # signal-intensity search window, golden-section tolerance, and the size
 # of the geometric grid that brackets the maximum
@@ -100,9 +103,9 @@ DECOY_RTOL = 1e-6
 
 
 class OptimizationResult(Record):
-    """Best parameters found, the rate re-evaluated exactly there, and
-    the number of objective evaluations.  ``flagged_zero`` marks a search
-    that found no positive rate (``best_params`` is then None)."""
+    """Best parameters found, the rate there, and the number of objective
+    evaluations.  ``flagged_zero`` marks a search that found no positive
+    rate (``best_params`` is then None)."""
 
     __slots__ = ("best_params", "best_rate", "evaluations", "flagged_zero")
 
@@ -197,7 +200,7 @@ def optimize_signal(
             if terms is None:
                 terms = terms_at[mu] = intensity_terms(n_parties, mu, ch.dark_count, eta, ends)
             raw = slice_rate(terms, ec_efficiency, prefactor, misalignment, sliced)[0]
-            return max(raw, 0.0)
+            return raw if raw >= _TINY else 0.0
 
         return rate
 
@@ -271,9 +274,10 @@ def optimize_decoys(
             return 0.0
         evaluations += 1
         try:
-            return rate_lower(params(xs), ch).rate
+            rate = rate_lower(params(xs), ch).rate
         except DegenerateGeometryError:
             return 0.0
+        return rate if rate >= _TINY else 0.0
 
     def starting_points():
         # ratios drawn from a golden-ratio (Kronecker) sequence: the first
@@ -313,7 +317,4 @@ def optimize_decoys(
         return OptimizationResult(
             best_params=None, best_rate=0.0, evaluations=evaluations, flagged_zero=True
         )
-    best_pp = params(best_xs)
-    return OptimizationResult(
-        best_params=best_pp, best_rate=rate_lower(best_pp, ch).rate, evaluations=evaluations
-    )
+    return OptimizationResult(best_params=params(best_xs), best_rate=best_rate, evaluations=evaluations)

@@ -66,26 +66,49 @@ class TestRateCommand:
 
     def test_infinite_channel_value_exits_2(self, tmp_path, capsys):
         # an infinite loss at 0 km made eta NaN, which surfaced as a NaN
-        # passed to binary_entropy
+        # passed to binary_entropy; the config now fails as it is read
         cfg = write_config(tmp_path, {**TABLE_CONFIG, "alpha_db_per_km": float("inf"), "distance_km": 0})
         code, out, err = run_cli(["rate", cfg], capsys)
         assert (code, out) == (2, "")
-        assert json.loads(err)["error"]["message"] == "loss_rate must be finite, got inf"
+        assert json.loads(err)["error"]["message"] == "config numbers must be finite, got Infinity"
 
-    @pytest.mark.parametrize("change,protocol,message", [
-        pytest.param({"f": float("inf")}, "pmqcc", "ec_efficiency must be finite, got inf", id="f"),
-        pytest.param({"mu": float("inf")}, "pmqcc", "signal_intensity must be finite, got inf", id="mu"),
-        pytest.param({"decoys": [float("inf"), 0.02, 0.001, 0]}, "decoy-lower",
-                     "decoy intensities must be finite, got (inf, 0.02, 0.001, 0.0)", id="decoy"),
+    @pytest.mark.parametrize("change,protocol", [
+        pytest.param({"f": float("inf")}, "pmqcc", id="f"),
+        pytest.param({"mu": float("inf")}, "pmqcc", id="mu"),
+        pytest.param({"decoys": [float("inf"), 0.02, 0.001, 0]}, "decoy-lower", id="decoy"),
     ])
-    def test_infinite_protocol_value_exits_2(self, tmp_path, capsys, change, protocol, message):
+    def test_infinite_protocol_value_exits_2(self, tmp_path, capsys, change, protocol):
         # an infinite f was echoed as `inf`, which is not JSON, an infinite
         # mu surfaced as a NaN passed to binary_entropy, and an infinite
-        # decoy as an OverflowError traceback
+        # decoy as an OverflowError traceback; the records reject each one
+        # too, but the config now fails as it is read
         cfg = write_config(tmp_path, {**TABLE_CONFIG, **change})
         code, out, err = run_cli(["rate", cfg, "--protocol", protocol], capsys)
         assert (code, out) == (2, "")
-        assert json.loads(err)["error"]["message"] == message
+        assert json.loads(err)["error"]["message"] == "config numbers must be finite, got Infinity"
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(None, "cannot read config {path}: [Errno 2]", id="no-file"),
+        pytest.param('{"parties": 3,', "cannot read config {path}: Expecting", id="invalid-json"),
+        pytest.param("[3, 50.0]", "config must be a JSON object", id="array"),
+        pytest.param(json.dumps({k: v for k, v in TABLE_CONFIG.items() if k != "mu"}),
+                     "config is missing required keys: ['mu']", id="missing-key"),
+        # json.load reads NaN and overflowing literals as floats, and rate
+        # echoed this unread key as nan or inf, which is not JSON
+        pytest.param(json.dumps(TABLE_CONFIG)[:-1] + ', "mode": NaN}',
+                     "config numbers must be finite, got NaN", id="nan"),
+        pytest.param(json.dumps(TABLE_CONFIG)[:-1] + ', "mode": 1e400}',
+                     "config numbers must be finite, got 1e400", id="overflowing-literal"),
+    ])
+    def test_config_that_cannot_be_read_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(["rate", str(path)], capsys)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(message.format(path=path))
 
     def test_invalid_value_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TABLE_CONFIG, "dark_count": 1.5})
@@ -350,6 +373,8 @@ class TestCurveCommand:
         pytest.param([1e-12, 5e-13, 1e-13, 0.0], None, id="tiny-decoys"),
         pytest.param([40.0, 30.0, 20.0, 0.0], None, id="power-overflow"),
         pytest.param([800.0, 700.0, 600.0, 0.0], "DegenerateGeometryError", id="exp-overflow"),
+        # t_max = 6e-160 puts the rung's factor 2! * 2**1056 past the float range
+        pytest.param([3e-160, 2e-160, 1e-160, 0.0], "DegenerateGeometryError", id="factor-overflow"),
     ])
     def test_decoy_set_that_rate_rejects_exits_3(self, tmp_path, capsys, optimize, decoys, error):
         # this used to exit 0 with every row flagged error:<type>
@@ -684,12 +709,12 @@ class TestEntryPoint:
     @pytest.mark.parametrize("protocol", ["pmqcc", "pmqcc-star", "reduced"])
     def test_rate_loads_only_the_rate_layers(self, tmp_path, protocol):
         assert loaded_after(tmp_path, ["rate", "--protocol", protocol], "pmqcc") == [
-            "pmqcc", "pmqcc.cli", "pmqcc.core", "pmqcc.errors", "pmqcc.interference", "pmqcc.keyrate"
+            "pmqcc", "pmqcc.cli", "pmqcc.core", "pmqcc.interference", "pmqcc.keyrate"
         ]
 
     def test_simulate_loads_only_the_simulator_layers(self, tmp_path):
         assert loaded_after(tmp_path, ["simulate"], "pmqcc") == [
-            "pmqcc", "pmqcc.cli", "pmqcc.core", "pmqcc.errors", "pmqcc.montecarlo"
+            "pmqcc", "pmqcc.cli", "pmqcc.core", "pmqcc.montecarlo"
         ]
 
     @pytest.mark.parametrize("command", [
@@ -822,3 +847,10 @@ def test_golden_bytes(name, tmp_path, capsys):
     code, out, err = run_cli([command, write_config(tmp_path, cfg), *rest], capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    if command != "curve":
+        json.loads(out, parse_constant=reject_constant)
+
+
+def reject_constant(name: str):
+    """A strict JSON parser's answer to ``NaN`` and ``Infinity``."""
+    raise ValueError(f"{name} is not JSON")

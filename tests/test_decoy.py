@@ -62,6 +62,8 @@ class TestNCut:
         assert n_cut_for(4) == 4
         assert n_cut_for(5) == 4
         assert n_cut_for(6) == 6
+        with pytest.raises(ParameterError, match="n_parties must be >= 2, got 1"):
+            n_cut_for(1)
 
 
 class TestSimulatedGains:
@@ -150,6 +152,12 @@ class TestGeneralLadder:
         g = DecoyGains(intensities=(0.02, 0.01), gains=(1e-8, 1e-9), vacuum_gain=0.0)
         with pytest.raises(InsufficientIntensitiesError):
             yields_lower_general(g, 2.0, 2)
+
+    @pytest.mark.parametrize("n_cut", [3, 0])
+    def test_n_cut_must_be_even_and_at_least_two(self, n_cut):
+        g = forward_gains(ANCHOR_DECOYS, 2.0, lambda k: 1.0 - 0.9**k, 0.0)
+        with pytest.raises(ParameterError, match=f"n_cut must be a positive even integer, got {n_cut}"):
+            yields_lower_general(g, 2.0, n_cut)
 
     def test_degenerate_compressed(self):
         center = sum(ANCHOR_DECOYS) / 3.0
@@ -496,6 +504,12 @@ class TestRateLower:
         report = rate_lower(pp, ch)
         assert (report.rate, report.clamped) == (0.0, False)
         assert report.rate <= rate_pmqcc(pp, ch).rate
+        # t_max = 6e-160: the rung's factor m! 2**(-e m) is 2! * 2**1056
+        pp = ProtocolParams(n_parties=3, signal_intensity=0.1333, slice_count=13,
+                            decoy_intensities=(3e-160, 2e-160, 1e-160, 0.0))
+        with pytest.raises(DegenerateGeometryError) as info:
+            check_decoy_set(pp)
+        assert str(info.value) == "rung factor 2! * 2**1056 under- or overflows"
 
     def test_random_decoy_sets_fail_typed_only(self):
         # N=3-8, decoys log-uniform from 1e-16 up to the signal: every

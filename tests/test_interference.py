@@ -69,6 +69,15 @@ class TestBranchAverages:
     def test_gain_vacuum(self):
         assert branch_gain_avg(0.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("a, pd, message", [
+        (-0.01, 0.0, "arrival_intensity must be >= 0, got -0.01"),
+        (0.01, 1.0, "dark_count must lie in [0, 1), got 1.0"),
+    ])
+    def test_gain_domain(self, a, pd, message):
+        with pytest.raises(ParameterError) as info:
+            branch_gain_avg(a, pd)
+        assert str(info.value) == message
+
     def test_gain_values(self):
         assert branch_gain_avg(0.0086645, 7.2e-8) == pytest.approx(0.008627214155625233, rel=1e-13)
         assert branch_gain_avg(0.01, 1e-7) == pytest.approx(0.009950364260798697, rel=1e-13)

@@ -120,6 +120,8 @@ class TestQberStar:
     def test_domain(self):
         with pytest.raises(ParameterError):
             qber_star(0.01, 0.0, 0.7)
+        with pytest.raises(ParameterError, match="branch gain underflowed to 0"):
+            qber_star(0.0, 0.0, 0.1)
 
 
 class TestRatePMQCC:
@@ -278,6 +280,8 @@ class TestScalingExponent:
             scaling_exponent([(50.0, 1e-7)])
         with pytest.raises(InsufficientDataError):
             scaling_exponent([(50.0, 1e-7), (60.0, 0.0)])
+        with pytest.raises(InsufficientDataError, match="at least 2 distinct distances"):
+            scaling_exponent([(50.0, 1e-7), (50.0, 2e-7)])
 
     def test_matches_numpy_least_squares(self):
         rng = random.Random(3)

@@ -39,11 +39,21 @@ def channel(distance=10.0, pd=7.2e-8):
     return ChannelParams(loss_rate=0.2, distance=distance, detector_efficiency=0.65, dark_count=pd)
 
 
+def pinned_fields(tally, counts: dict) -> dict:
+    """The fields of ``tally`` that ``counts`` pins, as ``simulate``
+    writes them: the pins key ``pair_errors`` by strings."""
+    return json.loads(json.dumps({key: getattr(tally, key) for key in counts}))
+
+
 class TestConfigValidation:
     def test_odd_slice_count_rejected(self):
         sc = SimConfig(rounds=100, seed=1)
         with pytest.raises(ParameterError):
             run_rounds(protocol(m=13), channel(), sc)
+
+    def test_no_workers_rejected(self):
+        with pytest.raises(ParameterError, match="workers must be >= 1, got 0"):
+            run_rounds(protocol(), channel(), SimConfig(rounds=100, seed=1), workers=0)
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
@@ -65,18 +75,18 @@ class TestDeterminism:
         sc = SimConfig(rounds=200_000, seed=42)
         t1 = run_rounds(protocol(), channel(), sc)
         t2 = run_rounds(protocol(), channel(), sc)
-        assert t1.to_dict() == t2.to_dict()
+        assert t1 == t2
 
     def test_worker_count_invariance(self):
         sc = SimConfig(rounds=300_000, seed=7)
         t1 = run_rounds(protocol(), channel(), sc, workers=1)
         t3 = run_rounds(protocol(), channel(), sc, workers=3)
-        assert t1.to_dict() == t3.to_dict()
+        assert t1 == t3
 
     def test_seed_changes_tally(self):
         t1 = run_rounds(protocol(), channel(), SimConfig(rounds=100_000, seed=1))
         t2 = run_rounds(protocol(), channel(), SimConfig(rounds=100_000, seed=2))
-        assert t1.to_dict() != t2.to_dict()
+        assert t1 != t2
 
 
 class TestTally:
@@ -86,11 +96,16 @@ class TestTally:
         assert sum(tally.pattern_counts.values()) == tally.success
         assert set(len(k) for k in tally.pattern_counts) == {2}
 
-    def test_json_export_schema(self):
-        import json
+    def test_json_export_schema(self, tmp_path, capsys):
+        from pmqcc.cli import main
 
-        tally = run_rounds(protocol(), channel(), SimConfig(rounds=50_000, seed=3))
-        payload = json.loads(json.dumps(tally.to_dict()))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "parties": 3, "distance_km": 10.0, "alpha_db_per_km": 0.2, "detector_efficiency": 0.65,
+            "dark_count": 7.2e-8, "slices": 14, "mu": 0.1333, "seed": 3, "rounds": 50_000,
+        }))
+        assert main(["simulate", str(config)]) == 0
+        payload = json.loads(capsys.readouterr().out)["tally"]
         for key in ("sent", "sifted", "success", "pattern_counts", "pair_errors",
                     "seed", "mode", "n_parties", "slice_count", "sifting_probability"):
             assert key in payload
@@ -329,7 +344,7 @@ class TestKernels:
         pp, ch = protocol(m=16), channel()
         sc = SimConfig(rounds=200_000, seed=5)
         assert expected_candidates(pp, ch, sc) < montecarlo._numpy_threshold(3, 4)
-        assert run_rounds(pp, ch, sc, workers=2).to_dict() == run_rounds(pp, ch, sc).to_dict()
+        assert run_rounds(pp, ch, sc, workers=2) == run_rounds(pp, ch, sc)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_stdlib_kernel_at_high_arrival_matches_transfer_matrix(self, monkeypatch, n):
@@ -390,8 +405,7 @@ class TestKernels:
         sc = SimConfig(**run)
         chunks = -(-sc.rounds // montecarlo.CHUNK_SIZE)
         assert expected_candidates(pp, ch, sc) >= montecarlo._numpy_threshold(n, chunks)
-        tally = run_rounds(pp, ch, sc, workers=workers).to_dict()
-        assert {key: tally[key] for key in counts} == counts
+        assert pinned_fields(run_rounds(pp, ch, sc, workers=workers), counts) == counts
 
     def test_pool_is_capped_at_the_core_count(self, monkeypatch):
         # a fake pool that runs its tasks in the calling thread: it records
@@ -421,14 +435,14 @@ class TestKernels:
         pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=m)
         ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=efficiency, dark_count=pd)
         sc = SimConfig(**run)
-        tally = run_rounds(pp, ch, sc, workers=10_000).to_dict()
+        tally = run_rounds(pp, ch, sc, workers=10_000)
         (pool,) = pools
         assert pool.max_workers <= os.cpu_count()
         # one task per thread, each summing its share of the chunks, so no
         # finished chunk waits in a future
         assert pool.tasks == pool.max_workers
-        assert tally == run_rounds(pp, ch, sc, workers=1).to_dict()
-        assert {key: tally[key] for key in counts} == counts
+        assert tally == run_rounds(pp, ch, sc, workers=1)
+        assert pinned_fields(tally, counts) == counts
 
     @pytest.mark.parametrize("kernel,workers", [("stdlib", 1), ("numpy", 1), ("numpy", 2)])
     def test_memory_does_not_grow_with_the_chunk_count(self, monkeypatch, kernel, workers):
@@ -482,7 +496,8 @@ class TestKernels:
             "pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=m)",
             "ch = ChannelParams(loss_rate=0.2, distance=0.0, detector_efficiency=efficiency, dark_count=pd)",
             f"sc = SimConfig(**{run!r})",
-            "print(json.dumps([run_rounds(pp, ch, sc, workers=w).to_dict() for w in (1, 2)]))",
+            "tallies = [run_rounds(pp, ch, sc, workers=w) for w in (1, 2)]",
+            "print(json.dumps([{key: getattr(t, key) for key in t.__slots__} for t in tallies]))",
         ])
         env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
@@ -530,8 +545,7 @@ class TestKernels:
         sc = SimConfig(**run)
         chunks = -(-sc.rounds // montecarlo.CHUNK_SIZE)
         assert expected_candidates(pp, ch, sc) < montecarlo._numpy_threshold(n, chunks)
-        tally = run_rounds(pp, ch, sc, workers=workers).to_dict()
-        assert {key: tally[key] for key in counts} == counts
+        assert pinned_fields(run_rounds(pp, ch, sc, workers=workers), counts) == counts
 
 
 class TestBracketTable:
@@ -578,11 +592,11 @@ class TestBracketTable:
             per_round = expected_candidates(pp, ch, SimConfig(rounds=1, seed=0, mode=mode))
             rounds = max(100, min(rng.choice((1000, 30_000, 70_000)), int(1500 / per_round)))
             runs.append((pp, ch, SimConfig(rounds=rounds, seed=rng.randrange(2**64), mode=mode, **offsets)))
-        squeezed = [run_rounds(*run).to_dict() for run in runs]
+        squeezed = [run_rounds(*run) for run in runs]
         unbounded = [(-math.inf, math.inf, -math.inf, math.inf)] * (montecarlo.BRACKET_CELLS + 1)
         monkeypatch.setattr(montecarlo, "_bracket_table", lambda arrival, log_nodark: unbounded)
-        assert squeezed == [run_rounds(*run).to_dict() for run in runs]
-        assert sum(tally["success"] for tally in squeezed) > 0
+        assert squeezed == [run_rounds(*run) for run in runs]
+        assert sum(tally.success for tally in squeezed) > 0
 
     def test_few_branches_take_the_exact_path(self, monkeypatch):
         # a run that evaluated _branch_probability on every branch would
@@ -685,26 +699,6 @@ class TestEstimate:
         assert est.pair_qbers[3] == pytest.approx(0.018)
         assert est.pair_qbers[2] == pytest.approx(0.012)
         assert est.gain == pytest.approx(0.02)
-        assert 0.0 < est.pair_halfwidths[3] < 0.005
-
-    def test_wilson_halfwidths_are_exact(self):
-        # z sqrt(p (1 - p) / n + z^2 / 4 n^2) / (1 + z^2 / n) at z = 1, to
-        # 40 digits: the half-widths are within 2 ulps of it
-        from decimal import Decimal, localcontext
-
-        tally = SimTally(
-            n_parties=3, slice_count=14, sent=10_000_000, sifted=500_000, success=10_000,
-            pair_errors={2: 120, 3: 180},
-        )
-        est = estimate(tally)
-        with localcontext() as ctx:
-            ctx.prec = 40
-            for got, successes, trials in ((est.gain_halfwidth, 10_000, 500_000),
-                                           (est.pair_halfwidths[2], 120, 10_000)):
-                n = Decimal(trials)
-                p = Decimal(successes) / n
-                exact = float((p * (1 - p) / n + 1 / (4 * n * n)).sqrt() / (1 + 1 / n))
-                assert abs(got - exact) <= 2 * math.ulp(exact)
 
     def test_merged_estimates_match_union(self):
         # the union of a (1000 sent, 500 sifted, 100 successes, pair errors

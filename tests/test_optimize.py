@@ -74,6 +74,13 @@ class TestOptimizeSignal:
         assert result.best_params is None
         assert result.evaluations == COARSE_POINTS
 
+    @pytest.mark.parametrize("n", [85, 88])
+    def test_subnormal_rate_is_no_optimum(self, n):
+        # every rate here underflows to a subnormal with a few significant
+        # bits, at best 3.3e-310 at N=85 and 4e-323 at N=88
+        result = optimize_signal(bench_channel_at(0.0), n)
+        assert result.flagged_zero and result.best_rate == 0.0
+
     def test_every_slice_count_is_validated_skipped_or_not(self):
         # 64.5 would be skipped by the bound at 50 km, and is still refused
         with pytest.raises(ParameterError):
@@ -146,9 +153,10 @@ class TestOptimizeSignal:
             for m, single in singles:
                 assert single.best_rate <= (2.0 / m) ** (n - 1) * top, (ch, n, objective, options, m)
             results.append(result)
-        # the draws hold infeasible rows, subnormal rates and skipped M
+        # the draws hold infeasible rows, rates that underflow to
+        # subnormals (N=88), which no search returns, and skipped M
         assert any(r.flagged_zero for r in results)
-        assert any(0.0 < r.best_rate < sys.float_info.min for r in results)
+        assert not any(0.0 < r.best_rate < sys.float_info.min for r in results)
         assert any(
             not r.flagged_zero and r.evaluations < len(SLICE_COUNTS) * COARSE_POINTS for r in results
         )
@@ -243,6 +251,12 @@ class TestOptimizeDecoys:
         shorten_decoy_search(monkeypatch, 1, 2)
         result = optimize_decoys(bench_channel_at(10.0), 6, 1e-11, 13)
         assert result.flagged_zero and result.best_rate == 0.0 and result.evaluations > 0
+
+    def test_subnormal_rate_is_no_optimum(self):
+        # without dark counts the certified rate falls 4 decades per 100 km
+        # and is subnormal at 7600 km (1.95e-309 at best)
+        result = optimize_decoys(ChannelParams(0.2, 7600.0, 0.65, 0.0), 3, 0.1, 13)
+        assert result.flagged_zero and result.best_rate == 0.0
 
     def test_searches_beyond_seventeen_parties_run(self):
         # N=18 needs 19 decoys and N=24 needs 25; the starting points have

@@ -83,10 +83,9 @@ CASES = {
         "compensation_indices=(1, 0))",
     ),
     "EmpiricalEstimates": (
-        EmpiricalEstimates, (0.5, 0.01, {2: 0.1}, {2: 0.01}),
-        {"gain": 0.5, "gain_halfwidth": 0.01, "pair_qbers": {2: 0.1}, "pair_halfwidths": {2: 0.01}},
-        "EmpiricalEstimates(gain=0.5, gain_halfwidth=0.01, pair_qbers={2: 0.1}, "
-        "pair_halfwidths={2: 0.01})",
+        EmpiricalEstimates, (0.5, {2: 0.1}),
+        {"gain": 0.5, "pair_qbers": {2: 0.1}},
+        "EmpiricalEstimates(gain=0.5, pair_qbers={2: 0.1})",
     ),
     "SimTally": (
         SimTally, (3, 14),

@@ -50,6 +50,15 @@ class TestBranchSpec:
         # but a larger virtual source
         assert t == pytest.approx(1.5 * mu)
 
+    @pytest.mark.parametrize("n, boundaries, message", [
+        (1, (False, False), "n_parties must be >= 2, got 1"),
+        (3, (True,), "boundaries must be a (left, right) pair of flags"),
+    ])
+    def test_domain(self, n, boundaries, message):
+        with pytest.raises(ParameterError) as info:
+            chain_branches(n, 0.1, 0.1, boundaries)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("mu,eta", [(0.1059, 0.065), (0.3, 1e-30), (1e-6, 0.0)])
     def test_both_ends_broken_at_two_parties(self, mu, eta):
         # the single branch takes both broken arms: mu at eta/2 twice
