@@ -113,10 +113,23 @@ def _finite(literal: str) -> float:
     return value
 
 
+def _integer(literal: str) -> int:
+    """A JSON integer literal as an int, which a float must hold: the
+    commands read numbers as floats.  A literal past Python's limit on
+    the digits of an int fails here too."""
+    try:
+        value = int(literal)
+    except ValueError:
+        value = math.inf
+    if abs(value) > sys.float_info.max:
+        raise ConfigError(f"config numbers must be finite, got an integer of {len(literal.lstrip('-'))} digits")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
+            raw = json.load(fh, parse_constant=_finite, parse_float=_finite, parse_int=_integer)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -344,24 +357,15 @@ def cmd_simulate(args) -> int:
 
     gain_analytic, pair_errors = tally_expectation(pp, ch)
 
-    def sigma(emp: float, ana: float, trials: int) -> float:
+    def entry(ana: float, emp: float, trials: int) -> dict:
+        # the distance in binomial standard errors at the analytic value
         se = math.sqrt(ana * (1.0 - ana) / trials)
-        return abs(emp - ana) / se if se > 0.0 else 0.0
+        return {"analytic": ana, "empirical": emp, "sigma": abs(emp - ana) / se if se > 0.0 else 0.0}
 
     comparison = {
-        "gain": {
-            "analytic": gain_analytic,
-            "empirical": est.gain,
-            "sigma": sigma(est.gain, gain_analytic, tally.sifted),
-        },
-        "pair_qber": {},
+        "gain": entry(gain_analytic, est.gain, tally.sifted),
+        "pair_qber": {str(p): entry(ana, est.pair_qbers[p], tally.success) for p, ana in pair_errors.items()},
     }
-    for m, ana in pair_errors.items():
-        comparison["pair_qber"][str(m)] = {
-            "analytic": ana,
-            "empirical": est.pair_qbers[m],
-            "sigma": sigma(est.pair_qbers[m], ana, tally.success),
-        }
     payload = {"config": cfg, "tally": _fields(tally), "comparison": comparison}
     _emit(_dump_json(payload) + "\n", args.out)
     return 0

@@ -33,7 +33,8 @@ successes per id in one dict of its own, so a run holds only the ids
 that occur; ``run_rounds`` merges the dicts and decodes the L/R pattern
 counts and the per-pair errors from the ids.  The numpy kernel's ids
 are int64, which caps N at 32.  The kernels differ only in their
-candidate draws (step 3) and streams.  A run whose E[K] =
+candidate draws (step 3) and streams: both call one click model,
+``_branch_probability``, on ``math`` or on numpy arrays.  A run whose E[K] =
 rounds (2/M)^(N-1) c^(N-1) (the sifting factor under
 ``mode="full-random"`` only) is below
 ``_numpy_threshold(N, chunks)`` takes the stdlib kernel, which never
@@ -181,36 +182,25 @@ class EmpiricalEstimates(Record):
         super().__init__(gain, pair_qbers)
 
 
-def _branch_probabilities(arrival: float, dark_count: float, phase_delta: np.ndarray):
-    """P(exactly one click) and P(only R clicks) of each branch at encoded
-    phase difference ``phase_delta``; every click term is an expm1, so
-    nothing cancels at small arrival or small phase difference."""
-    import numpy as np
-
-    log_nodark = math.log1p(-dark_count)
-    left_exponent = log_nodark - arrival * np.cos(phase_delta / 2.0) ** 2
-    right_exponent = log_nodark - arrival * np.sin(phase_delta / 2.0) ** 2
-    right_only = np.exp(left_exponent) * -np.expm1(right_exponent)
-    left_only = np.exp(right_exponent) * -np.expm1(left_exponent)
-    return left_only + right_only, right_only
+def _branch_probability(arrival: float, log_nodark: float, phase_delta, lib=math) -> tuple:
+    """P(exactly one click) and P(only R clicks) of a branch at encoded
+    phase difference ``phase_delta``, given log(1 - p_d), on ``lib``:
+    ``math`` for one phase, ``numpy`` for an array of them."""
+    cos_half = lib.cos(phase_delta / 2.0)
+    sin_half = lib.sin(phase_delta / 2.0)
+    return _click_probabilities(arrival, log_nodark, cos_half * cos_half, sin_half * sin_half, lib)
 
 
-def _branch_probability(arrival: float, log_nodark: float, phase_delta: float) -> tuple:
-    """``_branch_probabilities`` at one phase difference on ``math``, given
-    log(1 - p_d): the same expm1 forms, equal up to a few ulps."""
-    cos_half = math.cos(phase_delta / 2.0)
-    sin_half = math.sin(phase_delta / 2.0)
-    return _click_probabilities(arrival, log_nodark, cos_half * cos_half, sin_half * sin_half)
-
-
-def _click_probabilities(arrival: float, log_nodark: float, cos_sq: float, sin_sq: float) -> tuple:
+def _click_probabilities(arrival: float, log_nodark: float, cos_sq, sin_sq, lib=math) -> tuple:
     """P(exactly one click) and P(only R clicks) of a branch whose L port
     receives ``arrival * cos_sq`` photons on average and its R port
-    ``arrival * sin_sq``."""
+    ``arrival * sin_sq``, on ``lib``'s ``exp`` and ``expm1``; every click
+    term is an expm1, so nothing cancels at small arrival or small phase
+    difference."""
     left_exponent = log_nodark - arrival * cos_sq
     right_exponent = log_nodark - arrival * sin_sq
-    right_only = math.exp(left_exponent) * -math.expm1(right_exponent)
-    left_only = math.exp(right_exponent) * -math.expm1(left_exponent)
+    right_only = lib.exp(left_exponent) * -lib.expm1(right_exponent)
+    left_only = lib.exp(right_exponent) * -lib.expm1(left_exponent)
     return left_only + right_only, right_only
 
 
@@ -393,7 +383,7 @@ def _draw_numpy(
     tally: dict,
     m: int,
     arrival: float,
-    dark_count: float,
+    log_nodark: float,
     deviations: np.ndarray,
     comp: np.ndarray,
 ) -> None:
@@ -412,7 +402,7 @@ def _draw_numpy(
         + math.pi * (bits[1:] - bits[:-1])
         + deviations[:, None]
     )
-    p_one, p_right = _branch_probabilities(arrival, dark_count, phase_delta)
+    p_one, p_right = _branch_probability(arrival, log_nodark, phase_delta, np)
     # a candidate branch clicks once with probability p_one / c; given
     # that, scaled is uniform on [0, p_one), so it fell below p_right with
     # probability P(R | one click)
@@ -470,7 +460,8 @@ def run_rounds(
 
         binomial, draw = np.random.Generator.binomial, _draw_numpy
         setting = (
-            m, arrival, ch.dark_count, np.asarray(deviations, dtype=float), np.asarray(comp, dtype=np.int64)
+            m, arrival, math.log1p(-ch.dark_count), np.asarray(deviations, dtype=float),
+            np.asarray(comp, dtype=np.int64),
         )
 
         def stream(idx):

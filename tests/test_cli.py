@@ -99,6 +99,19 @@ class TestRateCommand:
                      "config numbers must be finite, got NaN", id="nan"),
         pytest.param(json.dumps(TABLE_CONFIG)[:-1] + ', "mode": 1e400}',
                      "config numbers must be finite, got 1e400", id="overflowing-literal"),
+        # json.load reads integer literals as ints, which ended in an
+        # OverflowError traceback once converted to floats, or past 4300
+        # digits in a plain ValueError from json.load itself
+        *(pytest.param(json.dumps({**TABLE_CONFIG, key: value}).replace('"BIG"', digits),
+                       f"config numbers must be finite, got an integer of {len(digits.lstrip('-'))} digits",
+                       id=f"overflowing-integer-{name}")
+          for name, key, value, digits in [
+              ("mu", "mu", "BIG", "1" + "0" * 400),
+              ("decoy", "decoys", ["BIG", 0.02, 0.001, 0], "1" + "0" * 400),
+              ("distance", "distance_km", "BIG", "-1" + "0" * 400),
+              ("parties", "parties", "BIG", "1" + "0" * 400),
+              ("5000-digits", "mu", "BIG", "1" + "0" * 4999),
+          ]),
     ])
     def test_config_that_cannot_be_read_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
@@ -301,6 +314,18 @@ class TestCurveCommand:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert json.loads(proc.stderr)["error"] == {"type": "ConfigError", "message": message}
+
+    @pytest.mark.parametrize("l_min,l_max,message", [
+        ("0", "100000", "the distance range needs more than 100000 rows"),
+        ("1e16", "2e16", "an l-step of 1.0 leaves the distance 1e+16 unchanged"),
+    ])
+    def test_row_guards_at_their_edges_exit_2(self, tmp_path, capsys, l_min, l_max, message):
+        # in process, at each guard's edge: 100 001 rows of 1 km, and the
+        # first power of ten where 1 km is below half an ulp of the distance
+        cfg = write_config(tmp_path, TABLE_CONFIG)
+        code, out, err = run_cli(["curve", cfg, "--l-min", l_min, "--l-max", l_max, "--l-step", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"type": "ConfigError", "message": message}
 
     @pytest.mark.parametrize("optimize,change,protocol", [
         pytest.param("none", {"mu": -0.1}, "pmqcc", id="negative-mu"),
@@ -705,6 +730,14 @@ class TestEntryPoint:
 
     def test_import_loads_no_layer(self, tmp_path):
         assert loaded_after(tmp_path, [], "pmqcc") == ["pmqcc"]
+
+    def test_submodule_attribute_loads_that_layer(self):
+        # no import statement names the submodule: pmqcc.__getattr__ loads it
+        code = ("import json, sys, pmqcc; assert pmqcc.montecarlo is sys.modules['pmqcc.montecarlo'];"
+                " print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'pmqcc')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["pmqcc", "pmqcc.core", "pmqcc.montecarlo"]
 
     @pytest.mark.parametrize("protocol", ["pmqcc", "pmqcc-star", "reduced"])
     def test_rate_loads_only_the_rate_layers(self, tmp_path, protocol):

@@ -12,12 +12,12 @@ from pmqcc import (
     branch_qber_avg,
     tally_expectation,
 )
-from pmqcc.montecarlo import _branch_probabilities
+from pmqcc.montecarlo import _branch_probability
 
 
 def branch_clicks(a, phi, pd):
     """(one-click, R-only) probabilities of the simulator's click model."""
-    p_one, p_right = _branch_probabilities(a, pd, np.array(phi))
+    p_one, p_right = _branch_probability(a, math.log1p(-pd), np.array(phi), np)
     return float(p_one), float(p_right)
 
 

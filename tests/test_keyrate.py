@@ -30,7 +30,7 @@ from pmqcc.keyrate import (
     rate_constants,
     slice_rate,
 )
-from pmqcc.montecarlo import _branch_probabilities
+from pmqcc.montecarlo import _branch_probability
 from pmqcc.optimize import MU_BOUNDS
 from tests.conftest import bench_channel_at
 from tests.enumeration import enumerated_gain, exact_odd_error_share, parity_split
@@ -113,7 +113,7 @@ class TestQberStar:
         # numerator equals the wrong-port probability at sin^2(phi/2) = e*
         a, pd, estar = 0.00866, 1e-7, 0.015
         phi = 2.0 * math.asin(math.sqrt(estar))
-        _, wrong = _branch_probabilities(a, pd, np.array(phi))
+        _, wrong = _branch_probability(a, math.log1p(-pd), np.array(phi), np)
         expected = float(wrong) / branch_gain_avg(a, pd)
         assert qber_star(a, pd, estar) == pytest.approx(expected, rel=1e-12)
 

@@ -24,7 +24,6 @@ from pmqcc import (
 from pmqcc.montecarlo import (
     MODES,
     _binomial,
-    _branch_probabilities,
     _branch_probability,
     _candidate_bound,
 )
@@ -206,8 +205,8 @@ class TestThinning:
     @pytest.mark.parametrize("pd", [0.0, 7.2e-8, 0.1])
     def test_one_click_probability_is_bounded_tightly(self, a, pd):
         phi = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 4001)
-        vectorized = _branch_probabilities(a, pd, phi)
-        # the stdlib kernel's scalar twin on the same grid
+        vectorized = _branch_probability(a, math.log1p(-pd), phi, np)
+        # the stdlib kernel's calls on math, on the same grid
         scalar = np.array([_branch_probability(a, math.log1p(-pd), x) for x in phi]).T
         bound = _candidate_bound(a, pd)
         for p_one, p_right in (vectorized, scalar):

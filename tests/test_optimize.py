@@ -19,7 +19,7 @@ from pmqcc import (
     rate_pmqcc_star,
     rate_reduced,
 )
-from pmqcc.core import transmittance
+from pmqcc.core import DegenerateGeometryError, transmittance
 from pmqcc.decoy import n_cut_for
 from pmqcc.optimize import COARSE_GRID, COARSE_POINTS, DECOY_RESTARTS, MU_BOUNDS
 from tests.conftest import bench_channel_at
@@ -251,6 +251,25 @@ class TestOptimizeDecoys:
         shorten_decoy_search(monkeypatch, 1, 2)
         result = optimize_decoys(bench_channel_at(10.0), 6, 1e-11, 13)
         assert result.flagged_zero and result.best_rate == 0.0 and result.evaluations > 0
+
+    def test_typed_error_scores_zero(self, monkeypatch):
+        # at mu 2000 the larger trial decoys overflow e**t in the ladder:
+        # those trials raise a DegenerateGeometryError, score 0, and the
+        # search ends flagged rather than in the error
+        errors = []
+
+        def recorded(pp, ch):
+            try:
+                return rate_lower(pp, ch)
+            except DegenerateGeometryError as exc:
+                errors.append(str(exc))
+                raise
+
+        monkeypatch.setattr(pmqcc.optimize, "rate_lower", recorded)
+        result = optimize_decoys(bench_channel_at(10.0), 3, 2000.0, 13)
+        assert result.flagged_zero and result.best_rate == 0.0 and result.evaluations == 19
+        assert len(errors) == 12
+        assert all(message.startswith("decoy intensities too large: e**") for message in errors)
 
     def test_subnormal_rate_is_no_optimum(self):
         # without dark counts the certified rate falls 4 decades per 100 km
