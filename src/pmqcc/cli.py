@@ -63,6 +63,10 @@ def _csv_row(length: float, mu: float, slices: int, flag: str, report=None) -> s
 # computed rather than running until it is killed
 MAX_CURVE_ROWS = 100_000
 
+# the most parties a config may name; a rate builds a branch and prints a
+# QBER per party, so a larger N fails before any work rather than exhausting memory
+MAX_PARTIES = 100_000
+
 
 def _fmt(x) -> str:
     """12-significant-digit scientific notation (a valid JSON number)."""
@@ -197,8 +201,11 @@ def build_channel(cfg: dict) -> ChannelParams:
 
 def build_protocol(cfg: dict) -> ProtocolParams:
     _require(cfg, ["parties", "mu", "slices", "f"])
+    n_parties = _int(cfg, "parties")
+    if n_parties > MAX_PARTIES:
+        raise ConfigError(f"parties must be at most {MAX_PARTIES}, got {cfg['parties']!r}")
     return ProtocolParams(
-        n_parties=_int(cfg, "parties"),
+        n_parties=n_parties,
         signal_intensity=_float(cfg, "mu"),
         slice_count=_int(cfg, "slices"),
         ec_efficiency=_float(cfg, "f"),

@@ -65,20 +65,35 @@ class InsufficientDataError(PMQCCError, RuntimeError):
 class Record:
     """Base of the package's records.
 
-    A record names its fields, in order, in ``__slots__``, and its
-    ``__init__`` passes their values to ``Record.__init__`` in that order
-    before it validates them.  Records are immutable (assignment raises
-    ``AttributeError``), compare and hash by value, and print as
-    ``Name(field=value, ...)``.  ``dataclasses`` would generate the same
-    methods, but importing it and decorating a class cost more than the
-    rate a CLI process computes.
+    A record declares its fields once, in order, in ``__slots__``, the
+    defaults of its trailing fields in ``_defaults``, and its checks and
+    conversions in ``_check``.  Its ``__init__``, which sets the fields and
+    calls ``_check``, is written when the class is defined, as
+    ``collections.namedtuple`` writes ``__new__``.  Records are immutable,
+    compare and hash by value, and print as ``Name(field=value, ...)``.
+    ``dataclasses`` would generate the same methods, but importing it and
+    decorating a class cost more than the rate a CLI process computes.
     """
 
     __slots__ = ()
+    _defaults = {}
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls):
+        fields, defaults = cls.__slots__, cls._defaults
+        trailing = fields[len(fields) - len(defaults):]
+        if set(defaults) != set(trailing):
+            raise TypeError(f"{cls.__qualname__}._defaults must name trailing fields of {fields}")
+        # slot names are identifiers (CPython checks); no default enters the source
+        sets = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
+        source = f"def __init__(self, {', '.join(fields)}):\n{sets}    self._check()\n"
+        namespace = {"__name__": cls.__module__, "_set": object.__setattr__}
+        exec(compile(source, f"<{cls.__qualname__}.__init__>", "exec"), namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__defaults__ = tuple(defaults[name] for name in trailing)
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _check(self) -> None:
+        """Validate or convert the fields; a record with rules overrides it."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -120,19 +135,9 @@ class ProtocolParams(Record):
         "signal_phase_misalignment",
     )
 
-    def __init__(
-        self,
-        n_parties: int,
-        signal_intensity: float,
-        slice_count: int,
-        ec_efficiency: float = 1.16,
-        decoy_intensities: tuple = (),
-        signal_phase_misalignment: float = 0.0,
-    ):
-        super().__init__(
-            n_parties, signal_intensity, slice_count, ec_efficiency, decoy_intensities,
-            signal_phase_misalignment,
-        )
+    _defaults = {"ec_efficiency": 1.16, "decoy_intensities": (), "signal_phase_misalignment": 0.0}
+
+    def _check(self) -> None:
         if not isinstance(self.n_parties, int) or self.n_parties < 2:
             raise ParameterError(f"n_parties must be an integer >= 2, got {self.n_parties}")
         if not self.signal_intensity > 0.0:
@@ -175,8 +180,7 @@ class ChannelParams(Record):
 
     __slots__ = ("loss_rate", "distance", "detector_efficiency", "dark_count")
 
-    def __init__(self, loss_rate: float, distance: float, detector_efficiency: float, dark_count: float):
-        super().__init__(loss_rate, distance, detector_efficiency, dark_count)
+    def _check(self) -> None:
         for name in ("loss_rate", "distance"):
             value = getattr(self, name)
             if not value >= 0.0:

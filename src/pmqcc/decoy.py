@@ -68,8 +68,7 @@ class DecoyGains(Record):
 
     __slots__ = ("intensities", "gains", "vacuum_gain")
 
-    def __init__(self, intensities: tuple, gains: tuple, vacuum_gain: float):
-        super().__init__(intensities, gains, vacuum_gain)
+    def _check(self) -> None:
         if len(self.intensities) != len(self.gains):
             raise ParameterError("intensities and gains must align")
         if any(x <= 0.0 for x in self.intensities):
@@ -87,8 +86,7 @@ class DecoyBounds(Record):
 
     __slots__ = ("y_lower", "phase_error_upper")
 
-    def __init__(self, y_lower: dict, phase_error_upper: float | None = None):
-        super().__init__(y_lower, phase_error_upper)
+    _defaults = {"phase_error_upper": None}
 
 
 def n_cut_for(n_parties: int) -> int:

@@ -80,16 +80,7 @@ class RateReport(Record):
 
     __slots__ = ("rate", "gain", "marginal_qbers", "phase_error", "sifting_prefactor", "clamped")
 
-    def __init__(
-        self,
-        rate: float,
-        gain: float,
-        marginal_qbers: tuple,
-        phase_error: float,
-        sifting_prefactor: float,
-        clamped: bool = False,
-    ):
-        super().__init__(rate, gain, marginal_qbers, phase_error, sifting_prefactor, clamped)
+    _defaults = {"clamped": False}
 
 
 def _odd_error_share(e: float, k: int) -> float:

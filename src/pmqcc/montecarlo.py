@@ -115,15 +115,9 @@ class SimConfig(Record):
 
     __slots__ = ("rounds", "seed", "mode", "reference_offsets", "compensation_indices")
 
-    def __init__(
-        self,
-        rounds: int,
-        seed: int,
-        mode: str = "forced-matching",
-        reference_offsets: tuple = (),
-        compensation_indices: tuple = (),
-    ):
-        super().__init__(rounds, seed, mode, reference_offsets, compensation_indices)
+    _defaults = {"mode": "forced-matching", "reference_offsets": (), "compensation_indices": ()}
+
+    def _check(self) -> None:
         if not isinstance(self.rounds, int) or self.rounds < 1:
             raise ParameterError(f"rounds must be a positive integer, got {self.rounds}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
@@ -146,25 +140,16 @@ class SimTally(Record):
         "sifting_probability", "seed", "mode",
     )
 
-    def __init__(
-        self,
-        n_parties: int,
-        slice_count: int,
-        sent: int = 0,
-        sifted: int = 0,
-        success: int = 0,
-        pattern_counts: dict | None = None,
-        pair_errors: dict | None = None,
-        sifting_probability: float = 1.0,
-        seed: int = 0,
-        mode: str = "forced-matching",
-    ):
-        super().__init__(
-            n_parties, slice_count, sent, sifted, success,
-            {} if pattern_counts is None else pattern_counts,
-            {} if pair_errors is None else pair_errors,
-            sifting_probability, seed, mode,
-        )
+    _defaults = {
+        "sent": 0, "sifted": 0, "success": 0, "pattern_counts": None, "pair_errors": None,
+        "sifting_probability": 1.0, "seed": 0, "mode": "forced-matching",
+    }
+
+    def _check(self) -> None:
+        if self.pattern_counts is None:
+            object.__setattr__(self, "pattern_counts", {})
+        if self.pair_errors is None:
+            object.__setattr__(self, "pair_errors", {})
 
 
 class EmpiricalEstimates(Record):
@@ -177,9 +162,6 @@ class EmpiricalEstimates(Record):
     """
 
     __slots__ = ("gain", "pair_qbers")
-
-    def __init__(self, gain: float, pair_qbers: dict):
-        super().__init__(gain, pair_qbers)
 
 
 def _branch_probability(arrival: float, log_nodark: float, phase_delta, lib=math) -> tuple:

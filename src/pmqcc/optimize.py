@@ -109,14 +109,7 @@ class OptimizationResult(Record):
 
     __slots__ = ("best_params", "best_rate", "evaluations", "flagged_zero")
 
-    def __init__(
-        self,
-        best_params: ProtocolParams | None,
-        best_rate: float,
-        evaluations: int,
-        flagged_zero: bool = False,
-    ):
-        super().__init__(best_params, best_rate, evaluations, flagged_zero)
+    _defaults = {"flagged_zero": False}
 
 
 def _golden_refine(obj, lo: float, hi: float, tol: float):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pmqcc.cli import PROTOCOLS, _fmt, main
+from pmqcc.cli import MAX_PARTIES, PROTOCOLS, _fmt, build_protocol, main
 from pmqcc.decoy import n_cut_for
 
 TABLE_CONFIG = {
@@ -122,6 +122,20 @@ class TestRateCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "ConfigError"
         assert error["message"].startswith(message.format(path=path))
+
+    @pytest.mark.parametrize("parties", [1e30, 1e9, 100_001])
+    def test_too_many_parties_exit_2(self, tmp_path, capsys, parties):
+        # 1e30 ended in an OverflowError traceback, and 1e9 would have
+        # needed ~160 GB; the cap fires before any branch is built
+        cfg = write_config(tmp_path, {**TABLE_CONFIG, "parties": parties})
+        code, out, err = run_cli(["rate", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": "ConfigError", "message": f"parties must be at most 100000, got {parties!r}",
+        }
+
+    def test_party_cap_admits_its_bound(self):
+        assert build_protocol({**TABLE_CONFIG, "parties": MAX_PARTIES}).n_parties == 100_000
 
     def test_invalid_value_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TABLE_CONFIG, "dark_count": 1.5})
@@ -601,10 +615,12 @@ class TestSimulateCommand:
         assert payload["tally"]["sent"] == self.CONFIG["rounds"]
 
     def test_more_than_32_parties_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {**self.CONFIG, "parties": 70, "slices": 56})
-        code, out, err = run_cli(["simulate", cfg], capsys)
-        assert code == 2 and out == ""
-        assert "at most 32 parties" in err
+        # up to the config's own cap, simulate names its 32-party limit
+        for parties in (33, 70, 100_000):
+            cfg = write_config(tmp_path, {**self.CONFIG, "parties": parties, "slices": 56})
+            code, out, err = run_cli(["simulate", cfg], capsys)
+            assert code == 2 and out == ""
+            assert "at most 32 parties" in err
 
 
 @pytest.mark.parametrize(
@@ -627,6 +643,27 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     error = json.loads(err)["error"]
     assert error["type"] == "ConfigError"
     assert str(out_path) in error["message"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["rate"],
+        ["curve", "--l-min", "0", "--l-max", "20", "--l-step", "10"],
+        ["optimize", "--target", "signal"],
+        ["simulate"],
+    ],
+    ids=["rate", "curve", "optimize", "simulate"],
+)
+def test_overflowing_party_count_exits_2(tmp_path, capsys, command):
+    # rate, curve and optimize ended in an OverflowError traceback, and
+    # simulate in its own 32-party message
+    cfg = write_config(tmp_path, {**TABLE_CONFIG, "parties": 1e30, "seed": 7, "rounds": 20_000})
+    code, out, err = run_cli([command[0], cfg, *command[1:]], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "ConfigError", "message": "parties must be at most 100000, got 1e+30",
+    }
 
 
 class TestOptimizeCommand:
@@ -763,7 +800,11 @@ class TestEntryPoint:
     ], ids=["rate", "rate-decoy-lower", "curve", "curve-signal+decoys", "optimize-signal",
             "optimize-decoys", "simulate", "simulate-heavy"])
     def test_leaves_dataclasses_unimported(self, tmp_path, command):
-        assert loaded_beyond_startup(tmp_path, command, "dataclasses") == []
+        # nor inspect, which records do not need to write their __init__;
+        # numpy imports it itself, so the numpy kernel's run is not asked
+        packages = ["dataclasses"] if command[0] == "simulate-heavy" else ["dataclasses", "inspect"]
+        for package in packages:
+            assert loaded_beyond_startup(tmp_path, command, package) == []
 
     def test_thread_pool_only_for_the_numpy_kernel(self, tmp_path):
         assert loaded_beyond_startup(tmp_path, ["simulate", "--workers", "2"], "concurrent") == []

@@ -5,6 +5,7 @@ The repr strings are the ones ``dataclasses`` generates for the same
 fields, which the records printed before they were plain classes."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -21,6 +22,7 @@ from pmqcc import (
     SimConfig,
     SimTally,
 )
+from pmqcc.core import Record
 
 PP = ProtocolParams(3, 0.1, 13)
 
@@ -116,9 +118,46 @@ def test_repr(name):
     assert repr(build(name, by_keyword=True)) == CASES[name][3]
 
 
+# calls of a case's record class that must raise TypeError (the first
+# field of every record is required)
+BAD_CALLS = {
+    "missing-field": lambda cls, args, kwargs: cls(**dict(list(kwargs.items())[1:])),
+    "unknown-keyword": lambda cls, args, kwargs: cls(**kwargs, not_a_field=1),
+    "positional-and-keyword": lambda cls, args, kwargs: cls(*args, **{cls.__slots__[0]: args[0]}),
+    "one-positional-too-many": lambda cls, args, kwargs: cls(*cls(*args)._values(), None),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_CALLS))
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_construction_errors(name, call):
+    cls, args, kwargs, _ = CASES[name]
+    with pytest.raises(TypeError):
+        BAD_CALLS[call](cls, args, kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_signature_lists_the_fields(name):
+    cls = CASES[name][0]
+    parameters = inspect.signature(cls).parameters.values()
+    assert tuple(p.name for p in parameters) == cls.__slots__
+    assert {p.name: p.default for p in parameters if p.default is not p.empty} == cls._defaults
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+@pytest.mark.parametrize("defaults", [{"c": 1}, {"a": 1}, {"b": 1, "c": 2}])
+def test_defaults_must_name_trailing_fields(defaults):
+    with pytest.raises(TypeError):
+        class Pair(Record):
+            __slots__ = ("a", "b")
+            _defaults = defaults
+
+
 def test_defaults():
     pp = ProtocolParams(3, 0.1, 13)
     assert (pp.ec_efficiency, pp.decoy_intensities, pp.signal_phase_misalignment) == (1.16, (), 0.0)
+    assert [p.default for p in inspect.signature(ProtocolParams).parameters.values()][3:] == [1.16, (), 0.0]
     assert RateReport(0.0, 0.0, (), 0.0, 1.0).clamped is False
     assert DecoyBounds({}).phase_error_upper is None
     assert OptimizationResult(None, 0.0, 0).flagged_zero is False
@@ -176,9 +215,10 @@ def test_conversions():
      "decoy intensities must be finite, got (0.05, nan, 0.001, 0.0)"),
 ])
 def test_validation_errors(cls, args, message):
-    with pytest.raises(ParameterError) as info:
-        cls(*args)
-    assert str(info.value) == message
+    for build_case in (lambda: cls(*args), lambda: cls(**dict(zip(cls.__slots__, args)))):
+        with pytest.raises(ParameterError) as info:
+            build_case()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", FROZEN)
