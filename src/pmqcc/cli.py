@@ -225,10 +225,12 @@ def _setup(cfg: dict, protocol: str, targets: tuple = ()) -> tuple:
     """(protocol record, channel, broken ends) of a command, after every
     check that holds at every distance, in one order: the record, the
     channel, the boundaries of any protocol but ``decoy-lower``, the
-    slice count and, unless the decoys are searched, the decoy set of
-    ``decoy-lower``.  ``targets`` names the searches of ``_search`` that
-    pick fields: the record holds placeholders there, mu = 1 and M = 4
-    for ``"signal"``, no decoys for ``"decoys"``."""
+    slice count, the dark count's domain of the branch gain and, unless
+    the decoys are searched, the decoy set of ``decoy-lower``.
+    ``targets`` names the searches of ``_search`` that pick fields: the
+    record holds placeholders there, mu = 1 and M = 4 for ``"signal"``,
+    no decoys for ``"decoys"``."""
+    from .interference import branch_gain_avg
     from .keyrate import rate_constants
 
     if "signal" in targets:
@@ -241,6 +243,7 @@ def _setup(cfg: dict, protocol: str, targets: tuple = ()) -> tuple:
     if protocol != "decoy-lower":
         ends = parse_boundaries(cfg)
     rate_constants(pp, sliced=protocol != "pmqcc-star")
+    branch_gain_avg(0.0, ch.dark_count)
     if protocol == "decoy-lower" and "decoys" not in targets:
         from .decoy import check_decoy_set
 
@@ -271,9 +274,10 @@ def compute_rate(protocol: str, pp: ProtocolParams, ch: ChannelParams, ends: tup
         from .decoy import rate_lower
 
         return rate_lower(pp, ch)
-    from .keyrate import objective_rate
+    from .keyrate import objective_variant, rate_pmqcc
 
-    return objective_rate(protocol, pp, ch, ends)
+    sliced, ends = objective_variant(protocol, ends)
+    return rate_pmqcc(pp, ch, sliced=sliced, boundaries=ends)
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -35,8 +35,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# the rate objectives of ``keyrate.objective_rate``, the command line and
-# the signal optimizer
+# the rate objectives of ``keyrate.objective_variant``, the command line
+# and the signal optimizer
 OBJECTIVES = ("pmqcc", "pmqcc-star", "reduced")
 
 

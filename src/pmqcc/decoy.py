@@ -43,7 +43,7 @@ from .core import (
     transmittance,
 )
 from .interference import branch_gain_avg
-from .keyrate import RateReport, key_rate
+from .keyrate import RateReport, rate_pmqcc
 
 __all__ = [
     "DecoyGains",
@@ -275,4 +275,4 @@ def rate_lower(pp: ProtocolParams, ch: ChannelParams) -> RateReport:
     e_x_u = decoy_bounds(pp, ch).phase_error_upper
     # E_X may lie anywhere in [0, E_X^U], and H peaks at 1/2: a bound above
     # 1/2 certifies no more than 1/2 does
-    return key_rate(pp, ch, phase_error=min(e_x_u, 0.5))
+    return rate_pmqcc(pp, ch, phase_error=min(e_x_u, 0.5))

@@ -29,11 +29,14 @@ __all__ = ["branch_gain_avg", "branch_qber_avg"]
 
 
 def branch_gain_avg(arrival_intensity: float, dark_count: float) -> float:
-    """Slice-averaged branch gain, Q = 1 - e^-a + 2 p_d e^-a."""
+    """Slice-averaged branch gain, Q = 1 - e^-a + 2 p_d e^-a, which exceeds
+    1 for p_d > 1/2."""
     if arrival_intensity < 0.0:
         raise ParameterError(f"arrival_intensity must be >= 0, got {arrival_intensity}")
     if not 0.0 <= dark_count < 1.0:
         raise ParameterError(f"dark_count must lie in [0, 1), got {dark_count}")
+    if dark_count > 0.5:
+        raise ParameterError(f"dark_count must be <= 0.5 for a branch gain in [0, 1], got {dark_count}")
     ea = math.exp(-arrival_intensity)
     return -math.expm1(-arrival_intensity) + 2.0 * dark_count * ea
 

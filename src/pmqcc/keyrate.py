@@ -17,10 +17,11 @@ on the signal intensity alone: the branch gain, Q^(N-1), the O(N) phase
 error and its entropy.  ``slice_rate`` adds what depends on the slice
 count M through the distance-free constants of ``rate_constants`` (the
 prefactor and the misalignment): the branch QBER, the marginals, the
-leak and R; it is the only place R is formed.  ``key_rate`` takes the
-validated parameter records and runs the two steps; the signal optimizer
-calls them directly, so a sweep over the intensity builds no records and
-a sweep over M shares the intensity terms.
+leak and R; it is the only place R is formed.  ``rate_pmqcc`` runs the
+two steps on the validated records, and the variants above are its
+arguments; it is the only place a ``RateReport`` is built.  The signal
+optimizer calls the two steps directly, so a sweep over the intensity
+builds no records and a sweep over M shares the intensity terms.
 
 The phase error E_X is the closed form of ``parity_phase_error``: by
 Poisson thinning the branch photon numbers are independent Poisson
@@ -31,8 +32,8 @@ is its branches, the (virtual intensity, survival) pairs that
 closed form, in the test suite, takes the same pairs.  The marginal
 QBERs are closed forms too, the odd share of m-1 branch errors.
 
-``objective_rate`` picks one of the three rates by its objective name
-(``OBJECTIVES``), for the command line and the signal optimizer.
+``objective_variant`` reads an objective name (``OBJECTIVES``) as
+``rate_pmqcc``'s arguments, for the command line and the optimizer.
 
 Negative raw rates clamp to 0 with a flag rather than raising, since
 optimizers routinely sweep infeasible regions.
@@ -249,7 +250,7 @@ def slice_rate(terms: tuple, f: float, prefactor: float, misalignment: float, sl
     return raw, gain, marginals, phase_error
 
 
-def key_rate(
+def rate_pmqcc(
     pp: ProtocolParams,
     ch: ChannelParams,
     *,
@@ -257,14 +258,13 @@ def key_rate(
     boundaries: tuple = (False, False),
     phase_error: float | None = None,
 ) -> RateReport:
-    """The rate report of every protocol variant: ``slice_rate`` on the
-    ``intensity_terms`` of the validated records.
+    """Conference key rate R = P Q [1 - f max_m H(E_m) - H(E_X)], the max
+    at m = N: ``slice_rate`` on the ``intensity_terms`` of the records.
 
-    ``sliced`` selects the phase-sliced prefactor (2/M)^(N-1) and the
-    slice-misalignment branch QBER; otherwise the prefactor is 1 and the
-    branch QBER comes from the signal-mode misalignment.  E_X is the exact
-    phase error of the chain with the given broken ends unless the caller
-    supplies one (the decoy-certified bound).
+    Sliced, P = (2/M)^(N-1) and the branch QBER is the slice-misalignment
+    one; otherwise P = 1 and it comes from the signal-mode misalignment.
+    E_X is the exact phase error of the chain with the given broken ends
+    unless the caller supplies one (the decoy-certified bound).
     """
     prefactor, misalignment = rate_constants(pp, sliced)
     terms = intensity_terms(
@@ -284,17 +284,11 @@ def key_rate(
     )
 
 
-def rate_pmqcc(pp: ProtocolParams, ch: ChannelParams) -> RateReport:
-    """Conference key rate of the phase-sliced protocol on the symmetric
-    chain: R = (2/M)^(N-1) Q [1 - f max_m H(E_m) - H(E_X)], the max at m = N."""
-    return key_rate(pp, ch)
-
-
 def rate_pmqcc_star(pp: ProtocolParams, ch: ChannelParams) -> RateReport:
     """Rate without phase post-selection on signals: sifting prefactor 1,
     branch QBER from the signal-mode misalignment, identical phase
     error."""
-    return key_rate(pp, ch, sliced=False)
+    return rate_pmqcc(pp, ch, sliced=False)
 
 
 def rate_reduced(pp: ProtocolParams, ch: ChannelParams, boundaries: tuple) -> RateReport:
@@ -305,25 +299,15 @@ def rate_reduced(pp: ProtocolParams, ch: ChannelParams, boundaries: tuple) -> Ra
     asymmetric virtual intensities — differs.  With no boundaries this
     reproduces ``rate_pmqcc``.
     """
-    return key_rate(pp, ch, boundaries=boundaries)
+    return rate_pmqcc(pp, ch, boundaries=boundaries)
 
 
-def check_objective(objective: str) -> None:
+def objective_variant(objective: str, boundaries: tuple) -> tuple:
+    """``rate_pmqcc``'s (sliced, broken ends) for an objective name;
+    ``boundaries`` marks the broken ends of the reduced chain."""
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-
-
-def objective_rate(
-    objective: str, pp: ProtocolParams, ch: ChannelParams, boundaries: tuple
-) -> RateReport:
-    """Rate report of one objective; ``boundaries`` marks the broken ends
-    of the reduced chain."""
-    check_objective(objective)
-    if objective == "reduced":
-        return rate_reduced(pp, ch, boundaries)
-    if objective == "pmqcc-star":
-        return rate_pmqcc_star(pp, ch)
-    return rate_pmqcc(pp, ch)
+    return objective != "pmqcc-star", boundaries if objective == "reduced" else (False, False)
 
 
 def scaling_exponent(points) -> float:

@@ -8,8 +8,9 @@ the zero-rate plateaus that surround the feasible window.  Each
 evaluation calls the two steps of the float rate kernel: the intensity
 terms (gain, phase error and its entropy), kept per intensity for the
 whole search and shared by every M, and the slice step with the
-constants hoisted per M.  The signal optimum is re-evaluated through the
-full rate report.  Both searches score a rate below the smallest normal
+constants hoisted per M.  The signal optimum is re-evaluated through
+``rate_pmqcc``, with the arguments ``objective_variant`` reads from the
+objective name.  Both searches score a rate below the smallest normal
 float as 0: a subnormal rate has lost most of its digits to underflow.
 
 Most slice counts cannot win, and the search skips them unscored.  With
@@ -68,11 +69,7 @@ import sys
 
 from .core import ChannelParams, DegenerateGeometryError, ProtocolParams, Record, transmittance
 from .decoy import n_cut_for, rate_lower
-from .keyrate import check_objective, intensity_terms, objective_rate, rate_constants, slice_rate
-
-# not called here: re-exported for callers that reach the rate through
-# this module (bench/test_bench.py)
-from .keyrate import rate_pmqcc  # noqa: F401
+from .keyrate import intensity_terms, objective_variant, rate_constants, rate_pmqcc, slice_rate
 
 __all__ = ["OptimizationResult", "optimize_signal", "optimize_decoys"]
 
@@ -166,9 +163,7 @@ def optimize_signal(
     whose ceiling cannot beat the best rate so far is skipped unscored
     (module docstring).
     """
-    check_objective(objective)
-    sliced = objective != "pmqcc-star"
-    ends = boundaries if objective == "reduced" else (False, False)
+    sliced, ends = objective_variant(objective, boundaries)
     eta = transmittance(ch)
 
     def params(mu: float, m: int) -> ProtocolParams:
@@ -223,7 +218,7 @@ def optimize_signal(
     # bench/test_bench.py requires this call to keyrate.rate_pmqcc: not a removable re-run
     return OptimizationResult(
         best_params=best_params,
-        best_rate=objective_rate(objective, best_params, ch, boundaries).rate,
+        best_rate=rate_pmqcc(best_params, ch, sliced=sliced, boundaries=ends).rate,
         evaluations=evaluations,
     )
 

@@ -268,6 +268,8 @@ class TestRateCommand:
                     continue
                 if code not in (0, 2, 3) or "nan" in out or "inf" in out:
                     failures.append((protocol, cfg, code, out))
+                elif code == 0 and not 0.0 <= json.loads(out)["gain"] <= 1.0:
+                    failures.append((protocol, cfg, out))
         assert failures == []
 
 
@@ -383,6 +385,10 @@ class TestCurveCommand:
         pytest.param("none", {"mu": float("inf")}, "pmqcc", id="infinite-mu"),
         pytest.param("signal", {"decoys": [0.01, 0.02, 0.0]}, "pmqcc",
                      id="signal-decoys-increasing-pmqcc"),
+        # a branch gain above 1: rate printed "gain": 3.238 (exit 0), while
+        # decoy-lower rejected its decoy gains
+        pytest.param("none", {"dark_count": 0.9}, "pmqcc", id="dark-count-above-half"),
+        pytest.param("none", {"dark_count": 0.9}, "decoy-lower", id="dark-count-above-half-decoy-lower"),
     ])
     def test_config_that_rate_rejects_exits_2(self, tmp_path, capsys, optimize, change, protocol):
         # this used to exit 0 with every row flagged error:ParameterError

@@ -72,6 +72,7 @@ class TestBranchAverages:
     @pytest.mark.parametrize("a, pd, message", [
         (-0.01, 0.0, "arrival_intensity must be >= 0, got -0.01"),
         (0.01, 1.0, "dark_count must lie in [0, 1), got 1.0"),
+        (0.01, 0.9, "dark_count must be <= 0.5 for a branch gain in [0, 1], got 0.9"),
     ])
     def test_gain_domain(self, a, pd, message):
         with pytest.raises(ParameterError) as info:

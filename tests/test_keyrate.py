@@ -25,7 +25,6 @@ from pmqcc import (
 from pmqcc.keyrate import (
     chain_branches,
     intensity_terms,
-    key_rate,
     parity_phase_error,
     rate_constants,
     slice_rate,
@@ -351,7 +350,7 @@ class TestRateKernel:
             raw, gain, marginals, phase_error = slice_rate(
                 terms, pp.ec_efficiency, prefactor, misalignment, sliced
             )
-            report = key_rate(pp, ch, sliced=sliced, boundaries=ends, phase_error=given)
+            report = rate_pmqcc(pp, ch, sliced=sliced, boundaries=ends, phase_error=given)
             assert max(raw, 0.0) == report.rate == reference_rate(pp, ch, sliced, ends, given)
             assert (gain, marginals, phase_error) == (
                 report.gain, report.marginal_qbers, report.phase_error)
@@ -374,7 +373,7 @@ class TestRateKernel:
                 )
                 prefactor, misalignment = rate_constants(pp_m, sliced)
                 split = slice_rate(terms, f, prefactor, misalignment, sliced)
-                report = key_rate(pp_m, ch, sliced=sliced, boundaries=ends, phase_error=given)
+                report = rate_pmqcc(pp_m, ch, sliced=sliced, boundaries=ends, phase_error=given)
                 assert (max(split[0], 0.0), *split[1:]) == (
                     report.rate, report.gain, report.marginal_qbers, report.phase_error)
                 assert max(split[0], 0.0) == reference_rate(pp_m, ch, sliced, ends, given)
@@ -397,7 +396,7 @@ class TestRateKernel:
             split = slice_rate(terms, 1.16, *constants, sliced)
             assert split == (0.0, 0.0, (0.0,) * (n - 1), 0.0)
             pp = ProtocolParams(n, 0.1, 13, signal_phase_misalignment=0.02)
-            report = key_rate(pp, ch, sliced=sliced, boundaries=(False, True), phase_error=given)
+            report = rate_pmqcc(pp, ch, sliced=sliced, boundaries=(False, True), phase_error=given)
             assert split == (report.rate, report.gain, report.marginal_qbers, report.phase_error)
 
     def test_slice_step_checks_the_branch_qber(self):

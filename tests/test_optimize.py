@@ -19,7 +19,7 @@ from pmqcc import (
     rate_pmqcc_star,
     rate_reduced,
 )
-from pmqcc.core import DegenerateGeometryError, transmittance
+from pmqcc.core import OBJECTIVES, DegenerateGeometryError, transmittance
 from pmqcc.decoy import n_cut_for
 from pmqcc.optimize import COARSE_GRID, COARSE_POINTS, DECOY_RESTARTS, MU_BOUNDS
 from tests.conftest import bench_channel_at
@@ -121,6 +121,33 @@ class TestOptimizeSignal:
         assert len(search) == len(set(search)) == 287
         assert set(COARSE_GRID) <= set(search)
         assert result.evaluations == 987 > 3 * len(search)
+
+    def test_reported_rate_is_a_scored_one(self, monkeypatch):
+        # the report's rate, re-run through rate_pmqcc, is bit for bit a
+        # rate the search scored, over every objective and end pattern
+        scored = []
+        slice_rate = pmqcc.optimize.slice_rate
+
+        def recording(*args):
+            out = slice_rate(*args)
+            scored.append(out[0])
+            return out
+
+        monkeypatch.setattr(pmqcc.optimize, "slice_rate", recording)
+        rng = random.Random(33)
+        feasible = set()
+        for _ in range(100):
+            n = rng.randint(2, 8)
+            objective = rng.choice(OBJECTIVES)
+            ends = rng.choice([(False, False), (False, True), (True, False), (True, True)])
+            ch = ChannelParams(0.2, rng.uniform(0.0, 400.0 / (n - 1)), 0.65, rng.choice([0.0, 7.2e-8, 1e-5]))
+            scored.clear()
+            result = optimize_signal(ch, n, objective, boundaries=ends,
+                                     signal_phase_misalignment=rng.uniform(0.0, 0.05))
+            if not result.flagged_zero:
+                assert result.best_rate in scored, (ch, n, objective, ends)
+                feasible.add((objective, ends))
+        assert len(feasible) == len(OBJECTIVES) * 4
 
     def test_coarse_grid_is_geometric_over_the_bounds(self):
         assert len(COARSE_GRID) == COARSE_POINTS
