@@ -231,7 +231,7 @@ def _setup(cfg: dict, protocol: str, targets: tuple = ()) -> tuple:
     record holds placeholders there, mu = 1 and M = 4 for ``"signal"``,
     no decoys for ``"decoys"``."""
     from .interference import branch_gain_avg
-    from .keyrate import rate_constants
+    from .keyrate import slice_constants
 
     if "signal" in targets:
         cfg = {**cfg, "mu": 1.0, "slices": 4}
@@ -242,7 +242,7 @@ def _setup(cfg: dict, protocol: str, targets: tuple = ()) -> tuple:
     ends = (False, False)
     if protocol != "decoy-lower":
         ends = parse_boundaries(cfg)
-    rate_constants(pp, sliced=protocol != "pmqcc-star")
+    slice_constants(pp, sliced=protocol != "pmqcc-star")
     branch_gain_avg(0.0, ch.dark_count)
     if protocol == "decoy-lower" and "decoys" not in targets:
         from .decoy import check_decoy_set

@@ -15,7 +15,7 @@ assembly:
 The assembly is two steps.  ``intensity_terms`` computes what depends
 on the signal intensity alone: the branch gain, Q^(N-1), the O(N) phase
 error and its entropy.  ``slice_rate`` adds what depends on the slice
-count M through the distance-free constants of ``rate_constants`` (the
+count M through the distance-free constants of ``slice_constants`` (the
 prefactor and the misalignment): the branch QBER, the marginals, the
 leak and R; it is the only place R is formed.  ``rate_pmqcc`` runs the
 two steps on the validated records, and the variants above are its
@@ -61,11 +61,11 @@ __all__ = [
     "intensity_terms",
     "marginal_qber",
     "qber_star",
-    "rate_constants",
     "rate_pmqcc",
     "rate_pmqcc_star",
     "rate_reduced",
     "scaling_exponent",
+    "slice_constants",
     "slice_rate",
 ]
 
@@ -181,7 +181,7 @@ def parity_phase_error(branches, pd: float) -> float:
     return (1.0 - ratio) / 2.0
 
 
-def rate_constants(pp: ProtocolParams, sliced: bool = True) -> tuple:
+def slice_constants(pp: ProtocolParams, sliced: bool = True) -> tuple:
     """The distance-free constants of a rate: the sifting prefactor and the
     branch misalignment.  Sliced, these are (2/M)^(N-1) and e_delta(M),
     which needs M >= 3; otherwise 1 and the signal-mode misalignment."""
@@ -224,7 +224,7 @@ def intensity_terms(
 
 def slice_rate(terms: tuple, f: float, prefactor: float, misalignment: float, sliced: bool) -> tuple:
     """(raw rate, gain, marginal QBERs, E_X) from the ``intensity_terms``
-    and the constants of ``rate_constants``:
+    and the constants of ``slice_constants``:
     R = P Q [1 - f H(E_N) - H(E_X)], unclamped.
 
     The branch QBER is the sliced closed form when ``sliced``, else the
@@ -266,7 +266,7 @@ def rate_pmqcc(
     E_X is the exact phase error of the chain with the given broken ends
     unless the caller supplies one (the decoy-certified bound).
     """
-    prefactor, misalignment = rate_constants(pp, sliced)
+    prefactor, misalignment = slice_constants(pp, sliced)
     terms = intensity_terms(
         pp.n_parties, pp.signal_intensity, ch.dark_count, transmittance(ch), boundaries, phase_error
     )

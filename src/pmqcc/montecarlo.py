@@ -39,13 +39,14 @@ rounds (2/M)^(N-1) c^(N-1) (the sifting factor under
 ``mode="full-random"`` only) is below
 ``_numpy_threshold(N, chunks)`` takes the stdlib kernel, which never
 imports numpy: on ``random.Random((chunk << 64) | seed)`` it draws one
-candidate at a time and drops it at its first failing branch.  It
-squeezes each branch's decision: the click probabilities depend on the
-phase only through x = cos^2(phi/2), a per-run table brackets both on
-each of ``BRACKET_CELLS`` cells of x, and the exact
+candidate at a time and drops it at its first failing branch.  A branch
+reads one per-key row: its steps, its turn and the id bits of each port.
+It squeezes each branch's decision: the click probabilities depend on
+the phase only through x = cos^2(phi/2), a per-run table brackets both
+on each of ``BRACKET_CELLS`` cells of x, and the exact
 ``_branch_probability`` runs only when the branch's uniform falls inside
 a bracket (~0.1 % of branches at N=3, 10 km), so a branch costs one
-``cos`` and one lookup, and every decision, and so every tally, is the
+``cos`` and two lookups, and every decision, and so every tally, is the
 one the exact probabilities give.  The others take the numpy kernel,
 which draws all K candidates as arrays on
 ``default_rng(SeedSequence(seed, spawn_key=(chunk,)))``.  A chunk's
@@ -283,29 +284,28 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
 
 def _stdlib_setting(m: int, arrival: float, dark_count: float, deviations: tuple, comp: tuple) -> tuple:
     """What ``_draw_stdlib`` reads of a run, built once per run: arrival,
-    log(1 - p_d), the slice phase 2 pi / M, per-branch step and turn
-    tables with the branch's R-click and wrong-port bits of a success id,
-    and the bracket table."""
-    # bit 2q of a candidate's draws is party q's bit and bit 2l + 1 branch
-    # l's half-slice offset, so branch l reads the three bits
-    # key = b_l + 2 h_l + 4 b_{l+1} and looks up its whole-slice steps and
-    # its phase shift pi (b_{l+1} - b_l) plus the reference deviation
+    log(1 - p_d), the slice phase 2 pi / M, one row per branch and key,
+    and the bracket table.  Bit 2q of a candidate's draws is party q's
+    bit and bit 2l + 1 branch l's half-slice offset, so branch l reads
+    key = b_l + 2 h_l + 4 b_{l+1}; its row ``key`` holds its whole-slice
+    step, its turn pi (b_{l+1} - b_l) plus the reference deviation, and
+    the id bits that an L and an R click set: bit l for R, and the
+    wrong-port bit l + N - 1 when the port (L = 0, R = 1) differs from
+    the parity of b_l + h_l + b_{l+1}."""
     branches = tuple(
-        (
-            tuple(shift + ((key >> 1) & 1) * (m // 2) for key in range(8)),
-            tuple(math.pi * ((key >> 2) - (key & 1)) + deviation for key in range(8)),
-            1 << l,
-            1 << (l + len(comp)),
+        tuple(
+            (
+                shift + ((key >> 1) & 1) * (m // 2),
+                math.pi * ((key >> 2) - (key & 1)) + deviation,
+                1 << (l + len(comp)) if key.bit_count() & 1 else 0,
+                1 << l if key.bit_count() & 1 else 1 << l | 1 << (l + len(comp)),
+            )
+            for key in range(8)
         )
         for l, (shift, deviation) in enumerate(zip(comp, deviations))
     )
     log_nodark = math.log1p(-dark_count)
     return arrival, log_nodark, 2.0 * math.pi / m, branches, _bracket_table(arrival, log_nodark)
-
-
-# whether b_l + h_l + b_{l+1} is odd for each key, which makes an L click
-# the wrong port
-_SWAPPED = tuple(bin(key).count("1") & 1 for key in range(8))
 
 
 def _draw_stdlib(
@@ -325,17 +325,17 @@ def _draw_stdlib(
     id.  A branch's uniform is compared with its cell's brackets first;
     ``_branch_probability`` runs only when the uniform falls inside one,
     so every decision is the one the exact probabilities give."""
-    cos, cells, swapped = math.cos, BRACKET_CELLS, _SWAPPED
+    cos, cells = math.cos, BRACKET_CELLS
     uniform, getrandbits, get = rng.random, rng.getrandbits, tally.get
     for _ in range(n_cand):
         draws = getrandbits(2 * n - 1)
         position = uniform()
         found = 0
-        for steps, turns, right_bit, wrong_bit in branches:
-            key = draws & 7
+        for rows in branches:
+            step, turn, left_bits, right_bits = rows[draws & 7]
             draws >>= 2
             following = uniform()
-            phase_delta = (steps[key] + following - position) * slice_phase + turns[key]
+            phase_delta = (step + following - position) * slice_phase + turn
             cos_half = cos(phase_delta / 2.0)
             one_low, one_high, right_low, right_high = table[int(cos_half * cos_half * cells)]
             scaled = uniform() * bound
@@ -348,10 +348,7 @@ def _draw_stdlib(
                 right = scaled < p_right
             else:
                 right = scaled < right_low
-            if right:
-                found |= right_bit
-            if right != swapped[key]:
-                found |= wrong_bit
+            found |= right_bits if right else left_bits
             position = following
         else:
             tally[found] = get(found, 0) + 1

@@ -69,7 +69,7 @@ import sys
 
 from .core import ChannelParams, DegenerateGeometryError, ProtocolParams, Record, transmittance
 from .decoy import n_cut_for, rate_lower
-from .keyrate import intensity_terms, objective_variant, rate_constants, rate_pmqcc, slice_rate
+from .keyrate import intensity_terms, objective_variant, rate_pmqcc, slice_constants, slice_rate
 
 __all__ = ["OptimizationResult", "optimize_signal", "optimize_decoys"]
 
@@ -195,7 +195,7 @@ def optimize_signal(
     slice_grid = list(m_values) if sliced else [13]
     # validates the fixed parameters and every M, skipped or not, as every
     # rate at M would
-    constants = [rate_constants(params(MU_BOUNDS[1], m), sliced) for m in slice_grid]
+    constants = [slice_constants(params(MU_BOUNDS[1], m), sliced) for m in slice_grid]
     ceiling = math.inf
     if sliced and constants:
         # the rate at prefactor 1 and e_delta = 0 bounds every R(M, .) / P_M

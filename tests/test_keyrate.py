@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -22,11 +23,13 @@ from pmqcc import (
     binary_entropy,
     transmittance,
 )
+from pmqcc import keyrate
 from pmqcc.keyrate import (
+    RateReport,
     chain_branches,
     intensity_terms,
     parity_phase_error,
-    rate_constants,
+    slice_constants,
     slice_rate,
 )
 from pmqcc.montecarlo import _branch_probability
@@ -343,7 +346,7 @@ class TestRateKernel:
         outcomes = set()
         for _ in range(400):
             pp, ch, sliced, ends, given = self.draw(rng)
-            prefactor, misalignment = rate_constants(pp, sliced)
+            prefactor, misalignment = slice_constants(pp, sliced)
             terms = intensity_terms(
                 pp.n_parties, pp.signal_intensity, ch.dark_count, transmittance(ch), ends, given
             )
@@ -371,7 +374,7 @@ class TestRateKernel:
                     pp.n_parties, pp.signal_intensity, m, pp.ec_efficiency, pp.decoy_intensities,
                     pp.signal_phase_misalignment,
                 )
-                prefactor, misalignment = rate_constants(pp_m, sliced)
+                prefactor, misalignment = slice_constants(pp_m, sliced)
                 split = slice_rate(terms, f, prefactor, misalignment, sliced)
                 report = rate_pmqcc(pp_m, ch, sliced=sliced, boundaries=ends, phase_error=given)
                 assert (max(split[0], 0.0), *split[1:]) == (
@@ -413,7 +416,7 @@ class TestRateKernel:
         pd = bench_channel.dark_count
 
         def kernel(sliced, ends):
-            prefactor, misalignment = rate_constants(pp, sliced)
+            prefactor, misalignment = slice_constants(pp, sliced)
             terms = intensity_terms(4, 0.1, pd, eta, ends)
             raw = slice_rate(terms, pp.ec_efficiency, prefactor, misalignment, sliced)[0]
             return max(raw, 0.0)
@@ -425,6 +428,16 @@ class TestRateKernel:
     def test_constants(self):
         pp = ProtocolParams(n_parties=3, signal_intensity=0.1, slice_count=2,
                             signal_phase_misalignment=0.02)
-        assert rate_constants(pp, sliced=False) == (1.0, 0.02)
+        assert slice_constants(pp, sliced=False) == (1.0, 0.02)
         with pytest.raises(ParameterError, match="slice_count >= 3"):
-            rate_constants(pp)
+            slice_constants(pp)
+
+    def test_rate_names_are_rate_assemblies(self):
+        # bench/tracer.py averages every keyrate.rate_* call into
+        # keyrate.call_us, so only a function that returns a RateReport
+        # takes that prefix
+        names = [name for name in keyrate.__all__ if name.startswith("rate_")]
+        assert names
+        for name in names:
+            signature = inspect.signature(getattr(keyrate, name), eval_str=True)
+            assert signature.return_annotation is RateReport, name

@@ -531,10 +531,19 @@ class TestKernels:
                                 "RLL": 1155, "RLR": 1143, "RRL": 1127, "RRR": 1168},
              "pair_errors": {"2": 1637, "3": 1751, "4": 2291}},
         ),
+        (
+            (3, 1.0, 6, 0.65, 7.2e-8),
+            {"rounds": 300_000, "seed": 31, "mode": "full-random",
+             "reference_offsets": (0.3, -0.7), "compensation_indices": (1, 4)},
+            {"sent": 300_000, "sifted": 33_399, "success": 6410,
+             "pattern_counts": {"LL": 1569, "LR": 1693, "RL": 1615, "RR": 1533},
+             "pair_errors": {"2": 2422, "3": 3856}},
+        ),
     ]
 
     @pytest.mark.parametrize(
-        "record,run,counts", PINNED_STDLIB, ids=["n3-0km-mu0.5", "n4-full-random", "n4-offsets"]
+        "record,run,counts", PINNED_STDLIB,
+        ids=["n3-0km-mu0.5", "n4-full-random", "n4-offsets", "n3-full-random-offsets"],
     )
     @pytest.mark.parametrize("workers", [1, 2])
     def test_stdlib_kernel_tallies_are_pinned(self, record, run, counts, workers):
@@ -545,6 +554,31 @@ class TestKernels:
         chunks = -(-sc.rounds // montecarlo.CHUNK_SIZE)
         assert expected_candidates(pp, ch, sc) < montecarlo._numpy_threshold(n, chunks)
         assert pinned_fields(run_rounds(pp, ch, sc, workers=workers), counts) == counts
+
+
+class TestStdlibRows:
+    """Row key = b_l + 2 h_l + 4 b_{l+1} of branch l holds that key's
+    whole-slice step, turn and the id bits of an L and of an R click."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rows_hold_each_keys_step_turn_and_id_bits(self, n):
+        rng = random.Random(f"rows:{n}")
+        m = 2 * rng.randint(2, 10)
+        deviations = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n - 1))
+        comp = tuple(rng.randrange(1, m) for _ in range(n - 1))
+        branches = montecarlo._stdlib_setting(m, 0.3, 7.2e-8, deviations, comp)[3]
+        assert len(branches) == n - 1
+        for l, rows in enumerate(branches):
+            assert len(rows) == 8
+            for key, (step, turn, left_bits, right_bits) in enumerate(rows):
+                b_l, h_l, b_next = key & 1, (key >> 1) & 1, key >> 2
+                assert step == comp[l] + h_l * (m // 2)
+                assert turn == math.pi * (b_next - b_l) + deviations[l]
+                # an R click sets bit l; a click on the port that differs
+                # from the parity of the key's bits sets bit l + N - 1
+                for port, bits in ((0, left_bits), (1, right_bits)):
+                    wrong = int(port != (b_l + h_l + b_next) % 2)
+                    assert bits == port << l | wrong << (l + n - 1), (l, key, port)
 
 
 class TestBracketTable:
