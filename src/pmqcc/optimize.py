@@ -52,14 +52,19 @@ against that of G, the later the skipping starts; at N = 12, 0 km it
 skips no M.
 
 ``optimize_decoys`` maximizes the certified rate lower bound over the
-decoy intensity triple-or-more in log space by coordinate descent from a
-few fixed starting points (a golden-ratio sequence, defined for any N);
-configurations rejected by the estimator as degenerate count as rate 0
-and are never returned as optima.  Near its optimum the certified rate
-is flat in the decoys to ~1e-6 relative, so the descent accepts only
-moves that gain more than ``DECOY_RTOL`` relative and stops where every
-trial is within it: the optimum it returns is set by the model, not by
-how the ladder's sums round.
+scale of a geometric decoy set, x_i = 10^v mu r^-i for i = 0..n_cut with
+the vacuum appended.  For each ratio r in ``DECOY_RATIOS`` it searches v
+with the coarse grid and golden section of the signal search, and it
+keeps the best set.  The grid spans 1e-6 mu to 10^-0.15 mu, so every set
+is strictly decreasing and below mu; a set the estimator rejects as
+degenerate scores 0 and is never returned.  In this asymptotic model the
+certified rate rises as the decoys weaken, until rounding in the ladder
+takes it down again: on the benchmark channel the best scale lies at
+v ~ -1.9 to -4.4.  The best ratio depends on the number of rungs: over
+seeded searches 1.05 won at every N = 3 point, where 1.3 alone fell up
+to 1.2e-5 relative short of a free coordinate descent beyond ~170 km,
+and 1.3 won at every N = 5-9 point, where 1.05 alone fell up to 8e-4
+short.
 """
 
 from __future__ import annotations
@@ -90,13 +95,11 @@ COARSE_GRID = tuple(
 # a ceiling for every slice count (module docstring)
 CEILING_SLACK = 1.0 + 1e-2
 
-# starting points and coordinate sweeps per start of the decoy search
-DECOY_RESTARTS = 3
-DECOY_SWEEPS = 25
-# relative rate change below which the decoy search treats a move as no
-# change: halving one decoy near the 150 km optimum moves the certified
-# rate by only 1e-6 to 3e-6 relative
-DECOY_RTOL = 1e-6
+# the decoy search's geometric ratios, its grid in v = log10(x_0 / mu)
+# and its golden-section tolerance in decades
+DECOY_RATIOS = (1.3, 1.05)
+DECOY_GRID = tuple(-6.0 + k * 6.0 / COARSE_POINTS for k in range(COARSE_POINTS))
+DECOY_TOL = 1e-2
 
 
 class OptimizationResult(Record):
@@ -128,18 +131,17 @@ def _golden_refine(obj, lo: float, hi: float, tol: float):
     return x, obj(x)
 
 
-def _maximize_scalar(obj):
-    """Coarse geometric bracket over ``MU_BOUNDS`` followed by
-    golden-section refinement to ``MU_TOL``; returns (x, f(x)), or
+def _maximize_scalar(obj, grid=COARSE_GRID, tol=MU_TOL):
+    """Coarse bracket over the increasing ``grid`` followed by
+    golden-section refinement to ``tol``; returns (x, f(x)), or
     (None, 0.0) where no grid point is positive."""
-    grid = COARSE_GRID
     vals = [obj(x) for x in grid]
-    i = max(range(COARSE_POINTS), key=vals.__getitem__)  # the first maximum
+    i = max(range(len(grid)), key=vals.__getitem__)  # the first maximum
     if vals[i] <= 0.0:
         return None, 0.0
     left = grid[max(i - 1, 0)]
-    right = grid[min(i + 1, COARSE_POINTS - 1)]
-    x, fx = _golden_refine(obj, left, right, MU_TOL)
+    right = grid[min(i + 1, len(grid) - 1)]
+    x, fx = _golden_refine(obj, left, right, tol)
     if vals[i] > fx:
         x, fx = grid[i], vals[i]
     return x, fx
@@ -231,77 +233,43 @@ def optimize_decoys(
     *,
     ec_efficiency: float = 1.16,
 ) -> OptimizationResult:
-    """Maximize the certified rate lower bound over the decoy intensities
-    (ordering constraints enforced, vacuum always appended).
-
-    Log-space coordinate descent with shrinking line searches, restarted
-    from ``DECOY_RESTARTS`` fixed starting points for at most
-    ``DECOY_SWEEPS`` sweeps each; deterministic.  A move must gain more
-    than ``DECOY_RTOL`` relative, and a restart ends once a sweep finds
-    every trial within that of the current rate: a smaller step can only
-    be flatter.
+    """Maximize the certified rate lower bound over the scale of a
+    geometric decoy set, per ratio in ``DECOY_RATIOS`` (module
+    docstring); the vacuum is always appended.  Deterministic: each
+    ratio scores ``DECOY_GRID`` and then a golden section to
+    ``DECOY_TOL`` decades, each call to the ladder one evaluation.
     """
     n_decoys = n_cut_for(n_parties) + 1
 
-    def params(decoys) -> ProtocolParams:
+    def params(v: float, ratio: float) -> ProtocolParams:
+        top = 10.0 ** v * signal_intensity
         return ProtocolParams(
             n_parties=n_parties,
             signal_intensity=signal_intensity,
             slice_count=slice_count,
             ec_efficiency=ec_efficiency,
-            decoy_intensities=tuple(decoys) + (0.0,),
+            decoy_intensities=tuple(top * ratio ** -i for i in range(n_decoys)) + (0.0,),
         )
 
     evaluations = 0
 
-    def objective(log_xs) -> float:
+    def certified(pp: ProtocolParams) -> float:
         nonlocal evaluations
-        xs = [math.exp(v) for v in log_xs]
-        if any(hi <= lo * (1.0 + 2e-3) for hi, lo in zip(xs, xs[1:])) or xs[0] >= signal_intensity:
-            return 0.0
         evaluations += 1
         try:
-            rate = rate_lower(params(xs), ch).rate
+            rate = rate_lower(pp, ch).rate
         except DegenerateGeometryError:
             return 0.0
         return rate if rate >= _TINY else 0.0
 
-    def starting_points():
-        # ratios drawn from a golden-ratio (Kronecker) sequence: the first
-        # decoy mu / [2, 8), each next one / [1.3, 3), the last / [20, 400)
-        for r in range(DECOY_RESTARTS):
-            u = [((r * n_decoys + j + 1) * _INVPHI) % 1.0 for j in range(n_decoys)]
-            xs = [signal_intensity / (2.0 + 6.0 * u[0])]
-            for q in u[1:-1]:
-                xs.append(xs[-1] / (1.3 + 1.7 * q))
-            xs.append(xs[-1] / (20.0 + 380.0 * u[-1]))
-            yield [math.log(x) for x in xs]
-
-    best_rate, best_xs = 0.0, None
-    for log_xs in starting_points():
-        current = objective(log_xs)
-        step = 0.5
-        for _ in range(DECOY_SWEEPS):
-            improved, flat = False, True
-            for i in range(n_decoys):
-                for delta in (step, -step):
-                    trial = list(log_xs)
-                    trial[i] += delta
-                    val = objective(trial)
-                    if val > current * (1.0 + DECOY_RTOL):
-                        log_xs, current = trial, val
-                        improved = True
-                    elif abs(val - current) > DECOY_RTOL * current:
-                        flat = False
-            if not improved:
-                step /= 2.0
-                if flat or step < 1e-4:
-                    break
-        if current > best_rate:
-            best_rate, best_xs = current, [math.exp(v) for v in log_xs]
-
-    if best_xs is None:
-        return OptimizationResult(
-            best_params=None, best_rate=0.0, evaluations=evaluations, flagged_zero=True
-        )
-    return OptimizationResult(best_params=params(best_xs), best_rate=best_rate, evaluations=evaluations)
+    best_rate, best_params = 0.0, None
+    for ratio in DECOY_RATIOS:
+        v, rate = _maximize_scalar(lambda v: certified(params(v, ratio)), DECOY_GRID, DECOY_TOL)
+        if rate > best_rate:  # ties go to the first ratio
+            best_rate, best_params = rate, params(v, ratio)
+    return OptimizationResult(
+        best_params=best_params,
+        best_rate=best_rate,
+        evaluations=evaluations,
+        flagged_zero=best_params is None,
+    )

@@ -684,7 +684,7 @@ class TestOptimizeCommand:
         assert payload["mu"] == pytest.approx(0.1333, abs=5e-3)
 
     def test_decoy_search_at_eighteen_parties_exits_0(self, tmp_path, capsys):
-        # N=18 needs 19 decoys; the search has starting points for any N,
+        # N=18 needs 19 decoys; a geometric decoy set has any length,
         # and at 50 km no decoy set certifies a positive rate
         cfg = write_config(tmp_path, {**TABLE_CONFIG, "parties": 18})
         code, out, err = run_cli(["optimize", cfg, "--target", "decoys"], capsys)

@@ -19,9 +19,9 @@ from pmqcc import (
     rate_pmqcc_star,
     rate_reduced,
 )
-from pmqcc.core import OBJECTIVES, DegenerateGeometryError, transmittance
+from pmqcc.core import OBJECTIVES, DegenerateGeometryError, ProtocolParams, transmittance
 from pmqcc.decoy import n_cut_for
-from pmqcc.optimize import COARSE_GRID, COARSE_POINTS, DECOY_RESTARTS, MU_BOUNDS
+from pmqcc.optimize import COARSE_GRID, COARSE_POINTS, DECOY_GRID, DECOY_RATIOS, MU_BOUNDS
 from tests.conftest import bench_channel_at
 
 # (N, km, objective, options) -> repr-exact (best_rate, mu, M, evaluations),
@@ -236,9 +236,33 @@ def summary(result) -> tuple:
     return repr(result.best_rate), repr(best.signal_intensity), best.slice_count, False
 
 
-def shorten_decoy_search(monkeypatch, restarts, sweeps):
-    monkeypatch.setattr(pmqcc.optimize, "DECOY_RESTARTS", restarts)
-    monkeypatch.setattr(pmqcc.optimize, "DECOY_SWEEPS", sweeps)
+def scale_configs() -> list:
+    """12 seeded decoy searches at N=3-9 on the benchmark channel, each
+    drawn where its certified rate is positive."""
+    rng = random.Random(36)
+    domain = {3: (150.0, 0.05, 0.15, 10), 5: (50.0, 0.05, 0.1, 15), 7: (15.0, 0.03, 0.06, 15),
+              9: (6.0, 0.03, 0.04, 14)}
+    configs = []
+    for n in (3, 5, 7, 9) * 3:
+        km, mu_lo, mu_hi, m_lo = domain[n]
+        configs.append((bench_channel_at(round(rng.uniform(0.0, km), 3)), n,
+                        round(rng.uniform(mu_lo, mu_hi), 6), rng.randint(m_lo, 20)))
+    return configs
+
+
+SCALE_CONFIGS = scale_configs()
+
+
+def geometric_rate(ch, n, mu, m, v, ratio) -> float:
+    """Certified rate of the geometric decoy set 10^v mu ratio^-i, as the
+    decoy search scores it."""
+    top = 10.0 ** v * mu
+    decoys = tuple(top * ratio ** -i for i in range(n_cut_for(n) + 1)) + (0.0,)
+    pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=m, decoy_intensities=decoys)
+    try:
+        return rate_lower(pp, ch).rate
+    except DegenerateGeometryError:
+        return 0.0
 
 
 class TestOptimizeDecoys:
@@ -248,14 +272,12 @@ class TestOptimizeDecoys:
         assert not result.flagged_zero
         assert result.best_rate >= 1.7e-11
 
-    def test_reevaluation_is_bitwise(self, monkeypatch):
-        shorten_decoy_search(monkeypatch, 1, 6)
+    def test_reevaluation_is_bitwise(self):
         ch = bench_channel_at(150.0)
         result = optimize_decoys(ch, 3, 0.104815, 13)
         assert result.best_rate == rate_lower(result.best_params, ch).rate
 
-    def test_ordering_constraints_hold(self, monkeypatch):
-        shorten_decoy_search(monkeypatch, 1, 8)
+    def test_ordering_constraints_hold(self):
         result = optimize_decoys(bench_channel_at(150.0), 3, 0.104815, 13)
         decs = result.best_params.decoy_intensities
         assert decs[-1] == 0.0
@@ -263,26 +285,18 @@ class TestOptimizeDecoys:
         assert all(a > b for a, b in zip(nonzero, nonzero[1:]))
         assert nonzero[0] < 0.104815
 
-    def test_collapsed_search_returns_start(self, monkeypatch):
-        # no sweeps: the single fixed starting point is returned as-is
-        shorten_decoy_search(monkeypatch, 1, 0)
-        ch = bench_channel_at(150.0)
-        result = optimize_decoys(ch, 3, 0.104815, 13)
-        assert not result.flagged_zero
-        assert result.best_rate == rate_lower(result.best_params, ch).rate
-
-    def test_underflowing_search_scores_zero(self, monkeypatch):
-        # every start at this signal puts the decoys at 1e-11 down to
-        # ~2e-16, where t_max**k used to underflow in a sign guard; each
-        # point now certifies 0
-        shorten_decoy_search(monkeypatch, 1, 2)
+    def test_underflowing_search_scores_zero(self):
+        # at this signal every decoy set searched lies below 1e-11, where
+        # t_max**k used to underflow in a sign guard; each set now
+        # certifies 0
         result = optimize_decoys(bench_channel_at(10.0), 6, 1e-11, 13)
         assert result.flagged_zero and result.best_rate == 0.0 and result.evaluations > 0
 
     def test_typed_error_scores_zero(self, monkeypatch):
-        # at mu 2000 the larger trial decoys overflow e**t in the ladder:
-        # those trials raise a DegenerateGeometryError, score 0, and the
-        # search ends flagged rather than in the error
+        # at mu 2000 the larger decoy sets overflow e**t in the ladder:
+        # those sets raise a DegenerateGeometryError, score 0, and the
+        # search ends flagged after both coarse grids rather than in the
+        # error
         errors = []
 
         def recorded(pp, ch):
@@ -294,8 +308,8 @@ class TestOptimizeDecoys:
 
         monkeypatch.setattr(pmqcc.optimize, "rate_lower", recorded)
         result = optimize_decoys(bench_channel_at(10.0), 3, 2000.0, 13)
-        assert result.flagged_zero and result.best_rate == 0.0 and result.evaluations == 19
-        assert len(errors) == 12
+        assert result.flagged_zero and result.best_rate == 0.0 and result.evaluations == 80
+        assert len(errors) == 10
         assert all(message.startswith("decoy intensities too large: e**") for message in errors)
 
     def test_subnormal_rate_is_no_optimum(self):
@@ -305,25 +319,50 @@ class TestOptimizeDecoys:
         assert result.flagged_zero and result.best_rate == 0.0
 
     def test_searches_beyond_seventeen_parties_run(self):
-        # N=18 needs 19 decoys and N=24 needs 25; the starting points have
-        # no cap on N, and a search whose every trial scores 0 stops after
-        # one sweep of each restart
+        # N=18 needs 19 decoys and N=24 needs 25; a geometric set has no
+        # cap on N, and a search whose every set scores 0 stops after the
+        # coarse grid of each ratio
         for n in (18, 24):
             result = optimize_decoys(bench_channel_at(0.0), n, 0.1, 13)
             assert result.flagged_zero and result.best_rate == 0.0
-            assert result.evaluations <= DECOY_RESTARTS * (2 * (n_cut_for(n) + 1) + 1)
+            assert result.evaluations == len(DECOY_RATIOS) * len(DECOY_GRID)
 
-    def test_all_zero_search_stops_after_one_flat_sweep(self):
-        # at N=5, 20 km every trial certifies 0: one start plus one sweep
-        # of 2 * 5 trials per restart
+    def test_all_zero_search_stops_after_the_coarse_grids(self):
+        # at N=5, 20 km every decoy set certifies 0: no golden section
+        # follows either coarse grid
         result = optimize_decoys(bench_channel_at(20.0), 5, 0.1, 13)
         assert result.flagged_zero
-        assert result.evaluations <= DECOY_RESTARTS * (1 + 2 * 5)
+        assert result.evaluations == len(DECOY_RATIOS) * len(DECOY_GRID)
+
+    def test_positive_rate_is_found_where_fixed_starts_saw_none(self):
+        # the restarted descent reported no rate here after 19 evaluations:
+        # every start, its first decoy at mu/8 to mu/2, certified 0, while
+        # decoys near 2e-4 mu certify ~1.39e-9 (exact rate 1.81e-7)
+        ch = bench_channel_at(44.829)
+        result = optimize_decoys(ch, 3, 0.114607, 9)
+        assert not result.flagged_zero
+        assert 0.0 < result.best_rate <= rate_pmqcc(result.best_params, ch).rate
+
+    @pytest.mark.parametrize("config", SCALE_CONFIGS, ids=lambda c: f"N{c[1]}-{c[0].distance}km")
+    def test_search_reaches_the_best_scale(self, config):
+        # a dense scan of v over the grid's span, per ratio, finds nothing
+        # the grid and golden section miss, and the result stays sound
+        ch, n, mu, m = config
+        result = optimize_decoys(*config)
+        assert not result.flagged_zero
+        lo, hi = DECOY_GRID[0], DECOY_GRID[-1]
+        dense = max(
+            geometric_rate(ch, n, mu, m, lo + k * (hi - lo) / 599, ratio)
+            for ratio in DECOY_RATIOS for k in range(600)
+        )
+        assert result.best_rate >= (1.0 - 1e-6) * dense
+        assert result.best_rate <= rate_pmqcc(result.best_params, ch).rate
 
     def test_search_does_not_depend_on_how_a_dot_is_summed(self, monkeypatch):
-        # the search stops at DECOY_RTOL, far above the rounding of a dot,
-        # so two summation orders take the same path over the bench's
-        # decoy-search domain and agree on the rate to well below it
+        # the golden section stops at DECOY_TOL decades, far above what the
+        # rounding of a dot can move, so two summation orders take the
+        # same path over the bench's decoy-search domain and agree on the
+        # rate
         runs = {}
         for name, dot in (("fsum", lambda c, x: math.fsum(map(operator.mul, c, x))),
                           ("left-to-right", lambda c, x: sum(map(operator.mul, c, x)))):
