@@ -12,7 +12,6 @@ from pmqcc import (
     branch_gain_avg,
     branch_qber_avg,
     rate_pmqcc,
-    rate_pmqcc_star,
     transmittance,
 )
 
@@ -61,7 +60,7 @@ def main():
     )
     ch93 = ChannelParams(distance=50.0, loss_rate=0.2, detector_efficiency=0.93, dark_count=1e-7)
     plain = rate_pmqcc(pp_star, ch93).rate
-    star = rate_pmqcc_star(pp_star, ch93).rate
+    star = rate_pmqcc(pp_star, ch93, sliced=False).rate
     print(f"\nwithout phase post-selection (eta_d=0.93): R* = {star:.4e} vs R = {plain:.4e} "
           f"({star / plain:.0f}x)")
 

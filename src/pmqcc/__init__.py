@@ -31,8 +31,7 @@ _MODULE_OF = {
     ),
     **dict.fromkeys(("branch_gain_avg", "branch_qber_avg"), "interference"),
     **dict.fromkeys(
-        ("RateReport", "marginal_qber", "qber_star", "rate_pmqcc", "rate_pmqcc_star", "rate_reduced",
-         "scaling_exponent"),
+        ("RateReport", "marginal_qber", "qber_star", "rate_pmqcc", "scaling_exponent"),
         "keyrate",
     ),
     **dict.fromkeys(

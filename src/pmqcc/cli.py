@@ -7,12 +7,12 @@ Exit codes: 0 ok, 2 configuration/validation failure, 3 computation
 failure (degenerate decoys, insufficient data, ...); errors are emitted
 as a machine-readable JSON object on stderr.
 
-``rate``, ``curve`` and ``optimize`` build their parameters through one
-function, ``_setup``, which runs the distance-free checks in one order,
-so a config fails each of them with the same error before any output; a
-curve row whose rate then fails at its own distance is flagged
-``error:<type>``.  ``curve`` and ``optimize`` search only through
-``_search``, which decides what each protocol's search scores.
+``PROTOCOLS`` is the one table of protocol names: ``_setup`` reads it as
+``rate_pmqcc``'s variant arguments and a decoy-certified flag, all the
+library sees, and runs the distance-free checks of ``rate``, ``curve``
+and ``optimize`` in one order, so a config fails each of them with the
+same error before any output; a curve row whose rate then fails at its
+own distance is flagged ``error:<type>``.
 
 A process imports only the layers its command runs: the decoy
 estimator, the optimizers and the simulator are imported inside the
@@ -29,7 +29,7 @@ import json
 import math
 import sys
 
-from .core import OBJECTIVES, ChannelParams, ParameterError, PMQCCError, ProtocolParams
+from .core import ChannelParams, ParameterError, PMQCCError, ProtocolParams
 
 __all__ = ["main"]
 
@@ -45,7 +45,14 @@ FLOAT_KEYS = (
 )
 CONFIG_KEYS = {*INT_KEYS, *FLOAT_KEYS, "decoys", "boundaries", "mode"}
 
-PROTOCOLS = (*OBJECTIVES, "decoy-lower")
+# --protocol -> (sliced, the config's boundaries break the chain's ends,
+# the decoy ladder certifies the phase error)
+PROTOCOLS = {
+    "pmqcc": (True, False, False),
+    "pmqcc-star": (False, False, False),
+    "reduced": (True, True, False),
+    "decoy-lower": (True, False, True),
+}
 
 CSV_HEADER = "L_km,rate,gain,qber_max,phase_error,mu,M,flag"
 
@@ -222,62 +229,59 @@ def parse_boundaries(cfg: dict) -> tuple:
 
 
 def _setup(cfg: dict, protocol: str, targets: tuple = ()) -> tuple:
-    """(protocol record, channel, broken ends) of a command, after every
-    check that holds at every distance, in one order: the record, the
-    channel, the boundaries of any protocol but ``decoy-lower``, the
-    slice count, the dark count's domain of the branch gain and, unless
-    the decoys are searched, the decoy set of ``decoy-lower``.
+    """(record, channel, ``rate_pmqcc``'s variant kwargs, certified) of a
+    command, after every check that holds at every distance, in one
+    order: the record, the channel, the boundaries of an exact protocol,
+    the slice count, the dark count's domain of the branch gain and,
+    unless the decoys are searched, the decoy set of a certified one.
     ``targets`` names the searches of ``_search`` that pick fields: the
     record holds placeholders there, mu = 1 and M = 4 for ``"signal"``,
     no decoys for ``"decoys"``."""
     from .interference import branch_gain_avg
     from .keyrate import slice_constants
 
+    sliced, breaks_ends, certified = PROTOCOLS[protocol]
     if "signal" in targets:
         cfg = {**cfg, "mu": 1.0, "slices": 4}
     if "decoys" in targets:
         cfg = {**cfg, "decoys": ()}
     pp = build_protocol(cfg)
     ch = build_channel(cfg)
-    ends = (False, False)
-    if protocol != "decoy-lower":
-        ends = parse_boundaries(cfg)
-    slice_constants(pp, sliced=protocol != "pmqcc-star")
+    # every exact rate checks the boundaries, and only the reduced one reads them
+    ends = (False, False) if certified else parse_boundaries(cfg)
+    slice_constants(pp, sliced)
     branch_gain_avg(0.0, ch.dark_count)
-    if protocol == "decoy-lower" and "decoys" not in targets:
+    if certified and "decoys" not in targets:
         from .decoy import check_decoy_set
 
         check_decoy_set(pp)
-    return pp, ch, ends
+    return pp, ch, {"sliced": sliced, "boundaries": ends if breaks_ends else (False, False)}, certified
 
 
-def _search(target: str, protocol: str, pp: ProtocolParams, ch: ChannelParams, ends: tuple):
+def _search(target: str, variant: dict, pp: ProtocolParams, ch: ChannelParams):
     """The ``OptimizationResult`` of the ``"signal"`` or ``"decoys"`` search
     from ``pp`` at ``ch``.  The signal search scores the exact rate of
-    ``protocol`` (``pmqcc`` for ``decoy-lower``); the decoy search scores
-    the certified rate of the symmetric chain, so it takes no other one."""
+    ``variant``, also for a certified protocol; the decoy search scores
+    the certified rate of the symmetric chain."""
     from .optimize import optimize_decoys, optimize_signal
 
     if target == "signal":
-        objective = "pmqcc" if protocol == "decoy-lower" else protocol
-        return optimize_signal(ch, pp.n_parties, objective, ec_efficiency=pp.ec_efficiency,
-                               signal_phase_misalignment=pp.signal_phase_misalignment, boundaries=ends)
-    if protocol not in ("pmqcc", "decoy-lower"):
-        raise ConfigError(f"the decoy search certifies the pmqcc chain, not --protocol {protocol}")
+        return optimize_signal(ch, pp.n_parties, **variant, ec_efficiency=pp.ec_efficiency,
+                               signal_phase_misalignment=pp.signal_phase_misalignment)
     return optimize_decoys(ch, pp.n_parties, pp.signal_intensity, pp.slice_count,
                            ec_efficiency=pp.ec_efficiency)
 
 
-def compute_rate(protocol: str, pp: ProtocolParams, ch: ChannelParams, ends: tuple):
-    """The ``RateReport`` of ``protocol`` at ``pp`` and ``ch``."""
-    if protocol == "decoy-lower":
+def compute_rate(pp: ProtocolParams, ch: ChannelParams, variant: dict, certified: bool):
+    """The ``RateReport`` at ``pp`` and ``ch``: the decoy bound if
+    ``certified``, else the exact rate of ``variant``."""
+    if certified:
         from .decoy import rate_lower
 
         return rate_lower(pp, ch)
-    from .keyrate import objective_variant, rate_pmqcc
+    from .keyrate import rate_pmqcc
 
-    sliced, ends = objective_variant(protocol, ends)
-    return rate_pmqcc(pp, ch, sliced=sliced, boundaries=ends)
+    return rate_pmqcc(pp, ch, **variant)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -293,24 +297,25 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_rate(args) -> int:
     cfg = load_config(args.config)
-    pp, ch, ends = _setup(cfg, args.protocol)
-    report = compute_rate(args.protocol, pp, ch, ends)
+    pp, ch, variant, certified = _setup(cfg, args.protocol)
+    report = compute_rate(pp, ch, variant, certified)
     payload = {"protocol": args.protocol, **_fields(report), "config": cfg}
     _emit(_dump_json(payload) + "\n", args.out)
     return 0
 
 
 def _curve_row(
-    length: float, protocol: str, targets: tuple, fixed: ProtocolParams, channel: ChannelParams, ends: tuple
+    length: float, targets: tuple, fixed: ProtocolParams, channel: ChannelParams, variant: dict,
+    certified: bool,
 ) -> str:
-    """One CSV row: the rate of ``fixed`` and ``channel``, the record and
-    the channel of ``_setup``, at ``length`` after each of ``targets`` is
-    searched there; a search that fails ends it ``infeasible``."""
+    """One CSV row: the rate of ``_setup``'s record, channel, variant and
+    flag at ``length`` after each of ``targets`` is searched there; a
+    search that fails ends it ``infeasible``."""
     ch = ChannelParams(channel.loss_rate, length, channel.detector_efficiency, channel.dark_count)
     pp = fixed
     try:
         for target in targets:
-            result = _search(target, protocol, pp, ch, ends)
+            result = _search(target, variant, pp, ch)
             if result.flagged_zero:
                 mu, slices = (0, 0) if target == "signal" else (pp.signal_intensity, pp.slice_count)
                 return _csv_row(length, mu, slices, "infeasible")
@@ -318,7 +323,7 @@ def _curve_row(
             decoys = best.decoy_intensities if target == "decoys" else pp.decoy_intensities
             pp = ProtocolParams(pp.n_parties, best.signal_intensity, best.slice_count,
                                 pp.ec_efficiency, decoys, pp.signal_phase_misalignment)
-        report = compute_rate(protocol, pp, ch, ends)
+        report = compute_rate(pp, ch, variant, certified)
     except PMQCCError as exc:
         return _csv_row(length, 0, 0, f"error:{type(exc).__name__}")
     flag = "clamped" if report.clamped else "ok"
@@ -339,13 +344,14 @@ def cmd_curve(args) -> int:
             raise ConfigError(f"an l-step of {args.l_step} leaves the distance {length} unchanged")
         lengths.append(length)
         length += args.l_step
-    if args.optimize == "signal+decoys" and args.protocol != "decoy-lower":
+    _, _, certified = PROTOCOLS[args.protocol]
+    if args.optimize == "signal+decoys" and not certified:
         raise ConfigError("--optimize signal+decoys needs --protocol decoy-lower")
     # checked once, at l-min: a config that rate rejects fails here with the
     # same error instead of flagging every row
     targets = () if args.optimize == "none" else tuple(args.optimize.split("+"))
-    fixed, ch, ends = _setup({**cfg, "distance_km": args.l_min}, args.protocol, targets)
-    rows = (_curve_row(length, args.protocol, targets, fixed, ch, ends) for length in lengths)
+    fixed, ch, variant, _ = _setup({**cfg, "distance_km": args.l_min}, args.protocol, targets)
+    rows = (_curve_row(length, targets, fixed, ch, variant, certified) for length in lengths)
     _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0
 
@@ -384,8 +390,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
-    pp, ch, ends = _setup(cfg, args.protocol, (args.target,))
-    result = _search(args.target, args.protocol, pp, ch, ends)
+    pp, ch, variant, _ = _setup(cfg, args.protocol, (args.target,))
+    if args.target == "decoys" and args.protocol != "pmqcc":
+        raise ConfigError(f"the decoy search certifies the pmqcc chain, not --protocol {args.protocol}")
+    result = _search(args.target, variant, pp, ch)
     payload = {
         "target": args.target,
         "best_rate": result.best_rate,
@@ -409,13 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate", help="single-point rate report (JSON)")
     p_rate.add_argument("config")
-    p_rate.add_argument("--protocol", choices=PROTOCOLS, default="pmqcc")
+    p_rate.add_argument("--protocol", choices=tuple(PROTOCOLS), default="pmqcc")
     p_rate.add_argument("--out", default=None)
     p_rate.set_defaults(func=cmd_rate)
 
     p_curve = sub.add_parser("curve", help="rate-distance curve (CSV)")
     p_curve.add_argument("config")
-    p_curve.add_argument("--protocol", choices=PROTOCOLS, default="pmqcc")
+    p_curve.add_argument("--protocol", choices=tuple(PROTOCOLS), default="pmqcc")
     p_curve.add_argument("--l-min", type=float, required=True)
     p_curve.add_argument("--l-max", type=float, required=True)
     p_curve.add_argument("--l-step", type=float, required=True)
@@ -432,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="parameter optimization (JSON)")
     p_opt.add_argument("config")
     p_opt.add_argument("--target", choices=("signal", "decoys"), default="signal")
-    p_opt.add_argument("--protocol", choices=OBJECTIVES, default="pmqcc")
+    # a search reports an exact rate, never a certified one
+    p_opt.add_argument("--protocol", choices=[p for p, row in PROTOCOLS.items() if not row[2]], default="pmqcc")
     p_opt.add_argument("--out", default=None)
     p_opt.set_defaults(func=cmd_optimize)
     return parser

@@ -35,10 +35,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# the rate objectives of ``keyrate.objective_variant``, the command line
-# and the signal optimizer
-OBJECTIVES = ("pmqcc", "pmqcc-star", "reduced")
-
 
 class PMQCCError(Exception):
     """Base class for all package-specific errors."""

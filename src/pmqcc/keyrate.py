@@ -19,9 +19,12 @@ count M through the distance-free constants of ``slice_constants`` (the
 prefactor and the misalignment): the branch QBER, the marginals, the
 leak and R; it is the only place R is formed.  ``rate_pmqcc`` runs the
 two steps on the validated records, and the variants above are its
-arguments; it is the only place a ``RateReport`` is built.  The signal
-optimizer calls the two steps directly, so a sweep over the intensity
-builds no records and a sweep over M shares the intensity terms.
+arguments: ``sliced=False`` is the starred variant, ``boundaries``
+marks the broken ends of a reduced network and ``phase_error`` takes
+the decoy-certified bound.  It is the only place a ``RateReport`` is
+built.  The signal optimizer calls the two steps directly, so a sweep
+over the intensity builds no records and a sweep over M shares the
+intensity terms.
 
 The phase error E_X is the closed form of ``parity_phase_error``: by
 Poisson thinning the branch photon numbers are independent Poisson
@@ -32,9 +35,6 @@ is its branches, the (virtual intensity, survival) pairs that
 closed form, in the test suite, takes the same pairs.  The marginal
 QBERs are closed forms too, the odd share of m-1 branch errors.
 
-``objective_variant`` reads an objective name (``OBJECTIVES``) as
-``rate_pmqcc``'s arguments, for the command line and the optimizer.
-
 Negative raw rates clamp to 0 with a flag rather than raising, since
 optimizers routinely sweep infeasible regions.
 """
@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 
 from .core import (
-    OBJECTIVES,
     ChannelParams,
     InsufficientDataError,
     ParameterError,
@@ -62,8 +61,6 @@ __all__ = [
     "marginal_qber",
     "qber_star",
     "rate_pmqcc",
-    "rate_pmqcc_star",
-    "rate_reduced",
     "scaling_exponent",
     "slice_constants",
     "slice_rate",
@@ -282,32 +279,6 @@ def rate_pmqcc(
         sifting_prefactor=prefactor,
         clamped=clamped,
     )
-
-
-def rate_pmqcc_star(pp: ProtocolParams, ch: ChannelParams) -> RateReport:
-    """Rate without phase post-selection on signals: sifting prefactor 1,
-    branch QBER from the signal-mode misalignment, identical phase
-    error."""
-    return rate_pmqcc(pp, ch, sliced=False)
-
-
-def rate_reduced(pp: ProtocolParams, ch: ChannelParams, boundaries: tuple) -> RateReport:
-    """Rate of a reduced chain whose marked ends sit at broken points.
-
-    Branch gains and QBERs equal the symmetric ones (arrival intensities
-    are unchanged), so only the phase error — computed from the enlarged
-    asymmetric virtual intensities — differs.  With no boundaries this
-    reproduces ``rate_pmqcc``.
-    """
-    return rate_pmqcc(pp, ch, boundaries=boundaries)
-
-
-def objective_variant(objective: str, boundaries: tuple) -> tuple:
-    """``rate_pmqcc``'s (sliced, broken ends) for an objective name;
-    ``boundaries`` marks the broken ends of the reduced chain."""
-    if objective not in OBJECTIVES:
-        raise ParameterError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    return objective != "pmqcc-star", boundaries if objective == "reduced" else (False, False)
 
 
 def scaling_exponent(points) -> float:

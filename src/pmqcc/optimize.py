@@ -8,10 +8,10 @@ the zero-rate plateaus that surround the feasible window.  Each
 evaluation calls the two steps of the float rate kernel: the intensity
 terms (gain, phase error and its entropy), kept per intensity for the
 whole search and shared by every M, and the slice step with the
-constants hoisted per M.  The signal optimum is re-evaluated through
-``rate_pmqcc``, with the arguments ``objective_variant`` reads from the
-objective name.  Both searches score a rate below the smallest normal
-float as 0: a subnormal rate has lost most of its digits to underflow.
+constants hoisted per M.  The search takes ``rate_pmqcc``'s ``sliced``
+and ``boundaries`` and re-evaluates its optimum through ``rate_pmqcc``.
+Both searches score a rate below the smallest normal float as 0: a
+subnormal rate has lost most of its digits to underflow.
 
 Most slice counts cannot win, and the search skips them unscored.  With
 G(mu) the rate at prefactor 1 and e_delta = 0,
@@ -74,7 +74,7 @@ import sys
 
 from .core import ChannelParams, DegenerateGeometryError, ProtocolParams, Record, transmittance
 from .decoy import n_cut_for, rate_lower
-from .keyrate import intensity_terms, objective_variant, rate_pmqcc, slice_constants, slice_rate
+from .keyrate import intensity_terms, rate_pmqcc, slice_constants, slice_rate
 
 __all__ = ["OptimizationResult", "optimize_signal", "optimize_decoys"]
 
@@ -150,22 +150,21 @@ def _maximize_scalar(obj, grid=COARSE_GRID, tol=MU_TOL):
 def optimize_signal(
     ch: ChannelParams,
     n_parties: int,
-    objective: str = "pmqcc",
     *,
+    sliced: bool = True,
+    boundaries: tuple = (False, False),
     ec_efficiency: float = 1.16,
     signal_phase_misalignment: float = 0.0,
-    boundaries: tuple = (False, True),
     m_values=range(4, 65),
 ) -> OptimizationResult:
     """Maximize the key rate over (signal intensity, slice count).
 
-    For the starred objective the slice count is irrelevant (prefactor 1,
-    misalignment from the signal-mode parameter), so only the intensity
-    is searched.  Sliced, every M in ``m_values`` is validated, and an M
-    whose ceiling cannot beat the best rate so far is skipped unscored
-    (module docstring).
+    Unsliced, the starred variant, the slice count is irrelevant
+    (prefactor 1, misalignment from the signal-mode parameter), so only
+    the intensity is searched.  Sliced, every M in ``m_values`` is
+    validated, and an M whose ceiling cannot beat the best rate so far
+    is skipped unscored (module docstring).
     """
-    sliced, ends = objective_variant(objective, boundaries)
     eta = transmittance(ch)
 
     def params(mu: float, m: int) -> ProtocolParams:
@@ -188,7 +187,7 @@ def optimize_signal(
             evaluations += 1
             terms = terms_at.get(mu)
             if terms is None:
-                terms = terms_at[mu] = intensity_terms(n_parties, mu, ch.dark_count, eta, ends)
+                terms = terms_at[mu] = intensity_terms(n_parties, mu, ch.dark_count, eta, boundaries)
             raw = slice_rate(terms, ec_efficiency, prefactor, misalignment, sliced)[0]
             return raw if raw >= _TINY else 0.0
 
@@ -220,7 +219,7 @@ def optimize_signal(
     # bench/test_bench.py requires this call to keyrate.rate_pmqcc: not a removable re-run
     return OptimizationResult(
         best_params=best_params,
-        best_rate=rate_pmqcc(best_params, ch, sliced=sliced, boundaries=ends).rate,
+        best_rate=rate_pmqcc(best_params, ch, sliced=sliced, boundaries=boundaries).rate,
         evaluations=evaluations,
     )
 

@@ -32,7 +32,6 @@ from pmqcc import (
     phase_error_upper,
     rate_lower,
     rate_pmqcc,
-    rate_reduced,
     run_rounds,
     scaling_exponent,
     tally_expectation,
@@ -91,7 +90,7 @@ def test_c01_benchmark_table(distance, mu, slices, reference):
 def test_c02_reduced_table(distance, mu, slices, reference):
     pp = ProtocolParams(n_parties=3, signal_intensity=mu, slice_count=slices)
     start = time.perf_counter()
-    rate = rate_reduced(pp, bench_channel_at(distance), (False, True)).rate
+    rate = rate_pmqcc(pp, bench_channel_at(distance), boundaries=(False, True)).rate
     elapsed = time.perf_counter() - start
     rel = abs(rate - reference) / reference
     assert elapsed < 1.0
@@ -275,7 +274,7 @@ def test_c08_star_ordering_over_grid():
     failures = []
     for distance in range(0, 301, 10):
         ch = ChannelParams(distance=float(distance), **ch_kwargs)
-        star_opt = optimize_signal(ch, 3, "pmqcc-star", signal_phase_misalignment=0.015)
+        star_opt = optimize_signal(ch, 3, sliced=False, signal_phase_misalignment=0.015)
         if star_opt.flagged_zero:
             continue  # no operating point: both rates are 0
         mu = star_opt.best_params.signal_intensity

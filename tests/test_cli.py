@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from pmqcc.cli import MAX_PARTIES, PROTOCOLS, _fmt, build_protocol, main
+from pmqcc import rate_lower, rate_pmqcc
+from pmqcc.cli import MAX_PARTIES, PROTOCOLS, _dump_json, _fields, _fmt, build_channel, build_protocol, main
 from pmqcc.decoy import n_cut_for
 
 TABLE_CONFIG = {
@@ -224,6 +225,26 @@ class TestRateCommand:
         code, out, _ = run_cli(["rate", cfg, "--protocol", "reduced"], capsys)
         assert code == 0
         assert json.loads(out)["rate"] == pytest.approx(1.7060e-7, rel=1e-3)
+
+    def test_each_protocol_prints_the_rate_its_row_names(self, tmp_path, capsys):
+        # with both ends marked broken, only reduced reads them: pmqcc and
+        # pmqcc-star rate the symmetric chain, decoy-lower bounds it
+        cfg = {**GOLDEN_N3, "boundaries": ["left", "right"]}
+        path = write_config(tmp_path, cfg)
+        pp, ch = build_protocol(cfg), build_channel(cfg)
+        expected = {
+            "pmqcc": rate_pmqcc(pp, ch),
+            "pmqcc-star": rate_pmqcc(pp, ch, sliced=False),
+            "reduced": rate_pmqcc(pp, ch, boundaries=(True, True)),
+            "decoy-lower": rate_lower(pp, ch),
+        }
+        assert set(expected) == set(PROTOCOLS)
+        for protocol, report in expected.items():
+            code, out, err = run_cli(["rate", path, "--protocol", protocol], capsys)
+            assert (code, err) == (0, "")
+            assert out == _dump_json({"protocol": protocol, **_fields(report), "config": cfg}) + "\n"
+        assert 0.0 < expected["reduced"].rate < expected["pmqcc"].rate
+        assert 0.0 < expected["decoy-lower"].rate < expected["pmqcc"].rate
 
     # t**2 at t = 2 mu = 1.4e154 overflows: rate ended in an OverflowError
     # traceback (exit 1), and curve aborted its whole run; t = 2e308 is

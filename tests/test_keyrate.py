@@ -17,8 +17,6 @@ from pmqcc import (
     marginal_qber,
     qber_star,
     rate_pmqcc,
-    rate_pmqcc_star,
-    rate_reduced,
     scaling_exponent,
     binary_entropy,
     transmittance,
@@ -201,14 +199,14 @@ class TestRateStar:
         pp = ProtocolParams(
             n_parties=3, signal_intensity=0.1333, slice_count=13, signal_phase_misalignment=0.015
         )
-        report = rate_pmqcc_star(pp, bench_channel)
+        report = rate_pmqcc(pp, bench_channel, sliced=False)
         assert report.sifting_prefactor == 1.0
 
     def test_zero_misalignment_two_party(self):
         # e* = 0, p_d = 0, N = 2: R* collapses to Q (1 - H(E_X))
         pp = ProtocolParams(n_parties=2, signal_intensity=0.1, slice_count=14)
         ch = ChannelParams(0.2, 50.0, 0.65, 0.0)
-        report = rate_pmqcc_star(pp, ch)
+        report = rate_pmqcc(pp, ch, sliced=False)
         from pmqcc import binary_entropy
 
         assert report.marginal_qbers == (0.0,)
@@ -219,19 +217,19 @@ class TestRateStar:
         pp = ProtocolParams(n_parties=3, signal_intensity=0.1, slice_count=14,
                             signal_phase_misalignment=0.015)
         ch = ChannelParams(0.2, 1e5, 0.65, 0.0)
-        assert rate_pmqcc_star(pp, ch).rate == 0.0
+        assert rate_pmqcc(pp, ch, sliced=False).rate == 0.0
 
     def test_beats_sliced_protocol_at_benchmark(self, bench_channel):
         pp = ProtocolParams(
             n_parties=3, signal_intensity=0.1333, slice_count=13, signal_phase_misalignment=0.015
         )
-        assert rate_pmqcc_star(pp, bench_channel).rate > rate_pmqcc(pp, bench_channel).rate
+        assert rate_pmqcc(pp, bench_channel, sliced=False).rate > rate_pmqcc(pp, bench_channel).rate
 
 
 class TestRateReduced:
     def test_no_boundaries_degenerates(self, bench_channel, bench_protocol):
         full = rate_pmqcc(bench_protocol, bench_channel)
-        red = rate_reduced(bench_protocol, bench_channel, (False, False))
+        red = rate_pmqcc(bench_protocol, bench_channel, boundaries=(False, False))
         assert red.rate == full.rate
         assert red.phase_error == full.phase_error
 
@@ -241,12 +239,12 @@ class TestRateReduced:
             (100.0, 0.1032, 1.6151629922769103e-09),
         ]:
             pp = ProtocolParams(n_parties=3, signal_intensity=mu, slice_count=13)
-            report = rate_reduced(pp, bench_channel_at(distance), (False, True))
+            report = rate_pmqcc(pp, bench_channel_at(distance), boundaries=(False, True))
             assert report.rate == pytest.approx(expected, rel=1e-12)
 
     def test_boundary_lowers_rate(self, bench_channel, bench_protocol):
         full = rate_pmqcc(bench_protocol, bench_channel)
-        red = rate_reduced(bench_protocol, bench_channel, (False, True))
+        red = rate_pmqcc(bench_protocol, bench_channel, boundaries=(False, True))
         assert red.rate < full.rate
         # gains agree (arrivals unchanged); the loss is in the phase error
         assert red.gain == pytest.approx(full.gain, rel=1e-12)
@@ -257,7 +255,7 @@ class TestRateReduced:
         # mass is that of (N-1) mu + mu/2
         pp = ProtocolParams(n_parties=4, signal_intensity=0.1, slice_count=13)
         ch = ChannelParams(0.2, 1e5, 0.65, 1e-6)
-        report = rate_reduced(pp, ch, (False, True))
+        report = rate_pmqcc(pp, ch, boundaries=(False, True))
         assert report.phase_error == pytest.approx(parity_split(0.35).p_odd, rel=1e-12)
 
 
@@ -422,8 +420,8 @@ class TestRateKernel:
             return max(raw, 0.0)
 
         assert rate_pmqcc(pp, bench_channel).rate == kernel(True, (False, False))
-        assert rate_pmqcc_star(pp, bench_channel).rate == kernel(False, (False, False))
-        assert rate_reduced(pp, bench_channel, (True, False)).rate == kernel(True, (True, False))
+        assert rate_pmqcc(pp, bench_channel, sliced=False).rate == kernel(False, (False, False))
+        assert rate_pmqcc(pp, bench_channel, boundaries=(True, False)).rate == kernel(True, (True, False))
 
     def test_constants(self):
         pp = ProtocolParams(n_parties=3, signal_intensity=0.1, slice_count=2,

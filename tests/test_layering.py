@@ -1,6 +1,8 @@
 """Module boundaries inside the package: no module reaches into a
-sibling's private names, or imports a sibling's name it does not use."""
+sibling's private names, or imports a sibling's name it does not use,
+and only the command line names a protocol."""
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -95,3 +97,51 @@ def test_every_public_name_resolves_from_its_layer():
         assert getattr(pmqcc, name).__module__.startswith("pmqcc.")
     with pytest.raises(AttributeError):
         pmqcc.not_a_name
+
+
+# the protocol names the command line maps onto rate_pmqcc's arguments
+PROTOCOL_NAMES = {"pmqcc-star", "reduced", "decoy-lower"}
+
+
+def protocol_names(source: str) -> list:
+    """Every string constant of the source that is a protocol name; a
+    docstring that uses one in prose is no such constant."""
+    return sorted(
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in PROTOCOL_NAMES
+    )
+
+
+def test_detects_protocol_names():
+    source = (
+        "def f(name, ends):\n"
+        '    """The reduced chain, not decoy-lower or pmqcc-star."""\n'
+        '    if name == "decoy-lower":\n'
+        '        return {"reduced": ends, "pmqcc": None}\n'
+        '    return ("pmqcc-star", "reduced chain")\n'
+    )
+    assert protocol_names(source) == ["decoy-lower", "pmqcc-star", "reduced"]
+
+
+def test_only_the_command_line_names_a_protocol():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(paths) > 1
+    found = {path.name: protocol_names(path.read_text(encoding="utf-8")) for path in paths}
+    in_cli = found.pop("cli.py")
+    assert {name: names for name, names in found.items() if names} == {}
+    assert set(in_cli) == PROTOCOL_NAMES
+
+
+def test_protocol_choices_of_each_command():
+    from pmqcc.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    choices = {
+        command: list(action.choices)
+        for command, parser in commands.items()
+        for action in parser._actions
+        if "--protocol" in action.option_strings
+    }
+    every = ["pmqcc", "pmqcc-star", "reduced", "decoy-lower"]
+    assert choices == {"rate": every, "curve": every, "optimize": every[:3]}

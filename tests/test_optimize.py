@@ -16,28 +16,28 @@ from pmqcc import (
     optimize_signal,
     rate_lower,
     rate_pmqcc,
-    rate_pmqcc_star,
-    rate_reduced,
 )
-from pmqcc.core import OBJECTIVES, DegenerateGeometryError, ProtocolParams, transmittance
+from pmqcc.core import DegenerateGeometryError, ProtocolParams, transmittance
 from pmqcc.decoy import n_cut_for
 from pmqcc.optimize import COARSE_GRID, COARSE_POINTS, DECOY_GRID, DECOY_RATIOS, MU_BOUNDS
 from tests.conftest import bench_channel_at
 
-# (N, km, objective, options) -> repr-exact (best_rate, mu, M, evaluations),
+# (N, km, the --protocol whose rate the options select, options) ->
+# repr-exact (best_rate, mu, M, evaluations),
 # recorded before the signal search moved onto the float rate kernel; the
 # two 0 km pins moved in their last bits when the coarse grid stopped
 # copying numpy's geomspace bits.  The sliced counts fell (3471 -> 987,
 # 3394 -> 1786, 3406 -> 1241, 3423 -> 975) when the search began to skip
 # the slice counts that cannot win; no (rate, mu, M) moved
 SIGNAL_PINS = [
-    (3, 0.0, "pmqcc-star", {}, (0.004662954994628381, 0.32228186275069476, 13, 58)),
-    (4, 0.0, "pmqcc-star", {}, (0.00036245414901835203, 0.3281938145491478, 13, 58)),
+    (3, 0.0, "pmqcc-star", {"sliced": False}, (0.004662954994628381, 0.32228186275069476, 13, 58)),
+    (4, 0.0, "pmqcc-star", {"sliced": False}, (0.00036245414901835203, 0.3281938145491478, 13, 58)),
     (3, 50.0, "pmqcc", {}, (2.6989203981946936e-07, 0.13325153946430002, 13, 987)),
     (6, 5.0, "pmqcc", {}, (3.074864647534463e-13, 0.10112536483043255, 18, 1786)),
     (4, 20.0, "reduced", {"boundaries": (True, False)}, (3.968709193709239e-09, 0.10133041148481194, 15, 1241)),
-    (3, 100.0, "reduced", {}, (1.6151632361571763e-09, 0.1031781854365203, 13, 975)),
-    (5, 10.0, "pmqcc-star", {"signal_phase_misalignment": 0.015}, (1.0579727209971773e-08, 0.04747187828944102, 13, 54)),
+    (3, 100.0, "reduced", {"boundaries": (False, True)}, (1.6151632361571763e-09, 0.1031781854365203, 13, 975)),
+    (5, 10.0, "pmqcc-star", {"sliced": False, "signal_phase_misalignment": 0.015},
+     (1.0579727209971773e-08, 0.04747187828944102, 13, 54)),
 ]
 
 
@@ -55,14 +55,14 @@ class TestOptimizeSignal:
 
     def test_reevaluation_star(self):
         ch = ChannelParams(0.2, 60.0, 0.93, 1e-7)
-        result = optimize_signal(ch, 3, "pmqcc-star", signal_phase_misalignment=0.015)
-        assert result.best_rate == rate_pmqcc_star(result.best_params, ch).rate
+        result = optimize_signal(ch, 3, sliced=False, signal_phase_misalignment=0.015)
+        assert result.best_rate == rate_pmqcc(result.best_params, ch, sliced=False).rate
         assert result.best_rate > 0.0
 
     def test_reevaluation_reduced(self):
         ch = bench_channel_at(50.0)
-        result = optimize_signal(ch, 3, "reduced", m_values=range(11, 16))
-        assert result.best_rate == rate_reduced(result.best_params, ch, (False, True)).rate
+        result = optimize_signal(ch, 3, boundaries=(False, True), m_values=range(11, 16))
+        assert result.best_rate == rate_pmqcc(result.best_params, ch, boundaries=(False, True)).rate
         assert result.best_params.signal_intensity == pytest.approx(0.1059, abs=5e-3)
 
     def test_infeasible_channel_flagged(self):
@@ -98,11 +98,12 @@ class TestOptimizeSignal:
             result = optimize_signal(bench_channel_at(distance), 3)
             assert 8 <= result.best_params.slice_count <= 32
 
-    @pytest.mark.parametrize("n, km, objective, options, expected", SIGNAL_PINS)
-    def test_pinned_optima(self, n, km, objective, options, expected):
-        result = optimize_signal(ChannelParams(0.2, km, 0.65, 7.2e-8), n, objective, **options)
+    @pytest.mark.parametrize("n, km, protocol, options, expected", SIGNAL_PINS)
+    def test_pinned_optima(self, n, km, protocol, options, expected):
+        result = optimize_signal(ChannelParams(0.2, km, 0.65, 7.2e-8), n, **options)
         best = result.best_params
-        assert (result.best_rate, best.signal_intensity, best.slice_count, result.evaluations) == expected
+        found = (result.best_rate, best.signal_intensity, best.slice_count, result.evaluations)
+        assert found == expected, protocol
 
     def test_phase_error_once_per_intensity(self, monkeypatch):
         # the intensity terms are shared by every M: each mu pays for its
@@ -124,7 +125,7 @@ class TestOptimizeSignal:
 
     def test_reported_rate_is_a_scored_one(self, monkeypatch):
         # the report's rate, re-run through rate_pmqcc, is bit for bit a
-        # rate the search scored, over every objective and end pattern
+        # rate the search scored, sliced or not, over every end pattern
         scored = []
         slice_rate = pmqcc.optimize.slice_rate
 
@@ -138,16 +139,16 @@ class TestOptimizeSignal:
         feasible = set()
         for _ in range(100):
             n = rng.randint(2, 8)
-            objective = rng.choice(OBJECTIVES)
+            sliced = rng.choice([True, False])
             ends = rng.choice([(False, False), (False, True), (True, False), (True, True)])
             ch = ChannelParams(0.2, rng.uniform(0.0, 400.0 / (n - 1)), 0.65, rng.choice([0.0, 7.2e-8, 1e-5]))
             scored.clear()
-            result = optimize_signal(ch, n, objective, boundaries=ends,
+            result = optimize_signal(ch, n, sliced=sliced, boundaries=ends,
                                      signal_phase_misalignment=rng.uniform(0.0, 0.05))
             if not result.flagged_zero:
-                assert result.best_rate in scored, (ch, n, objective, ends)
-                feasible.add((objective, ends))
-        assert len(feasible) == len(OBJECTIVES) * 4
+                assert result.best_rate in scored, (ch, n, sliced, ends)
+                feasible.add((sliced, ends))
+        assert len(feasible) == 2 * 4
 
     def test_coarse_grid_is_geometric_over_the_bounds(self):
         assert len(COARSE_GRID) == COARSE_POINTS
@@ -156,29 +157,23 @@ class TestOptimizeSignal:
         for a, b in zip(COARSE_GRID, COARSE_GRID[1:]):
             assert b / a == pytest.approx(ratio, rel=1e-15)
 
-    def test_bad_objective(self):
-        with pytest.raises(ParameterError):
-            optimize_signal(bench_channel_at(50.0), 3, "bogus")
-
     def test_skipping_slice_counts_changes_no_optimum(self):
         # the search that skips the slice counts its ceiling rules out
         # returns, repr for repr, the first strict maximum over every M
         # scored alone; and every M's rate is below (2/M)^(N-1) max G
         # even without the slack, the inequality the skipping rests on
         results = []
-        for ch, n, objective, options in EXHAUSTIVE_CONFIGS:
-            result = optimize_signal(ch, n, objective, **options)
-            singles = [
-                (m, optimize_signal(ch, n, objective, m_values=[m], **options)) for m in SLICE_COUNTS
-            ]
+        for ch, n, options in EXHAUSTIVE_CONFIGS:
+            result = optimize_signal(ch, n, **options)
+            singles = [(m, optimize_signal(ch, n, m_values=[m], **options)) for m in SLICE_COUNTS]
             best = None
             for _, single in singles:
                 if not single.flagged_zero and (best is None or single.best_rate > best.best_rate):
                     best = single
-            assert summary(result) == summary(best), (ch, n, objective, options)
-            top = slice_free_maximum(ch, n, objective, options)
+            assert summary(result) == summary(best), (ch, n, options)
+            top = slice_free_maximum(ch, n, options)
             for m, single in singles:
-                assert single.best_rate <= (2.0 / m) ** (n - 1) * top, (ch, n, objective, options, m)
+                assert single.best_rate <= (2.0 / m) ** (n - 1) * top, (ch, n, options, m)
             results.append(result)
         # the draws hold infeasible rows, rates that underflow to
         # subnormals (N=88), which no search returns, and skipped M
@@ -191,10 +186,10 @@ class TestOptimizeSignal:
 
 SLICE_COUNTS = range(4, 65)
 SEARCH_SHAPES = [
-    ("pmqcc", {}),
-    ("reduced", {"boundaries": (False, True)}),
-    ("reduced", {"boundaries": (True, False)}),
-    ("reduced", {"boundaries": (True, True)}),
+    {},
+    {"boundaries": (False, True)},
+    {"boundaries": (True, False)},
+    {"boundaries": (True, True)},
 ]
 
 
@@ -207,15 +202,14 @@ def exhaustive_configs() -> list:
     for n in list(range(2, 13)) * 2 + [80, 83, 85, 88]:
         km = 0.0 if n >= 80 else round(rng.uniform(0.0, 320.0), 3)
         pd = rng.choice([0.0, 7.2e-8, float(f"{10 ** rng.uniform(-9.0, -4.0):.3g}")])
-        objective, options = rng.choice(SEARCH_SHAPES)
-        configs.append((ChannelParams(0.2, km, 0.65, pd), n, objective, options))
+        configs.append((ChannelParams(0.2, km, 0.65, pd), n, rng.choice(SEARCH_SHAPES)))
     return configs
 
 
 EXHAUSTIVE_CONFIGS = exhaustive_configs()
 
 
-def slice_free_maximum(ch, n, objective, options) -> float:
+def slice_free_maximum(ch, n, options) -> float:
     """max G, G(mu) the rate at prefactor 1 and e_delta = 0, as the
     signal search estimates it."""
     eta = transmittance(ch)
