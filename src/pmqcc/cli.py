@@ -7,24 +7,25 @@ Exit codes: 0 ok, 2 configuration/validation failure, 3 computation
 failure (degenerate decoys, insufficient data, ...); errors are emitted
 as a machine-readable JSON object on stderr.
 
-``PROTOCOLS`` is the one table of protocol names: ``_setup`` reads it as
-``rate_pmqcc``'s variant arguments and a decoy-certified flag, all the
-library sees, and runs the distance-free checks of ``rate``, ``curve``
-and ``optimize`` in one order, so a config fails each of them with the
-same error before any output; a curve row whose rate then fails at its
-own distance is flagged ``error:<type>``.
+``PROTOCOLS`` is the one table of protocol names: ``_setup`` reads it
+once into ``rate_pmqcc``'s variant arguments, all the library sees, and
+the command's rate function, and runs the distance-free checks of
+``rate``, ``curve`` and ``optimize`` in one order, so a config fails
+each of them with the same error before any output; a curve row whose
+rate then fails at its own distance is flagged ``error:<type>``.
 
 A process imports only the layers its command runs: the decoy
 estimator, the optimizers and the simulator are imported inside the
-commands that use them, so a plain rate loads ``core``, ``interference``
-and ``keyrate`` alone.  The rate layers are imported inside the
-functions that run them too, so ``simulate`` loads ``core`` and
-``montecarlo`` alone.
+functions that use them, so a plain rate loads ``core``, ``interference``
+and ``keyrate`` alone, and a signal search adds ``optimize`` alone.  The
+rate layers are imported inside the functions that run them too, so
+``simulate`` loads ``core`` and ``montecarlo`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -229,8 +230,9 @@ def parse_boundaries(cfg: dict) -> tuple:
 
 
 def _setup(cfg: dict, protocol: str, targets: tuple = ()) -> tuple:
-    """(record, channel, ``rate_pmqcc``'s variant kwargs, certified) of a
-    command, after every check that holds at every distance, in one
+    """(record, channel, ``rate_pmqcc``'s variant kwargs, the rate
+    function: ``decoy.rate_lower`` or ``rate_pmqcc`` with the variant) of
+    a command, after every check that holds at every distance, in one
     order: the record, the channel, the boundaries of an exact protocol,
     the slice count, the dark count's domain of the branch gain and,
     unless the decoys are searched, the decoy set of a certified one.
@@ -238,7 +240,7 @@ def _setup(cfg: dict, protocol: str, targets: tuple = ()) -> tuple:
     record holds placeholders there, mu = 1 and M = 4 for ``"signal"``,
     no decoys for ``"decoys"``."""
     from .interference import branch_gain_avg
-    from .keyrate import slice_constants
+    from .keyrate import rate_pmqcc, slice_constants
 
     sliced, breaks_ends, certified = PROTOCOLS[protocol]
     if "signal" in targets:
@@ -251,11 +253,14 @@ def _setup(cfg: dict, protocol: str, targets: tuple = ()) -> tuple:
     ends = (False, False) if certified else parse_boundaries(cfg)
     slice_constants(pp, sliced)
     branch_gain_avg(0.0, ch.dark_count)
-    if certified and "decoys" not in targets:
-        from .decoy import check_decoy_set
+    variant = {"sliced": sliced, "boundaries": ends if breaks_ends else (False, False)}
+    if certified:
+        from .decoy import check_decoy_set, rate_lower
 
-        check_decoy_set(pp)
-    return pp, ch, {"sliced": sliced, "boundaries": ends if breaks_ends else (False, False)}, certified
+        if "decoys" not in targets:
+            check_decoy_set(pp)
+        return pp, ch, variant, rate_lower
+    return pp, ch, variant, functools.partial(rate_pmqcc, **variant)
 
 
 def _search(target: str, variant: dict, pp: ProtocolParams, ch: ChannelParams):
@@ -272,18 +277,6 @@ def _search(target: str, variant: dict, pp: ProtocolParams, ch: ChannelParams):
                            ec_efficiency=pp.ec_efficiency)
 
 
-def compute_rate(pp: ProtocolParams, ch: ChannelParams, variant: dict, certified: bool):
-    """The ``RateReport`` at ``pp`` and ``ch``: the decoy bound if
-    ``certified``, else the exact rate of ``variant``."""
-    if certified:
-        from .decoy import rate_lower
-
-        return rate_lower(pp, ch)
-    from .keyrate import rate_pmqcc
-
-    return rate_pmqcc(pp, ch, **variant)
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         try:
@@ -297,20 +290,19 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_rate(args) -> int:
     cfg = load_config(args.config)
-    pp, ch, variant, certified = _setup(cfg, args.protocol)
-    report = compute_rate(pp, ch, variant, certified)
+    pp, ch, _, rate = _setup(cfg, args.protocol)
+    report = rate(pp, ch)
     payload = {"protocol": args.protocol, **_fields(report), "config": cfg}
     _emit(_dump_json(payload) + "\n", args.out)
     return 0
 
 
 def _curve_row(
-    length: float, targets: tuple, fixed: ProtocolParams, channel: ChannelParams, variant: dict,
-    certified: bool,
+    length: float, targets: tuple, fixed: ProtocolParams, channel: ChannelParams, variant: dict, rate
 ) -> str:
-    """One CSV row: the rate of ``_setup``'s record, channel, variant and
-    flag at ``length`` after each of ``targets`` is searched there; a
-    search that fails ends it ``infeasible``."""
+    """One CSV row: ``rate`` at ``length`` from ``_setup``'s record and
+    channel, after each of ``targets`` is searched there with its
+    variant; a search that fails ends it ``infeasible``."""
     ch = ChannelParams(channel.loss_rate, length, channel.detector_efficiency, channel.dark_count)
     pp = fixed
     try:
@@ -323,7 +315,7 @@ def _curve_row(
             decoys = best.decoy_intensities if target == "decoys" else pp.decoy_intensities
             pp = ProtocolParams(pp.n_parties, best.signal_intensity, best.slice_count,
                                 pp.ec_efficiency, decoys, pp.signal_phase_misalignment)
-        report = compute_rate(pp, ch, variant, certified)
+        report = rate(pp, ch)
     except PMQCCError as exc:
         return _csv_row(length, 0, 0, f"error:{type(exc).__name__}")
     flag = "clamped" if report.clamped else "ok"
@@ -350,8 +342,8 @@ def cmd_curve(args) -> int:
     # checked once, at l-min: a config that rate rejects fails here with the
     # same error instead of flagging every row
     targets = () if args.optimize == "none" else tuple(args.optimize.split("+"))
-    fixed, ch, variant, _ = _setup({**cfg, "distance_km": args.l_min}, args.protocol, targets)
-    rows = (_curve_row(length, targets, fixed, ch, variant, certified) for length in lengths)
+    fixed, ch, variant, rate = _setup({**cfg, "distance_km": args.l_min}, args.protocol, targets)
+    rows = (_curve_row(length, targets, fixed, ch, variant, rate) for length in lengths)
     _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0
 
@@ -440,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="parameter optimization (JSON)")
     p_opt.add_argument("config")
     p_opt.add_argument("--target", choices=("signal", "decoys"), default="signal")
-    # a search reports an exact rate, never a certified one
+    # no decoy-lower: --target signal scores and reports the exact rate of
+    # --protocol, and --target decoys always certifies the pmqcc chain
     p_opt.add_argument("--protocol", choices=[p for p, row in PROTOCOLS.items() if not row[2]], default="pmqcc")
     p_opt.add_argument("--out", default=None)
     p_opt.set_defaults(func=cmd_optimize)

@@ -84,16 +84,16 @@ __all__ = [
 CHUNK_SIZE = 1 << 16
 
 # The kernels' cost difference, fitted to `simulate` process times on 2
-# cores (N=3-4, 6-906 chunks, E[K] 40k-160k): numpy costs ~0.16 s more
-# to import plus ~80 us more per chunk, and the stdlib kernel ~1.1 us
-# more per candidate branch.  So the crossover grows with the chunk
-# count and falls as 1/(N-1): NUMPY_CANDIDATES is its E[K] at N=3 with
-# few chunks, and NUMPY_CHUNKS the chunk count whose extra numpy call
-# overhead matches the import.  The fit predates the stdlib kernel's
-# bracket squeeze, which cut its cost to ~0.85 us per candidate branch
-# and moved the crossover at N=3 with few chunks to ~110k; it is not
-# refitted yet.
-NUMPY_CANDIDATES = 72_000
+# cores with the bracket-squeezed stdlib kernel (N=3-4, 6-6114 chunks,
+# E[K] 40k-160k): numpy costs ~0.16 s more to import plus ~70 us more per
+# chunk, and the stdlib kernel ~0.5 us more per candidate branch.  So the
+# crossover grows with the chunk count and falls as 1/(N-1):
+# NUMPY_CANDIDATES is its E[K] at N=3 with few chunks, and NUMPY_CHUNKS
+# the chunk count whose extra numpy call overhead matches the import.
+# The fit puts the crossover at N=3 with few chunks at ~150k; it is held
+# at 120k so that the runs whose tallies were recorded from the numpy
+# kernel (N=4, 2 chunks, E[K] 83.5k) keep it.
+NUMPY_CANDIDATES = 120_000
 NUMPY_CHUNKS = 2_000
 
 # cells of the stdlib kernel's bracket table; even, so that x = 1/2 is a

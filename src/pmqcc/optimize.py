@@ -73,7 +73,6 @@ import math
 import sys
 
 from .core import ChannelParams, DegenerateGeometryError, ProtocolParams, Record, transmittance
-from .decoy import n_cut_for, rate_lower
 from .keyrate import intensity_terms, rate_pmqcc, slice_constants, slice_rate
 
 __all__ = ["OptimizationResult", "optimize_signal", "optimize_decoys"]
@@ -238,6 +237,9 @@ def optimize_decoys(
     ratio scores ``DECOY_GRID`` and then a golden section to
     ``DECOY_TOL`` decades, each call to the ladder one evaluation.
     """
+    # imported here, so that a signal search loads no decoy layer
+    from .decoy import n_cut_for, rate_lower
+
     n_decoys = n_cut_for(n_parties) + 1
 
     def params(v: float, ratio: float) -> ProtocolParams:

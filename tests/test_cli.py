@@ -809,6 +809,17 @@ class TestEntryPoint:
             "pmqcc", "pmqcc.cli", "pmqcc.core", "pmqcc.interference", "pmqcc.keyrate"
         ]
 
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--target", "signal"],
+        ["curve", "--l-min", "50", "--l-max", "50", "--l-step", "10", "--optimize", "signal"],
+        ["curve", "--protocol", "reduced", "--l-min", "50", "--l-max", "50", "--l-step", "10",
+         "--optimize", "signal"],
+    ], ids=["optimize-signal", "curve-signal", "curve-reduced-signal"])
+    def test_signal_search_loads_no_decoy_layer(self, tmp_path, command):
+        assert loaded_after(tmp_path, command, "pmqcc") == [
+            "pmqcc", "pmqcc.cli", "pmqcc.core", "pmqcc.interference", "pmqcc.keyrate", "pmqcc.optimize"
+        ]
+
     def test_simulate_loads_only_the_simulator_layers(self, tmp_path):
         assert loaded_after(tmp_path, ["simulate"], "pmqcc") == [
             "pmqcc", "pmqcc.cli", "pmqcc.core", "pmqcc.montecarlo"

@@ -300,7 +300,7 @@ class TestOptimizeDecoys:
                 errors.append(str(exc))
                 raise
 
-        monkeypatch.setattr(pmqcc.optimize, "rate_lower", recorded)
+        monkeypatch.setattr(pmqcc.decoy, "rate_lower", recorded)
         result = optimize_decoys(bench_channel_at(10.0), 3, 2000.0, 13)
         assert result.flagged_zero and result.best_rate == 0.0 and result.evaluations == 80
         assert len(errors) == 10
