@@ -35,7 +35,7 @@ _MODULE_OF = {
         "keyrate",
     ),
     **dict.fromkeys(
-        ("EmpiricalEstimates", "SimConfig", "SimTally", "estimate", "run_rounds", "tally_expectation"),
+        ("SimConfig", "SimTally", "run_rounds", "tally_expectation"),
         "montecarlo",
     ),
     **dict.fromkeys(("OptimizationResult", "optimize_decoys", "optimize_signal"), "optimize"),

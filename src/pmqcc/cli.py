@@ -349,7 +349,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .montecarlo import SimConfig, estimate, run_rounds, tally_expectation
+    from .montecarlo import SimConfig, run_rounds, tally_expectation
 
     cfg = load_config(args.config)
     _require(cfg, ["parties", "mu", "slices", "seed", "rounds"])
@@ -362,7 +362,7 @@ def cmd_simulate(args) -> int:
         mode=cfg.get("mode", "forced-matching"),
     )
     tally = run_rounds(pp, ch, sc, workers=args.workers)
-    est = estimate(tally)
+    gain, pair_qbers = tally.gain, tally.pair_qbers
 
     gain_analytic, pair_errors = tally_expectation(pp, ch)
 
@@ -372,8 +372,8 @@ def cmd_simulate(args) -> int:
         return {"analytic": ana, "empirical": emp, "sigma": abs(emp - ana) / se if se > 0.0 else 0.0}
 
     comparison = {
-        "gain": entry(gain_analytic, est.gain, tally.sifted),
-        "pair_qber": {str(p): entry(ana, est.pair_qbers[p], tally.success) for p, ana in pair_errors.items()},
+        "gain": entry(gain_analytic, gain, tally.sifted),
+        "pair_qber": {str(p): entry(ana, pair_qbers[p], tally.success) for p, ana in pair_errors.items()},
     }
     payload = {"config": cfg, "tally": _fields(tally), "comparison": comparison}
     _emit(_dump_json(payload) + "\n", args.out)

@@ -61,6 +61,9 @@ positions, each integrated with a Gauss-Legendre rule, in plain Python.
 ``mode="forced-matching"`` records the analytic sifting probability
 (2/M)^(N-1) so rate-level estimates stay unbiased; it gives
 (M/2)^(N-1) times more sifted rounds per sent round than raw sifting.
+
+A run's one record is its ``SimTally``; its ``gain`` and ``pair_qbers``
+properties are the empirical estimates, read from its counts.
 """
 
 from __future__ import annotations
@@ -77,9 +80,7 @@ from .core import ChannelParams, InsufficientDataError, ParameterError, Protocol
 if TYPE_CHECKING:  # imported at run time only by the runs that take the numpy kernel
     import numpy as np
 
-__all__ = [
-    "SimConfig", "SimTally", "EmpiricalEstimates", "run_rounds", "estimate", "tally_expectation"
-]
+__all__ = ["SimConfig", "SimTally", "run_rounds", "tally_expectation"]
 
 CHUNK_SIZE = 1 << 16
 
@@ -90,10 +91,7 @@ CHUNK_SIZE = 1 << 16
 # crossover grows with the chunk count and falls as 1/(N-1):
 # NUMPY_CANDIDATES is its E[K] at N=3 with few chunks, and NUMPY_CHUNKS
 # the chunk count whose extra numpy call overhead matches the import.
-# The fit puts the crossover at N=3 with few chunks at ~150k; it is held
-# at 120k so that the runs whose tallies were recorded from the numpy
-# kernel (N=4, 2 chunks, E[K] 83.5k) keep it.
-NUMPY_CANDIDATES = 120_000
+NUMPY_CANDIDATES = 150_000
 NUMPY_CHUNKS = 2_000
 
 # cells of the stdlib kernel's bracket table; even, so that x = 1/2 is a
@@ -152,17 +150,26 @@ class SimTally(Record):
         if self.pair_errors is None:
             object.__setattr__(self, "pair_errors", {})
 
+    def _successes(self) -> int:
+        if self.sifted == 0 or self.success == 0:
+            raise InsufficientDataError("tally holds no successful events to estimate from")
+        return self.success
 
-class EmpiricalEstimates(Record):
-    """Point estimates of the gain and of the per-pair QBERs, with no
-    intervals: ``simulate`` gives their distance from
-    ``tally_expectation`` in binomial standard errors.
+    @property
+    def gain(self) -> float:
+        """Successes per sifted round, a point estimate with no interval:
+        ``simulate`` gives its distance from ``tally_expectation`` in
+        binomial standard errors."""
+        return self._successes() / self.sifted
 
-    There is no phase-error estimate: the phase error is a counterfactual
-    X-basis quantity with no empirical estimator in this simulation.
-    """
-
-    __slots__ = ("gain", "pair_qbers")
+    @property
+    def pair_qbers(self) -> dict:
+        """{p: the share of successes where party p disagrees with party 1}
+        for p = 2..N, point estimates like ``gain``.  There is no
+        phase-error estimate: the phase error is a counterfactual X-basis
+        quantity with no empirical estimator in this simulation."""
+        success = self._successes()
+        return {p: self.pair_errors.get(p, 0) / success for p in range(2, self.n_parties + 1)}
 
 
 def _branch_probability(arrival: float, log_nodark: float, phase_delta, lib=math) -> tuple:
@@ -497,14 +504,6 @@ def run_rounds(
         seed=sc.seed,
         mode=sc.mode,
     )
-
-
-def estimate(tally: SimTally) -> EmpiricalEstimates:
-    """Empirical gain and per-pair QBERs."""
-    if tally.sifted == 0 or tally.success == 0:
-        raise InsufficientDataError("tally holds no successful events to estimate from")
-    qbers = {p: tally.pair_errors.get(p, 0) / tally.success for p in range(2, tally.n_parties + 1)}
-    return EmpiricalEstimates(gain=tally.success / tally.sifted, pair_qbers=qbers)
 
 
 GAUSS_LEGENDRE_ORDER = 32

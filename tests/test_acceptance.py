@@ -26,7 +26,6 @@ from pmqcc import (
     ProtocolParams,
     SimConfig,
     branch_gain_avg,
-    estimate,
     n_cut_for,
     optimize_signal,
     phase_error_upper,
@@ -235,15 +234,14 @@ def test_c07_monte_carlo_agreement():
     pp = ProtocolParams(n_parties=3, signal_intensity=0.1333, slice_count=14)
     ch = bench_channel_at(10.0)
     tally = run_rounds(pp, ch, SimConfig(rounds=1_000_000, seed=8))
-    est = estimate(tally)
 
     gain, pair_errors = tally_expectation(pp, ch)
-    sig_gain = abs(est.gain - gain) / math.sqrt(gain * (1.0 - gain) / tally.sifted)
+    sig_gain = abs(tally.gain - gain) / math.sqrt(gain * (1.0 - gain) / tally.sifted)
     sigmas = {"gain": sig_gain}
     for m in (2, 3):
         expected = pair_errors[m]
         se = math.sqrt(expected * (1.0 - expected) / tally.success)
-        sigmas[f"E{m}"] = abs(est.pair_qbers[m] - expected) / se
+        sigmas[f"E{m}"] = abs(tally.pair_qbers[m] - expected) / se
 
     # no dark counts, essentially exact slice matching: no error mechanism
     clean = run_rounds(

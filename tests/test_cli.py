@@ -641,6 +641,18 @@ class TestSimulateCommand:
         payload = json.loads(out_path.read_text())
         assert payload["tally"]["sent"] == self.CONFIG["rounds"]
 
+    def test_zero_successes_exit_3(self, tmp_path, capsys):
+        # no dark counts and ~7e-9 photons per branch: no round succeeds,
+        # so the tally has no gain or pair QBERs to compare
+        cfg = write_config(tmp_path, {**self.CONFIG, "distance_km": 100.0, "mu": 1e-6,
+                                      "dark_count": 0.0, "rounds": 1000})
+        code, out, err = run_cli(["simulate", cfg], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            '{\n  "error": {\n    "message": "tally holds no successful events to estimate from",\n'
+            '    "type": "InsufficientDataError"\n  }\n}\n'
+        )
+
     def test_more_than_32_parties_exit_2(self, tmp_path, capsys):
         # up to the config's own cap, simulate names its 32-party limit
         for parties in (33, 70, 100_000):
@@ -869,10 +881,10 @@ DECOY_CONFIG = {
 }
 
 
-# above the numpy kernel's threshold: ~83 000 expected candidates at N=4
+# above the numpy kernel's threshold: ~167 000 expected candidates at N=4
 HEAVY_SIMULATE_CONFIG = {
     **TestSimulateCommand.CONFIG, "parties": 4, "distance_km": 0.0, "detector_efficiency": 1.0,
-    "dark_count": 0.01, "slices": 2, "mu": 3.0, "rounds": 100_000, "mode": "full-random",
+    "dark_count": 0.01, "slices": 2, "mu": 3.0, "rounds": 200_000, "mode": "full-random",
 }
 
 

@@ -16,7 +16,6 @@ from pmqcc import (
     ProtocolParams,
     SimConfig,
     SimTally,
-    estimate,
     run_rounds,
     tally_expectation,
     transmittance,
@@ -134,13 +133,12 @@ class TestAgreementWithAnalytics:
     def test_gain_and_qbers_within_3_sigma(self):
         pp, ch = protocol(), channel()
         tally = run_rounds(pp, ch, SimConfig(rounds=400_000, seed=21))
-        est = estimate(tally)
         gain, pair_errors = tally_expectation(pp, ch)
-        assert abs(est.gain - gain) < 3.0 * math.sqrt(gain * (1.0 - gain) / tally.sifted)
+        assert abs(tally.gain - gain) < 3.0 * math.sqrt(gain * (1.0 - gain) / tally.sifted)
         for m in (2, 3):
             expected = pair_errors[m]
             sigma = math.sqrt(expected * (1.0 - expected) / tally.success)
-            assert abs(est.pair_qbers[m] - expected) < 3.0 * sigma
+            assert abs(tally.pair_qbers[m] - expected) < 3.0 * sigma
 
     def test_exact_matching_without_darks_is_error_free(self):
         pp = protocol(m=2_000_000)
@@ -346,6 +344,26 @@ class TestKernels:
         assert expected_candidates(pp, ch, sc) < montecarlo._numpy_threshold(3, 4)
         assert run_rounds(pp, ch, sc, workers=2) == run_rounds(pp, ch, sc)
 
+    # the corners of the bench's monte-carlo draws (bench/workloads.py):
+    # (N, M, km, rounds, mode) at mu 0.16, the top of its draw, and at each
+    # draw's least distance, where E[K] is largest
+    BENCH_CORNERS = [
+        (3, 14, 10.0, 16_000_000, "forced-matching"),
+        (4, 10, 0.0, 10_000_000, "forced-matching"),
+        (3, 6, 5.0, 36_000_000, "full-random"),
+    ]
+
+    @pytest.mark.parametrize("n,m,distance,rounds,mode", BENCH_CORNERS)
+    def test_bench_draws_take_the_stdlib_kernel(self, n, m, distance, rounds, mode):
+        # importing numpy takes a process to ~27 MB RSS, against ~16 MB for
+        # a stdlib `simulate`; the bench's peak_rss_mb, bounded at 5 %,
+        # reads ~20 MB, the peak of `bench/run.py` itself, which a numpy
+        # op would exceed
+        pp, ch = protocol(m=m, mu=0.16, n=n), channel(distance=distance)
+        sc = SimConfig(rounds=rounds, seed=1, mode=mode)
+        chunks = -(-rounds // montecarlo.CHUNK_SIZE)
+        assert expected_candidates(pp, ch, sc) < montecarlo._numpy_threshold(n, chunks)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_stdlib_kernel_at_high_arrival_matches_transfer_matrix(self, monkeypatch, n):
         # TestThinning's high-arrival runs take the numpy kernel
@@ -375,8 +393,9 @@ class TestKernels:
         for p, q in pair_errors.items():
             assert within_5_sigma(tally.pair_errors[p], tally.success, q)
 
-    # tallies of runs above the crossover, recorded from the numpy kernel
-    # before the stdlib kernel existed
+    # tallies of runs above the crossover, recorded from the numpy kernel:
+    # the N=3 one before the stdlib kernel existed, the N=4 one (E[K] ~167k,
+    # crossover ~100k at 4 chunks) when the crossover was refitted
     PINNED = [
         (
             (3, 1.0, 14, 0.65, 7.2e-8),
@@ -387,12 +406,12 @@ class TestKernels:
         ),
         (
             (4, 3.0, 2, 1.0, 0.01),
-            {"rounds": 100_000, "seed": 2718, "mode": "full-random",
+            {"rounds": 200_000, "seed": 2718, "mode": "full-random",
              "reference_offsets": (0.1, 0.0, -0.2), "compensation_indices": (1, 0, 1)},
-            {"sent": 100_000, "sifted": 100_000, "success": 24_944,
-             "pattern_counts": {"LLL": 3109, "LLR": 3120, "LRL": 3151, "LRR": 3153,
-                                "RLL": 3101, "RLR": 3068, "RRL": 3065, "RRR": 3177},
-             "pair_errors": {"2": 19_501, "3": 17_282, "4": 9208}},
+            {"sent": 200_000, "sifted": 200_000, "success": 50_044,
+             "pattern_counts": {"LLL": 6343, "LLR": 6205, "LRL": 6175, "LRR": 6342,
+                                "RLL": 6288, "RLR": 6153, "RRL": 6210, "RRR": 6328},
+             "pair_errors": {"2": 39_099, "3": 34_753, "4": 18_336}},
         ),
     ]
 
@@ -680,11 +699,10 @@ class TestCompensation:
             pp, ch,
             SimConfig(rounds=400_000, seed=41, reference_offsets=deltas, compensation_indices=comp),
         )
-        eb, es = estimate(base), estimate(shifted)
         for m_idx in (2, 3):
-            p = eb.pair_qbers[m_idx]
+            p = base.pair_qbers[m_idx]
             sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / base.success)
-            assert abs(es.pair_qbers[m_idx] - p) < 3.0 * sigma
+            assert abs(shifted.pair_qbers[m_idx] - p) < 3.0 * sigma
 
     @pytest.mark.parametrize("offsets,compensated", [
         pytest.param((0.3, -1.1, 2.5), True, id="compensated"),
@@ -715,31 +733,50 @@ class TestCompensation:
         shifted = run_rounds(
             pp, ch, SimConfig(rounds=200_000, seed=51, reference_offsets=deltas)
         )
-        assert estimate(shifted).pair_qbers[2] > 10.0 * estimate(base).pair_qbers[2]
+        assert shifted.pair_qbers[2] > 10.0 * base.pair_qbers[2]
 
 
 class TestEstimate:
+    """The tally's ``gain`` and ``pair_qbers`` properties."""
+
     def test_insufficient_data(self):
-        tally = SimTally(n_parties=3, slice_count=14, sent=100, sifted=100, success=0)
-        with pytest.raises(InsufficientDataError):
-            estimate(tally)
+        for sifted, success in ((100, 0), (0, 0), (0, 5)):
+            tally = SimTally(n_parties=3, slice_count=14, sent=100, sifted=sifted, success=success)
+            for name in ("gain", "pair_qbers"):
+                with pytest.raises(InsufficientDataError) as info:
+                    getattr(tally, name)
+                assert str(info.value) == "tally holds no successful events to estimate from"
+
+    @pytest.mark.parametrize("n,m,mode,seed", [
+        (3, 14, "forced-matching", 21), (4, 8, "full-random", 22), (5, 4, "forced-matching", 23),
+    ])
+    def test_properties_are_the_count_ratios(self, n, m, mode, seed):
+        # bit for bit the divisions of the tally's own counts
+        pp, ch = protocol(m=m, mu=0.5, n=n), channel(distance=0.0)
+        tally = run_rounds(pp, ch, SimConfig(rounds=50_000, seed=seed, mode=mode))
+        assert tally.success > 0
+        assert tally.gain == tally.success / tally.sifted
+        assert tally.pair_qbers == {
+            p: tally.pair_errors.get(p, 0) / tally.success for p in range(2, n + 1)
+        }
 
     def test_synthetic_tally_arithmetic(self):
         tally = SimTally(
             n_parties=3, slice_count=14, sent=10_000_000, sifted=500_000, success=10_000,
             pair_errors={2: 120, 3: 180},
         )
-        est = estimate(tally)
-        assert est.pair_qbers[3] == pytest.approx(0.018)
-        assert est.pair_qbers[2] == pytest.approx(0.012)
-        assert est.gain == pytest.approx(0.02)
+        assert tally.pair_qbers[3] == pytest.approx(0.018)
+        assert tally.pair_qbers[2] == pytest.approx(0.012)
+        assert tally.gain == pytest.approx(0.02)
+        # a pair that no error reached reads 0
+        sparse = SimTally(n_parties=4, slice_count=2, sifted=8, success=4, pair_errors={3: 1})
+        assert sparse.pair_qbers == {2: 0.0, 3: 0.25, 4: 0.0}
 
     def test_merged_estimates_match_union(self):
         # the union of a (1000 sent, 500 sifted, 100 successes, pair errors
         # 5 and 9) and b (3000, 1500, 300, 10 and 21)
         union = SimTally(n_parties=3, slice_count=14, sent=4000, sifted=2000, success=400,
                          pair_errors={2: 15, 3: 30}, pattern_counts={"LL": 300})
-        merged = estimate(union)
-        assert merged.gain == pytest.approx(400 / 2000)
-        assert merged.pair_qbers[2] == pytest.approx(15 / 400)
-        assert merged.pair_qbers[3] == pytest.approx(30 / 400)
+        assert union.gain == pytest.approx(400 / 2000)
+        assert union.pair_qbers[2] == pytest.approx(15 / 400)
+        assert union.pair_qbers[3] == pytest.approx(30 / 400)

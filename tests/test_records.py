@@ -14,7 +14,6 @@ from pmqcc import (
     ChannelParams,
     DecoyBounds,
     DecoyGains,
-    EmpiricalEstimates,
     OptimizationResult,
     ParameterError,
     ProtocolParams,
@@ -84,16 +83,22 @@ CASES = {
         "SimConfig(rounds=1000, seed=7, mode='full-random', reference_offsets=(0.1, -0.2), "
         "compensation_indices=(1, 0))",
     ),
-    "EmpiricalEstimates": (
-        EmpiricalEstimates, (0.5, {2: 0.1}),
-        {"gain": 0.5, "pair_qbers": {2: 0.1}},
-        "EmpiricalEstimates(gain=0.5, pair_qbers={2: 0.1})",
-    ),
     "SimTally": (
         SimTally, (3, 14),
         {"n_parties": 3, "slice_count": 14},
         "SimTally(n_parties=3, slice_count=14, sent=0, sifted=0, success=0, pattern_counts={}, "
         "pair_errors={}, sifting_probability=1.0, seed=0, mode='forced-matching')",
+    ),
+    # a tally with successes: its gain and pair QBERs are properties, not
+    # fields, so its repr, equality and pickle leave them out
+    "SimTally-full": (
+        SimTally, (3, 14, 100, 50, 10, {"LL": 10}, {2: 1, 3: 2}, 0.5, 7, "full-random"),
+        {"n_parties": 3, "slice_count": 14, "sent": 100, "sifted": 50, "success": 10,
+         "pattern_counts": {"LL": 10}, "pair_errors": {2: 1, 3: 2}, "sifting_probability": 0.5,
+         "seed": 7, "mode": "full-random"},
+        "SimTally(n_parties=3, slice_count=14, sent=100, sifted=50, success=10, "
+        "pattern_counts={'LL': 10}, pair_errors={2: 1, 3: 2}, sifting_probability=0.5, seed=7, "
+        "mode='full-random')",
     ),
 }
 FROZEN = list(CASES)
