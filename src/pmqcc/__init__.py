@@ -20,8 +20,8 @@ _MODULE_OF = {
         "core",
     ),
     **dict.fromkeys(
-        ("DecoyBounds", "DecoyGains", "decoy_bounds", "n_cut_for", "phase_error_upper", "rate_lower",
-         "simulate_decoy_gains", "yields_lower_general"),
+        ("DecoyGains", "n_cut_for", "phase_error_upper", "rate_lower", "simulate_decoy_gains",
+         "yields_lower_general"),
         "decoy",
     ),
     **dict.fromkeys(

@@ -47,13 +47,11 @@ from .keyrate import RateReport, rate_pmqcc
 
 __all__ = [
     "DecoyGains",
-    "DecoyBounds",
     "n_cut_for",
     "simulate_decoy_gains",
     "yields_lower_general",
     "phase_error_upper",
     "check_decoy_set",
-    "decoy_bounds",
     "rate_lower",
 ]
 
@@ -77,16 +75,6 @@ class DecoyGains(Record):
             raise ParameterError("decoy intensities must be strictly decreasing")
         if any(not 0.0 <= g <= 1.0 for g in self.gains) or not 0.0 <= self.vacuum_gain <= 1.0:
             raise ParameterError("gains must lie in [0, 1]")
-
-
-class DecoyBounds(Record):
-    """Certified-safe estimates: yield lower bounds for the targeted even
-    orders, keyed by order up to ``n_cut_for(N)``, and the phase-error
-    upper bound."""
-
-    __slots__ = ("y_lower", "phase_error_upper")
-
-    _defaults = {"phase_error_upper": None}
 
 
 def n_cut_for(n_parties: int) -> int:
@@ -198,10 +186,8 @@ def _rung_bounds(ladder: tuple, g: DecoyGains) -> dict:
     return y_lower
 
 
-def yields_lower_general(
-    g: DecoyGains, total_intensity_scale: float, n_cut: int
-) -> DecoyBounds:
-    """Lower bounds for every even order up to n_cut.  The Y_m rung
+def yields_lower_general(g: DecoyGains, total_intensity_scale: float, n_cut: int) -> dict:
+    """Lower bounds {m: Y_m^L} for every even order up to n_cut.  The Y_m rung
     combines the m+1 smallest nonzero intensities (all three in the
     three-party case, where it is the three-party closed form)."""
     if n_cut < 2 or n_cut % 2 != 0:
@@ -211,7 +197,7 @@ def yields_lower_general(
             f"bounding Y_{n_cut} needs {n_cut + 1} nonzero decoys plus vacuum, "
             f"got {len(g.intensities)}"
         )
-    return DecoyBounds(y_lower=_rung_bounds(_ladder(g.intensities, total_intensity_scale, n_cut), g))
+    return _rung_bounds(_ladder(g.intensities, total_intensity_scale, n_cut), g)
 
 
 def phase_error_upper(
@@ -256,9 +242,10 @@ def check_decoy_set(pp: ProtocolParams) -> tuple:
     return _ladder(nonzero, float(pp.n_parties - 1), n_cut)
 
 
-def decoy_bounds(pp: ProtocolParams, ch: ChannelParams) -> DecoyBounds:
-    """Estimation on simulated honest gains: the even-order yield lower
-    bounds and the phase-error upper bound they certify."""
+def rate_lower(pp: ProtocolParams, ch: ChannelParams) -> RateReport:
+    """Certified key-rate lower bound as a rate report: the rate charged
+    with the E_X^U that the yield bounds on simulated honest gains certify,
+    capped at 1/2 (``phase_error`` carries the charge)."""
     ladder = check_decoy_set(pp)
     n = pp.n_parties
     gains = simulate_decoy_gains(pp, ch)
@@ -266,13 +253,6 @@ def decoy_bounds(pp: ProtocolParams, ch: ChannelParams) -> DecoyBounds:
     arrival = transmittance(ch) * pp.signal_intensity
     q_mu = branch_gain_avg(arrival, ch.dark_count) ** (n - 1)
     e_x_u = phase_error_upper(y_lower, pp.signal_intensity, q_mu, gains.vacuum_gain, n)
-    return DecoyBounds(y_lower=y_lower, phase_error_upper=e_x_u)
-
-
-def rate_lower(pp: ProtocolParams, ch: ChannelParams) -> RateReport:
-    """Certified key-rate lower bound as a rate report; ``phase_error``
-    carries the phase error charged in the privacy term, min(E_X^U, 1/2)."""
-    e_x_u = decoy_bounds(pp, ch).phase_error_upper
     # E_X may lie anywhere in [0, E_X^U], and H peaks at 1/2: a bound above
     # 1/2 certifies no more than 1/2 does
     return rate_pmqcc(pp, ch, phase_error=min(e_x_u, 0.5))

@@ -171,7 +171,7 @@ def parity_phase_error(branches, pd: float) -> float:
     ratio = 1.0
     for t, s in branches:
         a = t * s
-        gain = -math.expm1(-a) + 2.0 * pd * math.exp(-a)
+        gain = branch_gain_avg(a, pd)
         if gain <= 0.0:
             raise ParameterError("overall gain is 0; phase error undefined")
         ratio *= math.exp(a - 2.0 * t) * (math.expm1(-a) + 2.0 * pd) / gain

@@ -103,12 +103,15 @@ DECOY_TOL = 1e-2
 
 class OptimizationResult(Record):
     """Best parameters found, the rate there, and the number of objective
-    evaluations.  ``flagged_zero`` marks a search that found no positive
-    rate (``best_params`` is then None)."""
+    evaluations.  ``best_params`` is None where the search found no
+    positive rate."""
 
-    __slots__ = ("best_params", "best_rate", "evaluations", "flagged_zero")
+    __slots__ = ("best_params", "best_rate", "evaluations")
 
-    _defaults = {"flagged_zero": False}
+    @property
+    def flagged_zero(self) -> bool:
+        """Whether the search found no positive rate."""
+        return self.best_params is None
 
 
 def _golden_refine(obj, lo: float, hi: float, tol: float):
@@ -211,9 +214,7 @@ def optimize_signal(
             best = (rate, mu, m)
 
     if best[1] is None:
-        return OptimizationResult(
-            best_params=None, best_rate=0.0, evaluations=evaluations, flagged_zero=True
-        )
+        return OptimizationResult(best_params=None, best_rate=0.0, evaluations=evaluations)
     best_params = params(best[1], best[2])
     # bench/test_bench.py requires this call to keyrate.rate_pmqcc: not a removable re-run
     return OptimizationResult(
@@ -268,9 +269,4 @@ def optimize_decoys(
         v, rate = _maximize_scalar(lambda v: certified(params(v, ratio)), DECOY_GRID, DECOY_TOL)
         if rate > best_rate:  # ties go to the first ratio
             best_rate, best_params = rate, params(v, ratio)
-    return OptimizationResult(
-        best_params=best_params,
-        best_rate=best_rate,
-        evaluations=evaluations,
-        flagged_zero=best_params is None,
-    )
+    return OptimizationResult(best_params=best_params, best_rate=best_rate, evaluations=evaluations)

@@ -205,7 +205,7 @@ def test_c06_decoy_safety_randomized_general_ladder(n_parties):
             vacuum_gain=(2.0 * pd * (1.0 - pd)) ** (n_parties - 1),
         )
         try:
-            y_low = yields_lower_general(gains, float(n_parties - 1), n_cut).y_lower
+            y_low = yields_lower_general(gains, float(n_parties - 1), n_cut)
         except DegenerateGeometryError:
             skipped += 1
             continue

@@ -15,7 +15,6 @@ from pmqcc import (
     ParameterError,
     PMQCCError,
     ProtocolParams,
-    decoy_bounds,
     n_cut_for,
     phase_error_upper,
     rate_lower,
@@ -44,6 +43,13 @@ def anchor_protocol():
         n_parties=3, signal_intensity=0.104815, slice_count=13,
         decoy_intensities=ANCHOR_DECOYS + (0.0,),
     )
+
+
+def y_lower_of(pp: ProtocolParams, ch: ChannelParams) -> dict:
+    """The yield bounds {m: Y_m^L} that ``rate_lower`` charges, from the
+    public steps."""
+    n = pp.n_parties
+    return yields_lower_general(simulate_decoy_gains(pp, ch), n - 1, n_cut_for(n))
 
 
 def forward_gains(intensities, scale, yield_fn, y0):
@@ -135,7 +141,7 @@ class TestGeneralLadder:
         pp = anchor_protocol()
         g = simulate_decoy_gains(pp, bench_channel_at(150.0))
         closed = y2_lower_3party(g)
-        general = yields_lower_general(g, 2.0, 2).y_lower[2]
+        general = yields_lower_general(g, 2.0, 2)[2]
         assert general == pytest.approx(closed, rel=1e-12)
 
     def test_synthetic_safety_all_orders(self):
@@ -143,8 +149,8 @@ class TestGeneralLadder:
         decoys = (0.06, 0.035, 0.02, 0.012, 0.001)
         g = forward_gains(decoys, 3.0, yield_fn, yield_fn(0))
         bounds = yields_lower_general(g, 3.0, 4)
-        assert set(bounds.y_lower) == {2, 4}
-        for m, bound in bounds.y_lower.items():
+        assert set(bounds) == {2, 4}
+        for m, bound in bounds.items():
             assert bound <= yield_fn(m) * (1.0 + 1e-12)
             assert bound > 0.0
 
@@ -259,6 +265,22 @@ def geometric_decoy_sets(seed: int, count: int) -> list:
     return sets
 
 
+def random_decoy_draws(seed: int, count: int):
+    """(pp, ch): N=3-8 with the vacuum and n_cut + 1 nonzero decoys,
+    log-uniform from 1e-16 up to the signal, at 0-100 km."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 8)
+        mu = 10.0 ** rng.uniform(-3.0, 0.0)
+        decoys = sorted(
+            {10.0 ** rng.uniform(-16.0, math.log10(mu)) for _ in range(n_cut_for(n) + 1)},
+            reverse=True,
+        )
+        pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=13,
+                            decoy_intensities=(*decoys, 0.0))
+        yield pp, bench_channel_at(rng.uniform(0.0, 100.0))
+
+
 # sets that per-order float guards used to reject: N=8 decoys 0.13 %
 # apart, the tiny N=6 set, the clustered N=5 set far out, and N=3
 # decoys whose t**162 overflowed
@@ -309,7 +331,7 @@ class TestRungCombination:
         pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=13,
                             decoy_intensities=decoys + (0.0,))
         ch = bench_channel_at(km)
-        y_lower = decoy_bounds(pp, ch).y_lower
+        y_lower = y_lower_of(pp, ch)
         ts, a_values = ladder_values(pp, ch)
         for m, bound in y_lower.items():
             terms = exact_rung_terms(ts, a_values, m)
@@ -330,7 +352,7 @@ class TestRungCombination:
                                 decoy_intensities=(*decoys, 0.0))
             ch = bench_channel_at(km)
             ts, a_values = ladder_values(pp, ch)
-            for m, bound in decoy_bounds(pp, ch).y_lower.items():
+            for m, bound in y_lower_of(pp, ch).items():
                 exact = sum(exact_rung_terms(ts, a_values, m))
                 assert Fraction(bound) <= min(max(exact, Fraction(0)), Fraction(1))
                 rungs["positive" if bound > 0.0 else "zero"] += 1
@@ -391,11 +413,13 @@ class TestRateLower:
         assert report.rate == pytest.approx(1.7327e-11, rel=5e-3)
 
     def test_bounds_interior_at_anchor(self):
-        bounds = decoy_bounds(anchor_protocol(), bench_channel_at(150.0))
-        assert 0.0 < bounds.y_lower[2] < 1.0
-        assert 0.0 < bounds.phase_error_upper < 1.0
-        assert bounds.y_lower[2] == pytest.approx(2.1127418995325462e-07, rel=1e-12)
-        assert bounds.phase_error_upper == pytest.approx(0.19238153205320252, rel=1e-12)
+        y_lower = y_lower_of(anchor_protocol(), bench_channel_at(150.0))
+        # E_X^U is below 1/2, so the report charges it uncapped
+        e_x_u = rate_lower(anchor_protocol(), bench_channel_at(150.0)).phase_error
+        assert 0.0 < y_lower[2] < 1.0
+        assert 0.0 < e_x_u < 1.0
+        assert y_lower[2] == pytest.approx(2.1127418995325462e-07, rel=1e-12)
+        assert e_x_u == pytest.approx(0.19238153205320252, rel=1e-12)
 
     def test_never_beats_infinite_decoy(self):
         for distance in (50.0, 100.0, 150.0):
@@ -429,13 +453,17 @@ class TestRateLower:
             decoy_intensities=(0.05, 0.03, 0.018, 0.01, 0.001, 0.0),
         )
         ch = bench_channel_at(50.0)
-        bounds = decoy_bounds(pp, ch)
-        assert set(bounds.y_lower) == {2, 4}
+        y_lower = y_lower_of(pp, ch)
+        assert set(y_lower) == {2, 4}
         branches = chain_branches(4, 0.1, transmittance(ch), (False, False))
         e_x = parity_phase_error(branches, ch.dark_count)
-        assert bounds.y_lower[2] <= yield_probability(branches, ch.dark_count, 2) * (1.0 + 1e-12)
-        assert bounds.y_lower[4] <= yield_probability(branches, ch.dark_count, 4) * (1.0 + 1e-12)
-        assert bounds.phase_error_upper >= e_x
+        assert y_lower[2] <= yield_probability(branches, ch.dark_count, 2) * (1.0 + 1e-12)
+        assert y_lower[4] <= yield_probability(branches, ch.dark_count, 4) * (1.0 + 1e-12)
+        # the raw bound, which the report caps at 1/2
+        e_x_u = phase_error_upper(
+            y_lower, 0.1, rate_pmqcc(pp, ch).gain, simulate_decoy_gains(pp, ch).vacuum_gain, 4
+        )
+        assert e_x_u >= e_x
         # with three branches the odd orders dominate the gain, pushing the
         # true phase error above 1/2 where H is decreasing; the privacy term
         # is then charged at 1/2
@@ -449,7 +477,7 @@ class TestRateLower:
         pp = ProtocolParams(n_parties=6, signal_intensity=0.1, slice_count=13,
                             decoy_intensities=TINY_DECOYS)
         ch = bench_channel_at(10.0)
-        assert decoy_bounds(pp, ch).y_lower == {2: 0.0, 4: 0.0, 6: 0.0}
+        assert y_lower_of(pp, ch) == {2: 0.0, 4: 0.0, 6: 0.0}
         report = rate_lower(pp, ch)
         assert (report.rate, report.clamped) == (0.0, True)
         assert report.rate <= rate_pmqcc(pp, ch).rate
@@ -478,7 +506,7 @@ class TestRateLower:
                             decoy_intensities=(*decoys, 0.0))
         ch = bench_channel_at(0.0)
         check_decoy_set(pp)
-        assert decoy_bounds(pp, ch).y_lower == {2: 0.0, 4: 0.0, 6: 0.0, 8: 0.0}
+        assert y_lower_of(pp, ch) == {2: 0.0, 4: 0.0, 6: 0.0, 8: 0.0}
         report = rate_lower(pp, ch)
         assert (report.rate, report.clamped) == (0.0, True)
         assert report.rate <= rate_pmqcc(pp, ch).rate
@@ -500,7 +528,7 @@ class TestRateLower:
         pp = ProtocolParams(n_parties=3, signal_intensity=1000.0, slice_count=13,
                             decoy_intensities=(40.0, 30.0, 20.0, 0.0))
         ch = bench_channel_at(10.0)
-        assert decoy_bounds(pp, ch).y_lower == {2: 0.0}
+        assert y_lower_of(pp, ch) == {2: 0.0}
         report = rate_lower(pp, ch)
         assert (report.rate, report.clamped) == (0.0, False)
         assert report.rate <= rate_pmqcc(pp, ch).rate
@@ -517,18 +545,8 @@ class TestRateLower:
         # PMQCCError.  No ladder check reads the gains, so the
         # distance-free check raises exactly when the rate does, with the
         # same error
-        rng = random.Random(1016)
         outcomes = Counter()
-        for _ in range(600):
-            n = rng.randint(3, 8)
-            mu = 10.0 ** rng.uniform(-3.0, 0.0)
-            decoys = sorted(
-                {10.0 ** rng.uniform(-16.0, math.log10(mu)) for _ in range(n_cut_for(n) + 1)},
-                reverse=True,
-            )
-            pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=13,
-                                decoy_intensities=(*decoys, 0.0))
-            ch = bench_channel_at(rng.uniform(0.0, 100.0))
+        for pp, ch in random_decoy_draws(1016, 600):
             try:
                 check_decoy_set(pp)
                 checked = None
@@ -543,6 +561,33 @@ class TestRateLower:
             assert checked is None
             assert rate <= rate_pmqcc(pp, ch).rate
             outcomes["positive" if rate > 0.0 else "zero"] += 1
+        assert outcomes.keys() == {"positive", "zero", "DegenerateGeometryError"}
+
+    def test_is_the_public_steps_composed(self):
+        # the report is the exact rate's assembly charged with the capped
+        # E_X^U of the public steps, bit for bit, or both raise the same error
+        def composed(pp, ch):
+            e_x_u = phase_error_upper(
+                y_lower_of(pp, ch), pp.signal_intensity, rate_pmqcc(pp, ch).gain,
+                simulate_decoy_gains(pp, ch).vacuum_gain, pp.n_parties,
+            )
+            return rate_pmqcc(pp, ch, phase_error=min(e_x_u, 0.5))
+
+        outcomes = Counter()
+        for pp, ch in random_decoy_draws(1016, 600):
+            results = []
+            for rate in (rate_lower, composed):
+                try:
+                    results.append(rate(pp, ch))
+                except PMQCCError as exc:
+                    results.append(exc)
+            got, want = results
+            if isinstance(want, PMQCCError):
+                assert (type(got), str(got)) == (type(want), str(want))
+                outcomes[type(want).__name__] += 1
+                continue
+            assert repr(got) == repr(want) and got == want
+            outcomes["positive" if got.rate > 0.0 else "zero"] += 1
         assert outcomes.keys() == {"positive", "zero", "DegenerateGeometryError"}
 
     @pytest.mark.parametrize("n", [4, 5])

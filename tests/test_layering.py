@@ -90,11 +90,18 @@ def test_no_module_imports_a_sibling_name_it_does_not_use():
 
 
 def test_every_public_name_resolves_from_its_layer():
-    # ``pmqcc`` imports each name from its module on first use
+    # ``pmqcc`` imports each name from its module on first use; the name
+    # is in that module's ``__all__``, which bench/tracer.py wraps, and is
+    # defined there
+    import importlib
+
     import pmqcc
 
-    for name in pmqcc.__all__:
-        assert getattr(pmqcc, name).__module__.startswith("pmqcc.")
+    for name, module in pmqcc._MODULE_OF.items():
+        layer = importlib.import_module(f"pmqcc.{module}")
+        assert name in layer.__all__
+        assert getattr(pmqcc, name) is getattr(layer, name)
+        assert getattr(layer, name).__module__ == layer.__name__
     with pytest.raises(AttributeError):
         pmqcc.not_a_name
 

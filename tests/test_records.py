@@ -12,7 +12,6 @@ import pytest
 
 from pmqcc import (
     ChannelParams,
-    DecoyBounds,
     DecoyGains,
     OptimizationResult,
     ParameterError,
@@ -58,17 +57,19 @@ CASES = {
         {"intensities": (0.02, 0.01), "gains": (1e-4, 5e-5), "vacuum_gain": 1e-14},
         "DecoyGains(intensities=(0.02, 0.01), gains=(0.0001, 5e-05), vacuum_gain=1e-14)",
     ),
-    "DecoyBounds": (
-        DecoyBounds, ({2: 0.5},),
-        {"y_lower": {2: 0.5}},
-        "DecoyBounds(y_lower={2: 0.5}, phase_error_upper=None)",
-    ),
     "OptimizationResult": (
         OptimizationResult, (PP, 1e-7, 300),
         {"best_params": PP, "best_rate": 1e-7, "evaluations": 300},
         "OptimizationResult(best_params=ProtocolParams(n_parties=3, signal_intensity=0.1, "
         "slice_count=13, ec_efficiency=1.16, decoy_intensities=(), signal_phase_misalignment=0.0), "
-        "best_rate=1e-07, evaluations=300, flagged_zero=False)",
+        "best_rate=1e-07, evaluations=300)",
+    ),
+    # a search that found no positive rate: ``flagged_zero`` is a property,
+    # not a field, so its repr, equality and pickle leave it out
+    "OptimizationResult-none": (
+        OptimizationResult, (None, 0.0, 80),
+        {"best_params": None, "best_rate": 0.0, "evaluations": 80},
+        "OptimizationResult(best_params=None, best_rate=0.0, evaluations=80)",
     ),
     "SimConfig": (
         SimConfig, (1000, 7),
@@ -104,7 +105,7 @@ CASES = {
 FROZEN = list(CASES)
 # records whose fields are all hashable
 HASHABLE = ["ProtocolParams", "ProtocolParams-full", "ChannelParams", "RateReport", "DecoyGains",
-            "OptimizationResult", "SimConfig", "SimConfig-full"]
+            "OptimizationResult", "OptimizationResult-none", "SimConfig", "SimConfig-full"]
 
 
 def build(name, by_keyword=False):
@@ -164,8 +165,8 @@ def test_defaults():
     assert (pp.ec_efficiency, pp.decoy_intensities, pp.signal_phase_misalignment) == (1.16, (), 0.0)
     assert [p.default for p in inspect.signature(ProtocolParams).parameters.values()][3:] == [1.16, (), 0.0]
     assert RateReport(0.0, 0.0, (), 0.0, 1.0).clamped is False
-    assert DecoyBounds({}).phase_error_upper is None
-    assert OptimizationResult(None, 0.0, 0).flagged_zero is False
+    assert OptimizationResult(None, 0.0, 0).flagged_zero is True
+    assert OptimizationResult(PP, 1e-7, 300).flagged_zero is False
     sc = SimConfig(10, 1)
     assert (sc.mode, sc.reference_offsets, sc.compensation_indices) == ("forced-matching", (), ())
     tally = SimTally(3, 14)
@@ -273,7 +274,7 @@ def test_unequal_values():
     assert ChannelParams(0.2, 50.0, 0.65, 0.0) != ChannelParams(0.2, 60.0, 0.65, 0.0)
     assert RateReport(1.0, 0.0, (), 0.0, 1.0) != RateReport(1.0, 0.0, (), 0.0, 1.0, True)
     # same values, different record: not equal
-    assert OptimizationResult(None, 0.0, 1) != DecoyBounds(None, 0.0)
+    assert OptimizationResult((), (), 0.0) != DecoyGains((), (), 0.0)
     assert SimTally(3, 14) != SimTally(3, 14, sent=1)
 
 
