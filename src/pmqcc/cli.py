@@ -7,6 +7,10 @@ Exit codes: 0 ok, 2 configuration/validation failure, 3 computation
 failure (degenerate decoys, insufficient data, ...); errors are emitted
 as a machine-readable JSON object on stderr.
 
+Every command reads its config with ``load_config`` first, and that is
+the config's one type check, of every number in the file; the builders
+only convert the checked values.
+
 ``PROTOCOLS`` is the one table of protocol names: ``_setup`` reads it
 once into ``rate_pmqcc``'s variant arguments, all the library sees, and
 the command's rate function, and runs the distance-free checks of
@@ -125,7 +129,7 @@ def _finite(literal: str) -> float:
     return value
 
 
-def _integer(literal: str) -> int:
+def _parse_int(literal: str) -> int:
     """A JSON integer literal as an int, which a float must hold: the
     commands read numbers as floats.  A literal past Python's limit on
     the digits of an int fails here too."""
@@ -141,7 +145,7 @@ def _integer(literal: str) -> int:
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_finite, parse_float=_finite, parse_int=_integer)
+            raw = json.load(fh, parse_constant=_finite, parse_float=_finite, parse_int=_parse_int)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -149,46 +153,24 @@ def load_config(path: str) -> dict:
     unknown = set(raw) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    # every command checks the types of every number in the file, also of
-    # keys it does not read (curve takes its distances from the command line)
+    # every number, also of keys a command does not read (curve takes its
+    # distances from the command line); 3.0 and 1e6 count as integers
     for key in INT_KEYS:
-        if key in raw:
-            _int(raw, key)
+        value = raw.get(key, 0)
+        if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
     for key in FLOAT_KEYS:
-        if key in raw:
-            _float(raw, key)
-    _decoys(raw)
+        value = raw.get(key, 0.0)
+        if not _is_number(value):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+    decoys = raw.get("decoys", [])
+    if not isinstance(decoys, list) or not all(map(_is_number, decoys)):
+        raise ConfigError(f"decoys must be a list of numbers, got {decoys!r}")
     return raw
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _float(cfg: dict, key: str, default=None) -> float:
-    """The config's ``key`` as a float; a value that is not a JSON number
-    fails as a ``ConfigError`` naming the key."""
-    value = cfg.get(key, default)
-    if not _is_number(value):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _int(cfg: dict, key: str) -> int:
-    """The config's ``key`` as an int.  An integral number such as 3, 3.0
-    or 1e6 passes; 3.7 fails as a ``ConfigError`` naming the key."""
-    value = cfg[key]
-    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _decoys(cfg: dict) -> tuple:
-    """The config's decoy intensities, a list of numbers, as floats."""
-    decoys = cfg.get("decoys", ())
-    if not isinstance(decoys, (list, tuple)) or not all(map(_is_number, decoys)):
-        raise ConfigError(f"decoys must be a list of numbers, got {decoys!r}")
-    return tuple(map(float, decoys))
 
 
 def _require(cfg: dict, keys) -> None:
@@ -200,25 +182,25 @@ def _require(cfg: dict, keys) -> None:
 def build_channel(cfg: dict) -> ChannelParams:
     _require(cfg, ["distance_km", "alpha_db_per_km", "detector_efficiency", "dark_count"])
     return ChannelParams(
-        loss_rate=_float(cfg, "alpha_db_per_km"),
-        distance=_float(cfg, "distance_km"),
-        detector_efficiency=_float(cfg, "detector_efficiency"),
-        dark_count=_float(cfg, "dark_count"),
+        loss_rate=float(cfg["alpha_db_per_km"]),
+        distance=float(cfg["distance_km"]),
+        detector_efficiency=float(cfg["detector_efficiency"]),
+        dark_count=float(cfg["dark_count"]),
     )
 
 
 def build_protocol(cfg: dict) -> ProtocolParams:
     _require(cfg, ["parties", "mu", "slices", "f"])
-    n_parties = _int(cfg, "parties")
+    n_parties = int(cfg["parties"])
     if n_parties > MAX_PARTIES:
         raise ConfigError(f"parties must be at most {MAX_PARTIES}, got {cfg['parties']!r}")
     return ProtocolParams(
         n_parties=n_parties,
-        signal_intensity=_float(cfg, "mu"),
-        slice_count=_int(cfg, "slices"),
-        ec_efficiency=_float(cfg, "f"),
-        decoy_intensities=_decoys(cfg),
-        signal_phase_misalignment=_float(cfg, "signal_phase_misalignment", 0.0),
+        signal_intensity=float(cfg["mu"]),
+        slice_count=int(cfg["slices"]),
+        ec_efficiency=float(cfg["f"]),
+        decoy_intensities=tuple(map(float, cfg.get("decoys", ()))),
+        signal_phase_misalignment=float(cfg.get("signal_phase_misalignment", 0.0)),
     )
 
 
@@ -357,8 +339,8 @@ def cmd_simulate(args) -> int:
     pp = build_protocol(cfg)
     ch = build_channel(cfg)
     sc = SimConfig(
-        rounds=_int(cfg, "rounds"),
-        seed=_int(cfg, "seed"),
+        rounds=int(cfg["rounds"]),
+        seed=int(cfg["seed"]),
         mode=cfg.get("mode", "forced-matching"),
     )
     tally = run_rounds(pp, ch, sc, workers=args.workers)

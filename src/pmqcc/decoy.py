@@ -18,7 +18,8 @@ coefficients and of the dot, and one term, (3m+8) eps sum_i |c_i A_i|,
 charges it.  For three nonzero decoys the m=2 rung is the three-party
 closed form the test suite keeps as an oracle.  The ladder's gain-free
 half (``_ladder``), which ``check_decoy_set`` runs once for every
-distance, checks the decoys' spacing and float range; its gain half
+distance and ``yields_lower_general`` on each call, is the one check of
+the decoys' count, spacing and float range; its gain half
 (``_rung_bounds``) forms the bounds.  Both raise
 ``DegenerateGeometryError`` where the floats cannot carry a rung.
 
@@ -148,9 +149,17 @@ def _ladder(intensities, scale: float, n_cut: int) -> tuple:
     """The gain-free half of the ladder on the nonzero intensities x
     (descending), t = scale * x: (e^t, {m: (c, factor)}) over the
     n_cut + 1 smallest t, with each even rung from ``_rung_combination``,
-    after checking the spacing of those t and the float range of e^t.
-    No check reads the float coefficients: their signs hold exactly, and
-    ``_rung_bounds`` charges their rounding."""
+    after checking that n_cut is a positive even number, that n_cut + 1
+    intensities are given, and the spacing of those t and the float range
+    of e^t.  No check reads the float coefficients: their signs hold
+    exactly, and ``_rung_bounds`` charges their rounding."""
+    if n_cut < 2 or n_cut % 2 != 0:
+        raise ParameterError(f"n_cut must be a positive even integer, got {n_cut}")
+    if len(intensities) < n_cut + 1:
+        raise InsufficientIntensitiesError(
+            f"bounding Y_{n_cut} needs {n_cut + 1} nonzero decoys plus vacuum, "
+            f"got {len(intensities)}"
+        )
     ts = [scale * x for x in intensities[-(n_cut + 1):]]
     for hi, lo in zip(ts, ts[1:]):
         if hi <= lo or (hi - lo) / hi < MIN_RELATIVE_SEPARATION:
@@ -189,14 +198,8 @@ def _rung_bounds(ladder: tuple, g: DecoyGains) -> dict:
 def yields_lower_general(g: DecoyGains, total_intensity_scale: float, n_cut: int) -> dict:
     """Lower bounds {m: Y_m^L} for every even order up to n_cut.  The Y_m rung
     combines the m+1 smallest nonzero intensities (all three in the
-    three-party case, where it is the three-party closed form)."""
-    if n_cut < 2 or n_cut % 2 != 0:
-        raise ParameterError(f"n_cut must be a positive even integer, got {n_cut}")
-    if len(g.intensities) < n_cut + 1:
-        raise InsufficientIntensitiesError(
-            f"bounding Y_{n_cut} needs {n_cut + 1} nonzero decoys plus vacuum, "
-            f"got {len(g.intensities)}"
-        )
+    three-party case, where it is the three-party closed form), after
+    ``_ladder``'s checks."""
     return _rung_bounds(_ladder(g.intensities, total_intensity_scale, n_cut), g)
 
 
@@ -225,21 +228,14 @@ def phase_error_upper(
 
 
 def check_decoy_set(pp: ProtocolParams) -> tuple:
-    """Raise ``InsufficientIntensitiesError`` unless the decoy set has the
-    vacuum intensity and the n_cut + 1 nonzero ones the ladder needs, and
-    ``DegenerateGeometryError`` if the ladder's gain-free half rejects
-    them; return that half's (e^t, rungs).  None of these depends on the
-    channel, so a caller can check them once for every distance."""
-    n_cut = n_cut_for(pp.n_parties)
-    nonzero = pp.nonzero_decoys
+    """The ladder's gain-free half (e^t, rungs) of pp's decoys.  Raises
+    ``InsufficientIntensitiesError`` without the vacuum intensity, and
+    then what ``_ladder`` raises on the nonzero ones.  None of these
+    checks depends on the channel, so a caller can run them once for
+    every distance."""
     if not pp.has_vacuum_decoy:
         raise InsufficientIntensitiesError("the estimator needs a vacuum (0) decoy intensity")
-    if len(nonzero) < n_cut + 1:
-        raise InsufficientIntensitiesError(
-            f"N={pp.n_parties} needs {n_cut + 1} nonzero decoys plus vacuum, "
-            f"got {len(nonzero)}"
-        )
-    return _ladder(nonzero, float(pp.n_parties - 1), n_cut)
+    return _ladder(pp.nonzero_decoys, pp.n_parties - 1, n_cut_for(pp.n_parties))
 
 
 def rate_lower(pp: ProtocolParams, ch: ChannelParams) -> RateReport:

@@ -281,6 +281,20 @@ def random_decoy_draws(seed: int, count: int):
         yield pp, bench_channel_at(rng.uniform(0.0, 100.0))
 
 
+def geometric_decoy_draws(seed: int, count: int, signal_seed: int):
+    """(pp, ch): the N <= 8 sets of ``geometric_decoy_sets(seed, count)``
+    with the vacuum, at a signal 1.05-20 times the largest decoy
+    (log-uniform, from ``signal_seed``), so that many of them certify."""
+    rng = random.Random(signal_seed)
+    for n, decoys, km in geometric_decoy_sets(seed, count):
+        if n > 8:
+            continue
+        mu = decoys[0] * 10.0 ** rng.uniform(math.log10(1.05), math.log10(20.0))
+        pp = ProtocolParams(n_parties=n, signal_intensity=mu, slice_count=13,
+                            decoy_intensities=(*decoys, 0.0))
+        yield pp, bench_channel_at(km)
+
+
 # sets that per-order float guards used to reject: N=8 decoys 0.13 %
 # apart, the tiny N=6 set, the clustered N=5 set far out, and N=3
 # decoys whose t**162 overflowed
@@ -447,6 +461,27 @@ class TestRateLower:
         with pytest.raises(InsufficientIntensitiesError):
             rate_lower(pp, bench_channel_at(150.0))
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_a_set_one_decoy_short_fails_each_gate_alike(self, n):
+        # the ladder is the one count check: the distance-free check, the
+        # public yield bounds and the rate raise the same error
+        decoys = tuple(0.05 * 0.6**j for j in range(n_cut_for(n)))
+        pp = ProtocolParams(n_parties=n, signal_intensity=0.1, slice_count=13,
+                            decoy_intensities=(*decoys, 0.0))
+        ch = bench_channel_at(10.0)
+        gates = (
+            lambda: check_decoy_set(pp),
+            lambda: yields_lower_general(simulate_decoy_gains(pp, ch), n - 1, n_cut_for(n)),
+            lambda: rate_lower(pp, ch),
+        )
+        messages = set()
+        for gate in gates:
+            with pytest.raises(InsufficientIntensitiesError) as info:
+                gate()
+            messages.add(str(info.value))
+        m = n_cut_for(n)
+        assert messages == {f"bounding Y_{m} needs {m + 1} nonzero decoys plus vacuum, got {m}"}
+
     def test_four_party_ladder_runs_and_is_safe(self):
         pp = ProtocolParams(
             n_parties=4, signal_intensity=0.1, slice_count=13,
@@ -562,6 +597,18 @@ class TestRateLower:
             assert rate <= rate_pmqcc(pp, ch).rate
             outcomes["positive" if rate > 0.0 else "zero"] += 1
         assert outcomes.keys() == {"positive", "zero", "DegenerateGeometryError"}
+
+    def test_geometric_draws_certify_without_beating_the_exact_rate(self):
+        # random_decoy_draws certify a positive rate on few draws, where
+        # rate <= exact is mostly 0 <= exact; geometric sets below the
+        # signal certify on many, at every odd N the draws reach
+        positive = Counter()
+        for pp, ch in geometric_decoy_draws(26, 600, 5):
+            rate = rate_lower(pp, ch).rate
+            assert rate <= rate_pmqcc(pp, ch).rate
+            positive[pp.n_parties] += rate > 0.0
+        assert positive.total() >= 50
+        assert {3, 5, 7} <= {n for n, count in positive.items() if count}
 
     def test_is_the_public_steps_composed(self):
         # the report is the exact rate's assembly charged with the capped

@@ -1,6 +1,7 @@
 """Module boundaries inside the package: no module reaches into a
 sibling's private names, or imports a sibling's name it does not use,
-and only the command line names a protocol."""
+only the command line names a protocol, and every command type-checks
+its config before it builds from it."""
 
 import argparse
 import ast
@@ -152,3 +153,43 @@ def test_protocol_choices_of_each_command():
     }
     every = ["pmqcc", "pmqcc-star", "reduced", "decoy-lower"]
     assert choices == {"rate": every, "curve": every, "optimize": every[:3]}
+
+
+def config_calls(source: str) -> dict:
+    """For each ``cmd_*`` function of the source, its calls to
+    ``load_config``, ``_setup`` and the ``build_*`` builders, by name in
+    the order they appear."""
+    calls = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            found = sorted(
+                (call.lineno, call.col_offset, call.func.id)
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and (call.func.id in ("load_config", "_setup") or call.func.id.startswith("build_"))
+            )
+            calls[node.name] = [name for _, _, name in found]
+    return calls
+
+
+def test_detects_config_calls():
+    source = (
+        "def cmd_a(args):\n"
+        "    cfg = load_config(args.config)\n"
+        "    return _setup(cfg, 'x'), build_channel(cfg)\n"
+        "def cmd_b(args):\n"
+        "    pp = build_protocol({})\n"
+        "    return pp, load_config(args.config)\n"
+        "def helper(cfg):\n"
+        "    return build_channel(cfg)\n"
+    )
+    assert config_calls(source) == {
+        "cmd_a": ["load_config", "_setup", "build_channel"], "cmd_b": ["build_protocol", "load_config"]
+    }
+
+
+def test_every_command_loads_its_config_before_building_from_it():
+    # load_config is the config's one type check; the builders only convert
+    calls = config_calls((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    assert set(calls) == {"cmd_rate", "cmd_curve", "cmd_simulate", "cmd_optimize"}
+    assert {name: found[0] for name, found in calls.items()} == dict.fromkeys(calls, "load_config")
