@@ -26,8 +26,6 @@ rate layers are imported inside the functions that run them too, so
 ``simulate`` loads ``core`` and ``montecarlo`` alone.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json

@@ -15,8 +15,6 @@ Conventions used throughout the package:
   groups onto distinct exit codes.
 """
 
-from __future__ import annotations
-
 import math
 
 __all__ = [

@@ -28,8 +28,6 @@ products with one rounding (``_dot``), so a bound does not depend on the
 order in which a dot is accumulated.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import sys

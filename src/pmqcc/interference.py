@@ -19,8 +19,6 @@ The round-level simulator is therefore checked against
 exactly, not against these forms.
 """
 
-from __future__ import annotations
-
 import math
 
 from .core import ParameterError, intrinsic_misalignment

@@ -39,8 +39,6 @@ Negative raw rates clamp to 0 with a flag rather than raising, since
 optimizers routinely sweep infeasible regions.
 """
 
-from __future__ import annotations
-
 import math
 
 from .core import (

@@ -66,19 +66,13 @@ A run's one record is its ``SimTally``; its ``gain`` and ``pair_qbers``
 properties are the empirical estimates, read from its counts.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator
 import os
 import random
-from typing import TYPE_CHECKING
 
 from .core import ChannelParams, InsufficientDataError, ParameterError, ProtocolParams, Record, transmittance
-
-if TYPE_CHECKING:  # imported at run time only by the runs that take the numpy kernel
-    import numpy as np
 
 __all__ = ["SimConfig", "SimTally", "run_rounds", "tally_expectation"]
 
@@ -362,7 +356,7 @@ def _draw_stdlib(
 
 
 def _draw_numpy(
-    rng: np.random.Generator,
+    rng,
     n_cand: int,
     n: int,
     bound: float,
@@ -370,13 +364,14 @@ def _draw_numpy(
     m: int,
     arrival: float,
     log_nodark: float,
-    deviations: np.ndarray,
-    comp: np.ndarray,
+    deviations,
+    comp,
 ) -> None:
     """The candidates as arrays, their successes counted per id into
-    ``tally``.  Slice p+1 sits comp_p or comp_p + M/2 slices after slice
-    p; the absolute slice index shifts each phase difference by whole
-    turns only, so it is not drawn."""
+    ``tally``; ``rng`` is a numpy ``Generator``, and ``deviations`` and
+    ``comp`` are numpy arrays.  Slice p+1 sits comp_p or comp_p + M/2
+    slices after slice p; the absolute slice index shifts each phase
+    difference by whole turns only, so it is not drawn."""
     import numpy as np
 
     half_offset = rng.integers(0, 2, (n - 1, n_cand))

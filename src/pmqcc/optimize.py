@@ -67,8 +67,6 @@ and 1.3 won at every N = 5-9 point, where 1.05 alone fell up to 8e-4
 short.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 

@@ -34,6 +34,18 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("obj, text", [
+    ({}, "{}"),
+    ([], "[]"),
+    ({"a": {}}, '{\n  "a": {}\n}'),
+    ({"a": []}, '{\n  "a": []\n}'),
+])
+def test_dump_json_prints_empty_containers_inline(obj, text):
+    # no command prints an empty object, so only this reaches that branch
+    assert _dump_json(obj) == text
+    assert json.loads(text) == obj
+
+
 class TestRateCommand:
     def test_benchmark_point(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TABLE_CONFIG)
@@ -850,9 +862,16 @@ class TestEntryPoint:
     ], ids=["rate", "rate-decoy-lower", "curve", "curve-signal+decoys", "optimize-signal",
             "optimize-decoys", "simulate", "simulate-heavy"])
     def test_leaves_dataclasses_unimported(self, tmp_path, command):
-        # nor inspect, which records do not need to write their __init__;
-        # numpy imports it itself, so the numpy kernel's run is not asked
-        packages = ["dataclasses"] if command[0] == "simulate-heavy" else ["dataclasses", "inspect"]
+        # nor inspect, which records do not need to write their __init__,
+        # nor __future__ and typing, which annotations evaluated where they
+        # are written do not need; numpy imports inspect and typing itself,
+        # so the numpy kernel's run is not asked about them.  Where `site`
+        # already loads typing (a .pth file that imports certifi does),
+        # loaded_beyond_startup cannot blame a command for it, and only the
+        # __future__ half of this check bites.
+        packages = ["dataclasses", "__future__"]
+        if command[0] != "simulate-heavy":
+            packages += ["inspect", "typing"]
         for package in packages:
             assert loaded_beyond_startup(tmp_path, command, package) == []
 

@@ -1,7 +1,8 @@
 """Module boundaries inside the package: no module reaches into a
 sibling's private names, or imports a sibling's name it does not use,
-only the command line names a protocol, and every command type-checks
-its config before it builds from it."""
+only the command line names a protocol, no module imports
+``__future__`` or ``typing``, and every command type-checks its config
+before it builds from it."""
 
 import argparse
 import ast
@@ -105,6 +106,42 @@ def test_every_public_name_resolves_from_its_layer():
         assert getattr(layer, name).__module__ == layer.__name__
     with pytest.raises(AttributeError):
         pmqcc.not_a_name
+
+
+# annotations are evaluated where they are written, which Python >= 3.10
+# allows for every one in the package, so no module needs these
+ANNOTATION_MODULES = {"__future__", "typing"}
+
+
+def annotation_imports(source: str) -> list:
+    """Every module of ``ANNOTATION_MODULES`` that the source imports,
+    by ``import`` or ``from ... import``, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return sorted(name for name in found if name.split(".")[0] in ANNOTATION_MODULES)
+
+
+def test_detects_annotation_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, typing as t\n"
+        "from .typing import x\n"
+        "from typing_extensions import Self\n"
+        "def f():\n"
+        "    from typing import TYPE_CHECKING\n"
+    )
+    assert annotation_imports(source) == ["__future__", "typing", "typing"]
+
+
+def test_no_module_imports_future_or_typing():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(paths) > 1
+    found = {path.name: annotation_imports(path.read_text(encoding="utf-8")) for path in paths}
+    assert {name: modules for name, modules in found.items() if modules} == {}
 
 
 # the protocol names the command line maps onto rate_pmqcc's arguments
