@@ -16,15 +16,15 @@ The assembly is two steps.  ``intensity_terms`` computes what depends
 on the signal intensity alone: the branch gain, Q^(N-1), the O(N) phase
 error and its entropy.  ``slice_rate`` adds what depends on the slice
 count M through the distance-free constants of ``slice_constants`` (the
-prefactor and the misalignment): the branch QBER, the marginals, the
-leak and R; it is the only place R is formed.  ``rate_pmqcc`` runs the
-two steps on the validated records, and the variants above are its
-arguments: ``sliced=False`` is the starred variant, ``boundaries``
-marks the broken ends of a reduced network and ``phase_error`` takes
-the decoy-certified bound.  It is the only place a ``RateReport`` is
-built.  The signal optimizer calls the two steps directly, so a sweep
-over the intensity builds no records and a sweep over M shares the
-intensity terms.
+prefactor and the misalignment): the branch QBER, the leak at the
+farthest pair and R; it is the only place R is formed.  ``rate_pmqcc``
+runs the two steps on the validated records and adds the marginals; the
+variants above are its arguments: ``sliced=False`` is the starred
+variant, ``boundaries`` marks the broken ends of a reduced network and
+``phase_error`` takes the decoy-certified bound.  It is the only place a
+``RateReport`` is built.  The signal optimizer calls the two steps
+directly, so a sweep over the intensity builds no records and a sweep
+over M shares the intensity terms.
 
 The phase error E_X is the closed form of ``parity_phase_error``: by
 Poisson thinning the branch photon numbers are independent Poisson
@@ -218,31 +218,29 @@ def intensity_terms(
 
 
 def slice_rate(terms: tuple, f: float, prefactor: float, misalignment: float, sliced: bool) -> tuple:
-    """(raw rate, gain, marginal QBERs, E_X) from the ``intensity_terms``
-    and the constants of ``slice_constants``:
-    R = P Q [1 - f H(E_N) - H(E_X)], unclamped.
+    """(raw rate, branch QBER e) from the ``intensity_terms`` and the
+    constants of ``slice_constants``: R = P Q [1 - f H(E_N) - H(E_X)],
+    unclamped, with E_N the farthest pair's marginal QBER.
 
     The branch QBER is the sliced closed form when ``sliced``, else the
-    starred one; it is checked once, and the marginals are those of
-    ``marginal_qber`` without its argument checks.
+    starred one; it is checked once, and E_N is ``marginal_qber``'s
+    without its argument checks.  Without detections both are 0.
     """
-    n, pd, arrival, branch_gain, attenuation, gain, phase_error, phase_entropy = terms
+    n, pd, arrival, branch_gain, attenuation, gain, _, phase_entropy = terms
     if branch_gain == 0.0:
         # no detections at all: zero gain, zero rate, nothing to clamp
-        return 0.0, 0.0, (0.0,) * (n - 1), 0.0
+        return 0.0, 0.0
     if sliced:
         e = sliced_qber_at_gain(branch_gain, attenuation, arrival, pd, misalignment)
     else:
         e = _qber_star_at_gain(branch_gain, arrival, pd, misalignment)
     if not 0.0 <= e <= 1.0:
         raise ParameterError(f"branch QBER must lie in [0, 1], got {e}")
-    marginals = tuple(_odd_error_share(e, m - 1) for m in range(2, n + 1))
     # the leak is charged at the farthest pair: H(E_m) = H((1 - |1-2e|^(m-1))/2)
     # since H is symmetric about 1/2, and |1-2e|^(m-1) does not rise with
     # m for any e in [0, 1], e > 1/2 included, so H(E_m) does not fall
-    leak = f * binary_entropy(marginals[-1])
-    raw = prefactor * gain * (1.0 - (leak + phase_entropy))
-    return raw, gain, marginals, phase_error
+    leak = f * binary_entropy(_odd_error_share(e, n - 1))
+    return prefactor * gain * (1.0 - (leak + phase_entropy)), e
 
 
 def rate_pmqcc(
@@ -255,6 +253,8 @@ def rate_pmqcc(
 ) -> RateReport:
     """Conference key rate R = P Q [1 - f max_m H(E_m) - H(E_X)], the max
     at m = N: ``slice_rate`` on the ``intensity_terms`` of the records.
+    The report's gain and E_X are those terms, and its marginal QBERs
+    are formed here from the branch QBER ``slice_rate`` returns.
 
     Sliced, P = (2/M)^(N-1) and the branch QBER is the slice-misalignment
     one; otherwise P = 1 and it comes from the signal-mode misalignment.
@@ -265,15 +265,15 @@ def rate_pmqcc(
     terms = intensity_terms(
         pp.n_parties, pp.signal_intensity, ch.dark_count, transmittance(ch), boundaries, phase_error
     )
-    raw, gain, marginals, phase_error = slice_rate(terms, pp.ec_efficiency, prefactor, misalignment, sliced)
+    raw, e = slice_rate(terms, pp.ec_efficiency, prefactor, misalignment, sliced)
     # the sign, not raw < 0: a negative margin times a prefactor and gain
     # that underflow to 0 gives -0.0
     clamped = math.copysign(1.0, raw) < 0.0
     return RateReport(
         rate=0.0 if clamped else raw,
-        gain=gain,
-        marginal_qbers=marginals,
-        phase_error=phase_error,
+        gain=terms[5],
+        marginal_qbers=tuple(_odd_error_share(e, m - 1) for m in range(2, pp.n_parties + 1)),
+        phase_error=terms[6],
         sifting_prefactor=prefactor,
         clamped=clamped,
     )

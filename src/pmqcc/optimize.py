@@ -61,10 +61,10 @@ degenerate scores 0 and is never returned.  In this asymptotic model the
 certified rate rises as the decoys weaken, until rounding in the ladder
 takes it down again: on the benchmark channel the best scale lies at
 v ~ -1.9 to -4.4.  The best ratio depends on the number of rungs: over
-seeded searches 1.05 won at every N = 3 point, where 1.3 alone fell up
-to 1.2e-5 relative short of a free coordinate descent beyond ~170 km,
-and 1.3 won at every N = 5-9 point, where 1.05 alone fell up to 8e-4
-short.
+60 seeded searches per odd N = 3-9 on the benchmark channel, 1.05 won
+all at N = 3 and 1.3 all at N = 7 and 9, where the other fell up to 4e-5
+and 0.36 relative short; at N = 5 both win: 1.3 won 56 and 1.05 won 4,
+all beyond 80 km, by up to 6e-7.
 """
 
 import math

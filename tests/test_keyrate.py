@@ -348,13 +348,11 @@ class TestRateKernel:
             terms = intensity_terms(
                 pp.n_parties, pp.signal_intensity, ch.dark_count, transmittance(ch), ends, given
             )
-            raw, gain, marginals, phase_error = slice_rate(
-                terms, pp.ec_efficiency, prefactor, misalignment, sliced
-            )
+            raw, e = slice_rate(terms, pp.ec_efficiency, prefactor, misalignment, sliced)
             report = rate_pmqcc(pp, ch, sliced=sliced, boundaries=ends, phase_error=given)
             assert max(raw, 0.0) == report.rate == reference_rate(pp, ch, sliced, ends, given)
-            assert (gain, marginals, phase_error) == (
-                report.gain, report.marginal_qbers, report.phase_error)
+            assert (report.gain, report.marginal_qbers, report.phase_error) == (
+                terms[5], tuple(marginal_qber(e, k) for k in range(2, pp.n_parties + 1)), terms[6])
             outcomes.add("positive" if raw > 0.0 else "zero")
         assert outcomes == {"positive", "zero"}
 
@@ -373,17 +371,16 @@ class TestRateKernel:
                     pp.signal_phase_misalignment,
                 )
                 prefactor, misalignment = slice_constants(pp_m, sliced)
-                split = slice_rate(terms, f, prefactor, misalignment, sliced)
+                raw, e = slice_rate(terms, f, prefactor, misalignment, sliced)
                 report = rate_pmqcc(pp_m, ch, sliced=sliced, boundaries=ends, phase_error=given)
-                assert (max(split[0], 0.0), *split[1:]) == (
-                    report.rate, report.gain, report.marginal_qbers, report.phase_error)
-                assert max(split[0], 0.0) == reference_rate(pp_m, ch, sliced, ends, given)
+                assert max(raw, 0.0) == report.rate == reference_rate(pp_m, ch, sliced, ends, given)
                 arrival = eta * mu
                 if sliced:
-                    branch_e = branch_qber_avg(arrival, pd, m)
+                    assert e == branch_qber_avg(arrival, pd, m)
                 else:
-                    branch_e = qber_star(arrival, pd, pp.signal_phase_misalignment)
-                assert split[2] == tuple(marginal_qber(branch_e, k) for k in range(2, n + 1))
+                    assert e == qber_star(arrival, pd, pp.signal_phase_misalignment)
+                assert (report.gain, report.marginal_qbers, report.phase_error) == (
+                    terms[5], tuple(marginal_qber(e, k) for k in range(2, n + 1)), terms[6])
 
     @pytest.mark.parametrize("given", [None, 0.3])
     @pytest.mark.parametrize("n", [2, 3, 7])
@@ -394,11 +391,13 @@ class TestRateKernel:
         terms = intensity_terms(n, 0.1, 0.0, eta, (False, True), given)
         assert terms[3] == 0.0
         for sliced, constants in ((True, ((2.0 / 13) ** (n - 1), 0.01)), (False, (1.0, 0.02))):
-            split = slice_rate(terms, 1.16, *constants, sliced)
-            assert split == (0.0, 0.0, (0.0,) * (n - 1), 0.0)
+            assert slice_rate(terms, 1.16, *constants, sliced) == (0.0, 0.0)
             pp = ProtocolParams(n, 0.1, 13, signal_phase_misalignment=0.02)
             report = rate_pmqcc(pp, ch, sliced=sliced, boundaries=(False, True), phase_error=given)
-            assert split == (report.rate, report.gain, report.marginal_qbers, report.phase_error)
+            fields = (report.rate, report.gain, report.marginal_qbers, report.phase_error)
+            assert fields == (0.0, 0.0, (0.0,) * (n - 1), 0.0)
+            # +0.0 throughout, as the kernel's zero-gain return
+            assert all(math.copysign(1.0, q) > 0.0 for q in report.marginal_qbers)
 
     def test_slice_step_checks_the_branch_qber(self):
         terms = intensity_terms(3, 0.1, 7.2e-8, 0.1, (False, False))

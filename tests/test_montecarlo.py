@@ -303,6 +303,23 @@ class TestBinomial:
         assert _binomial(rng, 1000, 1.0) == 1000
         assert _binomial(rng, 0, 0.3) == 0
 
+    def test_rejection_skips_the_divergent_uniform(self):
+        # a uniform of exactly 0 puts BTRS at u = -1/2, where its
+        # transform divides by 0; the draw discards it and goes on with
+        # the next uniform, as if it had never come
+        class Stream:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def random(self):
+                return next(self.values)
+
+        source = random.Random(11)
+        recorded = [source.random() for _ in range(64)]
+        plain, guarded = Stream(recorded), Stream([0.0] + recorded)
+        assert _binomial(guarded, 65_536, 0.111) == _binomial(plain, 65_536, 0.111)
+        assert list(guarded.values) == list(plain.values)
+
 
 def expected_candidates(pp: ProtocolParams, ch: ChannelParams, sc: SimConfig) -> float:
     n = pp.n_parties

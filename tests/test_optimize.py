@@ -123,6 +123,21 @@ class TestOptimizeSignal:
         assert set(COARSE_GRID) <= set(search)
         assert result.evaluations == 987 > 3 * len(search)
 
+    def test_one_marginal_per_score(self, monkeypatch):
+        # a score forms only the farthest pair's marginal QBER; the
+        # re-run through rate_pmqcc adds the report's N-1 marginals
+        calls = 0
+        odd_error_share = pmqcc.keyrate._odd_error_share
+
+        def counting(e, k):
+            nonlocal calls
+            calls += 1
+            return odd_error_share(e, k)
+
+        monkeypatch.setattr(pmqcc.keyrate, "_odd_error_share", counting)
+        result = optimize_signal(bench_channel_at(5.0), 6)
+        assert calls == result.evaluations + 6 == 1792
+
     def test_reported_rate_is_a_scored_one(self, monkeypatch):
         # the report's rate, re-run through rate_pmqcc, is bit for bit a
         # rate the search scored, sliced or not, over every end pattern
@@ -351,6 +366,15 @@ class TestOptimizeDecoys:
         )
         assert result.best_rate >= (1.0 - 1e-6) * dense
         assert result.best_rate <= rate_pmqcc(result.best_params, ch).rate
+
+    @pytest.mark.parametrize("km, mu, m, ratio", [(90.0, 0.09, 17, 1.05), (10.0, 0.1, 15, 1.3)])
+    def test_each_ratio_wins_somewhere(self, km, mu, m, ratio):
+        # at N=5 on the benchmark channel each ratio certifies more than
+        # the other at one of these points (by under 1e-6 relative), so the
+        # search needs both
+        result = optimize_decoys(bench_channel_at(km), 5, mu, m)
+        decoys = result.best_params.decoy_intensities
+        assert decoys[0] / decoys[1] == pytest.approx(ratio, rel=1e-12)
 
     def test_search_does_not_depend_on_how_a_dot_is_summed(self, monkeypatch):
         # the golden section stops at DECOY_TOL decades, far above what the
